@@ -4,13 +4,14 @@ Subcommands map 1:1 onto module operations; nothing is computed here that
 the library cannot do.  Output is deterministic CSV or JSON (same seed and
 version => byte-identical bytes; wall time goes to stderr only).  Exit
 codes: 0 = all asserted tolerances met, 1 = usage error, 2 = a verification
-exceeded its tolerance.
+exceeded its tolerance or a counterexample result is not finite.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -154,9 +155,10 @@ def _cmd_ratio(args) -> int:
                            ascent_steps=0 if args.search == "random" else args.ascent_steps,
                            seed=args.seed)
         report, _ = search_max_ratio(instance, cfg)
+    a_or_gamma = args.a if args.a is not None else args.gamma
     row = {"inequality_id": instance.ineq_id, "n": instance.n, "p": instance.p,
            "q": instance.q if instance.q is not None else "",
-           "a_or_gamma": args.a if args.a is not None else (args.gamma or ""),
+           "a_or_gamma": a_or_gamma if a_or_gamma is not None else "",
            "t": args.t if args.t is not None else "",
            "lhs": report.lhs, "rhs": report.rhs, "ratio": report.ratio,
            "mode": report.mode, "seed": args.seed}
@@ -188,32 +190,27 @@ def _cmd_sweep(args) -> int:
 def _cmd_counterexample(args) -> int:
     rows = []
     name = args.construction
-    if name == "talagrand":
-        for rep in cx.talagrand_sweep(args.n_list, args.p):
-            rows.append({"n": "", "lhs": rep.lhs, "rhs": rep.rhs, "ratio": rep.ratio})
-        for row, n in zip(rows, args.n_list):
-            row["n"] = n
-        curve = cx.GrowthCurve.fit(args.n_list, [r["lhs"] for r in rows])
-        extra = {"lhs_fit": curve.fit_record()}
-    elif name == "lamberton":
-        for n in args.n_list:
-            rep = cx.lamberton_ratio(n, args.s)
-            rows.append({"n": n, "lhs": rep.lhs, "rhs": rep.rhs, "ratio": rep.ratio})
-        extra = {}
-    elif name == "riesz-above":
-        for n in args.n_list:
-            rep = cx.riesz_above_vector_check(n, args.p, args.s)
-            rows.append({"n": n, "lhs": rep.lhs, "rhs": rep.rhs, "ratio": rep.ratio})
-        extra = {}
-    else:  # pisier-constant
-        for n in args.n_list:
+    report = {"talagrand": lambda n: cx.talagrand_ratio(n, args.p),
+              "lamberton": lambda n: cx.lamberton_ratio(n, args.s),
+              "riesz-above": lambda n: cx.riesz_above_vector_check(n, args.p, args.s)}.get(name)
+    for n in args.n_list:
+        if report is None:  # pisier-constant
             pm = cx.pisier_min_constant(n)
             rows.append({"n": n, "minimum": pm.value, "argmin": pm.argmin})
-        extra = {}
+        else:
+            rep = report(n)
+            rows.append({"n": n, "lhs": rep.lhs, "rhs": rep.rhs, "ratio": rep.ratio})
+    extra = {}
+    if name == "talagrand":
+        extra["lhs_fit"] = cx.GrowthCurve.fit(args.n_list, [r["lhs"] for r in rows]).fit_record()
     record = ExperimentRecord("counterexample-" + name,
                               {"p": args.p, "s": args.s, **extra}, args.seed, rows)
     record.wall_time_s = time.perf_counter() - args._t0
     _emit(record, args)
+    bad = [row["n"] for row in rows
+           if not all(math.isfinite(v) for v in row.values() if isinstance(v, float))]
+    if bad:
+        return _fail(2, f"counterexample {name}: non-finite result at n = {bad}")
     return 0
 
 

@@ -9,10 +9,11 @@ R components or L^q / L^infty over a second cube variable.
 by full enumeration of the 2^k sign patterns (k <= 20) or by seeded
 Monte-Carlo with a reported standard error.
 
-`radial_sup_rademacher_moment` is the O(n^2)-style reduction that makes the
-quantity (E_delta [sup_zeta |sum_i delta_i D_i f(zeta)|]^p)^{1/p} exactly
-computable for radial f up to n ~ 10^6: for a point zeta of weight d the
-summand D_i f(zeta) equals alpha(d) = (v(d)-v(d+1))/2 on +1 coordinates and
+`radial_sup_rademacher_moment` is the O(n log n + W^2) reduction, with W
+the sign-total window below, that makes the quantity
+(E_delta [sup_zeta |sum_i delta_i D_i f(zeta)|]^p)^{1/p} exactly computable
+for radial f up to n ~ 10^6: for a point zeta of weight d the summand
+D_i f(zeta) equals alpha(d) = (v(d)-v(d+1))/2 on +1 coordinates and
 beta(d) = (v(d)-v(d-1))/2 on -1 coordinates, so for a sign pattern with sum
 s the supremum over zeta is a maximum of |alpha(d) s + (beta-alpha)(d) u|
 over d and over the feasible (integer, parity-free after relaxing to the
@@ -26,11 +27,11 @@ truncated where the total discarded probability mass is below `tail_mass`
 from __future__ import annotations
 
 import math
-import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
+from scipy.stats import binom
 
 from .cube import BiCubeFunction, CubeFunction, VectorCubeFunction
 from .radial import RadialProfile, binomial_weights
@@ -38,14 +39,7 @@ from .rng import stream_generator
 
 MAX_EXACT_SIGNS = 20
 _CHUNK = 1 << 12
-
-try:
-    import numba
-    from numba import njit, prange
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
+_BLOCK = 1 << 17  # (s, d) pairs per sup-kernel block
 
 
 @dataclass(frozen=True)
@@ -232,45 +226,6 @@ def rademacher_avg(operands, p: float, spec: MixedNormSpec | None = None,
 # -- radial sup-Rademacher reduction ------------------------------------------
 
 
-if _HAVE_NUMBA:
-    @njit(parallel=True, cache=False)
-    def _sup_kernel(alpha, beta, n, svals):  # pragma: no cover - jitted
-        out = np.empty(svals.shape[0])
-        for si in prange(svals.shape[0]):
-            s = svals[si]
-            best = 0.0
-            for d in range(n + 1):
-                a = alpha[d]
-                g = beta[d] - a
-                umin = d - n + s
-                if -d > umin:
-                    umin = float(-d)
-                umax = n + s - d
-                if d < umax:
-                    umax = float(d)
-                v1 = abs(a * s + g * umin)
-                v2 = abs(a * s + g * umax)
-                if v1 > best:
-                    best = v1
-                if v2 > best:
-                    best = v2
-            out[si] = best
-        return out
-
-
-def _sup_kernel_numpy(alpha, beta, n, svals):
-    d = np.arange(n + 1, dtype=np.float64)
-    gamma = beta - alpha
-    out = np.empty(svals.shape[0])
-    for i, s in enumerate(svals):
-        umin = np.maximum(-d, d - n + s)
-        umax = np.minimum(d, n + s - d)
-        base = alpha * s
-        out[i] = max(np.abs(base + gamma * umin).max(),
-                     np.abs(base + gamma * umax).max())
-    return out
-
-
 def radial_derivative_profiles(profile: RadialProfile) -> tuple[np.ndarray, np.ndarray]:
     """alpha(d), beta(d): the two values D_i f takes at a weight-d point.
 
@@ -286,25 +241,75 @@ def radial_derivative_profiles(profile: RadialProfile) -> tuple[np.ndarray, np.n
     return alpha, beta
 
 
+def _envelope_weights(alpha: np.ndarray, beta: np.ndarray, n: int, smax: float,
+                      d: np.ndarray) -> np.ndarray:
+    """The weights among `d` (all with |n - 2d| > smax) that can attain the sup.
+
+    Off the band the u-range endpoints are linear in s (u = -d below n/2;
+    d - n + s, n + s - d above), so a weight's term is the line
+    |alpha| |s| + |gamma| d (|beta| |s| + |gamma| (n - d) above n/2) in
+    t = |s| / smax.  The winners for t in [0, 1] are the upper-hull vertices
+    of the points (slope, intercept) between the t = 0 and t = 1 maximisers;
+    every line within a relative 1e-12 of that envelope is kept too, so
+    rounding ties cannot lose the maximiser.  A degenerate point set (all
+    equal, collinear, fewer than three points) keeps every weight.
+    """
+    if d.size == 0:
+        return d
+    below = 2 * d < n
+    x = np.abs(np.where(below, alpha[d], beta[d])) * smax
+    y = np.abs(beta[d] - alpha[d]) * np.where(below, d, n - d)
+    try:
+        ring = ConvexHull(np.column_stack([x, y])).vertices  # counter-clockwise
+    except QhullError:
+        return d
+    # counter-clockwise from the t = 1 maximiser to the t = 0 one runs right
+    # to left along the upper hull; reversed, the slopes ascend
+    top, right = np.argmax(y[ring]), np.argmax(x[ring] + y[ring])
+    chain = np.roll(ring, -right)[:(top - right) % ring.size + 1][::-1]
+    xc, yc = x[chain], y[chain]
+    # the gap x t + y - envelope(t) is concave in t, largest where the
+    # envelope's slope passes x: at a breakpoint, or at t = 0 or 1
+    breaks = np.concatenate([[0.0], (yc[:-1] - yc[1:]) / (xc[1:] - xc[:-1]), [1.0]])
+    k = np.searchsorted(xc, x, side="right")
+    t = breaks[k]
+    j = np.minimum(k, chain.size - 1)
+    return d[x * t + y >= (1.0 - 1e-12) * (xc[j] * t + yc[j])]
+
+
 def sup_gradient_sum_by_sign_total(profile: RadialProfile, svals: np.ndarray) -> np.ndarray:
-    """sup_zeta |sum_i delta_i D_i f(zeta)| for each sign total s in `svals`."""
+    """sup_zeta |sum_i delta_i D_i f(zeta)| for each sign total s in `svals`.
+
+    The max over d of |alpha s + gamma u| at the u-range endpoints, taken
+    over the band |n - 2d| <= max|s| and the few weights `_envelope_weights`
+    selects off it, in blocks of at most `_BLOCK` (s, d) pairs.  Cost is
+    O(n log n) for the hull plus O(W^2) for the W ~ max|s| band weights.
+    """
     alpha, beta = radial_derivative_profiles(profile)
     svals = np.asarray(svals, dtype=np.float64)
-    if _HAVE_NUMBA:
-        threads = os.environ.get("CUBEINEQ_THREADS")
-        if threads:
-            try:
-                numba.set_num_threads(max(1, int(threads)))
-            except ValueError:
-                pass
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # threading-layer fallback chatter
-            return _sup_kernel(alpha, beta, profile.n, svals)
-    return _sup_kernel_numpy(alpha, beta, profile.n, svals)
+    n = profile.n
+    smax = float(np.abs(svals).max(initial=0.0))
+    weights = np.arange(n + 1)
+    off = np.abs(n - 2 * weights) > smax
+    idx = np.concatenate([weights[~off], _envelope_weights(alpha, beta, n, smax, weights[off])])
+    d = idx.astype(np.float64)
+    a, g = alpha[idx], beta[idx] - alpha[idx]
+    out = np.empty(svals.shape[0])
+    rows = max(1, _BLOCK // idx.size)
+    for lo in range(0, svals.shape[0], rows):
+        s = svals[lo:lo + rows, None]
+        base = a * s
+        umin = np.maximum(-d, d - n + s)
+        umax = np.minimum(d, n + s - d)
+        out[lo:lo + rows] = np.maximum(np.abs(base + g * umin),
+                                       np.abs(base + g * umax)).max(axis=1)
+    return out
 
 
 def sign_total_window(n: int, tail_mass: float = 1e-20) -> np.ndarray:
     """Sign totals s (parity of n) covering all but `tail_mass` of the mass."""
+    if not 0.0 < tail_mass < 1.0:
+        raise ValueError(f"tail_mass must lie in (0, 1), got {tail_mass}")
     half_width = int(math.ceil(math.sqrt(2.0 * n * math.log(2.0 / tail_mass))))
     half_width = min(half_width, n)
     lo = -half_width if (half_width % 2) == (n % 2) else -half_width + 1
@@ -316,16 +321,17 @@ def radial_sup_rademacher_moment(profile: RadialProfile, p: float,
     """(E_delta [sup_zeta |sum_i delta_i D_i f(zeta)|]^p)^{1/p} for radial f.
 
     Exact up to the documented binomial-tail truncation; p = inf returns the
-    overall supremum.  Cost is O(n * window) with window ~ sqrt(n log(1/tail)).
+    overall supremum.  Cost is O(n log n + W^2) with window W ~
+    sqrt(n log(1/tail)).  A non-finite profile is refused.
     """
     if not p >= 1:
         raise ValueError(f"exponent must be in [1, inf], got {p}")
+    if not np.isfinite(profile.v).all():
+        raise ValueError("profile has non-finite values")
     n = profile.n
     svals = sign_total_window(n, tail_mass)
     sups = sup_gradient_sum_by_sign_total(profile, svals)
     if np.isinf(p):
         return float(sups.max())
-    from scipy.stats import binom
-
     pmf = binom.pmf((svals + n) // 2, n, 0.5)
     return float((pmf @ sups**p) ** (1.0 / p))

@@ -45,3 +45,17 @@ def brute_sup_rademacher_moment(f, p):
     if np.isinf(p):
         return float(sups.max())
     return float((sups**p).mean() ** (1.0 / p))
+
+
+def windowed_sup_reference(alpha, beta, n, svals):
+    """The O(n * len(svals)) sup kernel: every weight d for every sign total s."""
+    d = np.arange(n + 1, dtype=np.float64)
+    gamma = beta - alpha
+    out = np.empty(svals.shape[0])
+    for i, s in enumerate(svals):
+        umin = np.maximum(-d, d - n + s)
+        umax = np.minimum(d, n + s - d)
+        base = alpha * s
+        out[i] = max(np.abs(base + gamma * umin).max(),
+                     np.abs(base + gamma * umax).max())
+    return out

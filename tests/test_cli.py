@@ -100,3 +100,19 @@ def test_talagrand_subcommand_reports_fit(capsys):
     payload = json.loads(out)
     assert payload["params"]["lhs_fit"]["slope"] > 0
     assert len(payload["rows"]) == 3
+
+
+def test_ratio_row_keeps_gamma_zero(capsys):
+    code, out, _ = run_cli(capsys, "ratio", "--ineq", "GAMMA_BELOW", "--gamma", "0",
+                           "--n", "4", "--p", "2")
+    assert code == 0
+    assert json.loads(out)["rows"][0]["a_or_gamma"] == 0.0
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_counterexample_non_finite_row_exits_two(capsys):
+    # the Krawtchouk-table rhs of the point mass is nan at this size
+    code, _, err = run_cli(capsys, "counterexample", "lamberton", "--n-list", "1100",
+                           "--s", "1.5")
+    assert code == 2
+    assert "non-finite" in err and "1100" in err

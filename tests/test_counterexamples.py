@@ -211,3 +211,13 @@ def test_pisier_displayed_functional_grows_linearly():
     v1 = cx.pisier_min_constant(1000).value
     v2 = cx.pisier_min_constant(2000).value
     assert v2 / v1 == pytest.approx(2.0, rel=0.01)
+
+
+@pytest.mark.parametrize("n", [1, 10**5, 10**6])
+def test_pisier_min_meets_closed_form_at_large_n(n):
+    # a bounded scalar search missed the minimum here by 6e-8 and 1.6e-6 relative
+    r = (math.sqrt(1.0 + n * n) - 1.0) / n
+    closed = math.exp(-n * math.log(r) + math.log1p(r) - math.log1p(-r))
+    pm = cx.pisier_min_constant(n)
+    assert pm.value == pytest.approx(closed, rel=1e-10)
+    assert pm.argmin == pytest.approx(r, rel=1e-12)

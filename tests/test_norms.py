@@ -16,11 +16,14 @@ from cubeineq.norms import (
     lp_norm,
     mixed_norm,
     rademacher_avg,
+    radial_derivative_profiles,
     radial_sup_rademacher_moment,
     sign_total_window,
+    sup_gradient_sum_by_sign_total,
 )
+from cubeineq.counterexamples import lamberton_point_mass, talagrand_profile
 from cubeineq.radial import RadialProfile
-from conftest import brute_sup_rademacher_moment
+from conftest import brute_sup_rademacher_moment, windowed_sup_reference
 
 
 def test_dictator_has_unit_norm_for_every_p():
@@ -163,3 +166,54 @@ def test_sign_total_window_is_exact_for_small_n():
     assert all(s % 2 == 0 for s in sv)
     sv_odd = sign_total_window(15)
     assert all(s % 2 == 1 for s in sv_odd)  # parity matches n
+
+
+def assert_sup_kernel_matches_reference(prof):
+    svals = sign_total_window(prof.n).astype(np.float64)
+    alpha, beta = radial_derivative_profiles(prof)
+    expected = windowed_sup_reference(alpha, beta, prof.n, svals)
+    assert np.array_equal(sup_gradient_sum_by_sign_total(prof, svals), expected), prof.n
+
+
+@pytest.mark.parametrize("k", range(8, 15))
+def test_sup_kernel_bitwise_on_talagrand_profile(k):
+    assert_sup_kernel_matches_reference(talagrand_profile(1 << k))
+
+
+@pytest.mark.parametrize("n", list(range(4, 41)) + [100, 257, 1000, 4096])
+def test_sup_kernel_bitwise_on_random_profiles(rng, n):
+    for _ in range(3):
+        assert_sup_kernel_matches_reference(RadialProfile(n, rng.standard_normal(n + 1)))
+
+
+@pytest.mark.parametrize("n", [200, 1000])
+def test_sup_kernel_bitwise_on_degenerate_hulls(n):
+    # constant: every off-band point is (0, 0); linear: all share one slope
+    d = np.arange(n + 1, dtype=np.float64)
+    for v in (np.full(n + 1, 3.0), 0.7 * d, 2.0 - 1.3 * d):
+        assert_sup_kernel_matches_reference(RadialProfile(n, v))
+
+
+@pytest.mark.parametrize("n", range(96, 111))
+def test_sup_kernel_bitwise_just_past_the_band(rng, n):
+    # the window stops covering every weight here: only a few lie off the band
+    # (two up to n = 99, too few for a hull), and the point mass's sup is at d = 0
+    assert sign_total_window(n)[-1] < n
+    for v in (rng.standard_normal(n + 1), rng.integers(0, 3, n + 1).astype(np.float64)):
+        assert_sup_kernel_matches_reference(RadialProfile(n, v))
+    assert_sup_kernel_matches_reference(lamberton_point_mass(n))
+
+
+@pytest.mark.parametrize("tail_mass", [0.0, 1.0, 2.5, -1e-3, float("nan")])
+def test_window_refuses_tail_mass_outside_unit_interval(tail_mass):
+    with pytest.raises(ValueError, match="tail_mass"):
+        sign_total_window(64, tail_mass)
+    with pytest.raises(ValueError, match="tail_mass"):
+        radial_sup_rademacher_moment(talagrand_profile(64), 2.0, tail_mass)
+
+
+def test_sup_moment_refuses_non_finite_profile():
+    v = np.arange(33, dtype=np.float64)
+    v[5] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        radial_sup_rademacher_moment(RadialProfile(32, v), 2.0)
