@@ -4,7 +4,8 @@ Subcommands map 1:1 onto module operations; nothing is computed here that
 the library cannot do.  Output is deterministic CSV or JSON (same seed and
 version => byte-identical bytes; wall time goes to stderr only).  Exit
 codes: 0 = all asserted tolerances met, 1 = usage error, 2 = a verification
-exceeded its tolerance or a counterexample result is not finite.
+exceeded its tolerance or a ratio, sweep or counterexample result is not
+finite.
 """
 
 from __future__ import annotations
@@ -87,6 +88,16 @@ def _fail(status: int, message: str) -> int:
     return status
 
 
+def _check_finite(rows, what: str) -> int:
+    """Exit status 2, with a message naming the n, when a row's result is not finite."""
+    keys = ("lhs", "rhs", "ratio", "minimum", "argmin")
+    bad = [row["n"] for row in rows
+           if not all(math.isfinite(row[key]) for key in keys if key in row)]
+    if bad:
+        return _fail(2, f"{what}: non-finite result at n = {bad}")
+    return 0
+
+
 # -- verify ---------------------------------------------------------------------
 
 _VERIFY_TOL = {"heat": 1e-12, "derivative": 1e-12, "tail-integral": 1e-12,
@@ -165,7 +176,7 @@ def _cmd_ratio(args) -> int:
     record = ExperimentRecord("ratio", {"ineq": instance.ineq_id}, args.seed, [row])
     record.wall_time_s = time.perf_counter() - args._t0
     _emit(record, args)
-    return 0
+    return _check_finite(record.rows, f"ratio {instance.ineq_id}")
 
 
 def _cmd_sweep(args) -> int:
@@ -181,7 +192,7 @@ def _cmd_sweep(args) -> int:
     from .inequalities import SWEEP_COLUMNS
 
     _emit(record, args, columns=SWEEP_COLUMNS)
-    return 0
+    return _check_finite(rows, f"sweep {args.ineq}")
 
 
 # -- counterexamples ----------------------------------------------------------------
@@ -207,11 +218,7 @@ def _cmd_counterexample(args) -> int:
                               {"p": args.p, "s": args.s, **extra}, args.seed, rows)
     record.wall_time_s = time.perf_counter() - args._t0
     _emit(record, args)
-    bad = [row["n"] for row in rows
-           if not all(math.isfinite(v) for v in row.values() if isinstance(v, float))]
-    if bad:
-        return _fail(2, f"counterexample {name}: non-finite result at n = {bad}")
-    return 0
+    return _check_finite(rows, f"counterexample {name}")
 
 
 # -- quantum ----------------------------------------------------------------

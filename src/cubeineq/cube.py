@@ -38,13 +38,15 @@ def _check_dense_n(n: int) -> None:
 
 
 def walsh_transform(a: np.ndarray) -> np.ndarray:
-    """Unnormalized fast Walsh-Hadamard transform, out[k] = sum_x a[x]*(-1)^|x&k|.
+    """Unnormalized fast Walsh-Hadamard transform along the last axis,
+    out[..., k] = sum_x a[..., x] * (-1)^|x&k|.
 
-    Length must be a power of two; cost O(n 2^n).  Self-inverse up to the
-    factor 2^n.
+    The last axis must have power-of-two length; cost O(n 2^n) per row, the
+    same arithmetic as a 1-D call.  Self-inverse up to the factor 2^n.
     """
-    a = np.array(a, dtype=np.float64)
-    m = a.shape[0]
+    a = np.array(a, dtype=np.float64, order="C")
+    shape = a.shape
+    m = shape[-1]
     if m == 0 or m & (m - 1):
         raise ValueError(f"length must be a power of two, got {m}")
     h = 1
@@ -54,9 +56,8 @@ def walsh_transform(a: np.ndarray) -> np.ndarray:
         bot = a[:, 0, :] - a[:, 1, :]
         a[:, 0, :] = top
         a[:, 1, :] = bot
-        a = a.reshape(m)
         h *= 2
-    return a
+    return a.reshape(shape)
 
 
 def levels(n: int) -> np.ndarray:
@@ -323,7 +324,7 @@ class VectorCubeFunction:
 
     def values(self) -> np.ndarray:
         """(R, 2^n) array of point values."""
-        return np.stack([c.values() for c in self.components])
+        return walsh_transform(np.stack([c.coeffs for c in self.components]))
 
     def map(self, op) -> "VectorCubeFunction":
         """Apply a CubeFunction -> CubeFunction operator componentwise."""
@@ -391,7 +392,6 @@ class BiCubeFunction:
 
     def map_eps(self, op) -> "BiCubeFunction":
         """Apply a CubeFunction operator in the eps variable, columnwise in delta."""
-        out = np.empty_like(self.values)
-        for col in range(self.values.shape[1]):
-            out[:, col] = op(CubeFunction.from_values(self.values[:, col])).values()
-        return BiCubeFunction(self.n_eps, self.n_delta, out)
+        coeffs = walsh_transform(self.values.T) / (1 << self.n_eps)  # one row per column
+        out = np.stack([op(CubeFunction(self.n_eps, row)).coeffs for row in coeffs])
+        return BiCubeFunction(self.n_eps, self.n_delta, walsh_transform(out).T)

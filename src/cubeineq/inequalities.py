@@ -66,6 +66,7 @@ INEQUALITY_IDS = (
     "GRAD_L1P",
 )
 ALIASES = {"R_ABOVE_DUAL": "F1"}
+MAX_INPUT_COEFFS = 1 << 22  # one input's coefficient vector: 32 MiB of doubles
 
 _FAMILY_IDS = {"R_BELOW", "R_BELOW_NOD", "DELTA_FI", "PT_DERIV", "EPI"}
 _BI_IDS = {"F1"}
@@ -333,7 +334,10 @@ def _input_dim(instance: InequalityInstance) -> tuple[tuple[int, ...], int]:
         shape = (k, instance.R, m)
     else:
         shape = (k, m, m)
-    return shape, int(np.prod(shape))
+    dim = math.prod(shape)
+    if dim > MAX_INPUT_COEFFS:
+        raise ValueError(f"{dim} input coefficients exceed the budget of {MAX_INPUT_COEFFS}")
+    return shape, dim
 
 
 def _build_inputs(instance: InequalityInstance, theta: np.ndarray):
@@ -353,7 +357,7 @@ def _build_inputs(instance: InequalityInstance, theta: np.ndarray):
 
 
 def random_inputs(instance: InequalityInstance, rng: np.random.Generator):
-    """Unit-sphere random coefficient inputs of the right shape."""
+    """Unit-sphere random coefficient inputs of the right shape (at most `MAX_INPUT_COEFFS`)."""
     _, dim = _input_dim(instance)
     theta = rng.standard_normal(dim)
     return _build_inputs(instance, theta / np.linalg.norm(theta))
@@ -397,8 +401,8 @@ def search_max_ratio(instance: InequalityInstance, cfg: SearchConfig | None = No
     cfg = cfg if cfg is not None else SearchConfig()
     if instance.n > 14:
         raise ValueError("ratio search is a dense-mode tool (n <= 14)")
+    _, dim = _input_dim(instance)  # refuses an input over MAX_INPUT_COEFFS
     rng = stream_generator(cfg.seed, cfg.stream)
-    _, dim = _input_dim(instance)
 
     def ratio_of(theta):
         return evaluate(instance, _build_inputs(instance, theta), rademacher_cfg).ratio

@@ -6,8 +6,9 @@ Inner norms for vector-valued work are either the counting norm ell^q over
 R components or L^q / L^infty over a second cube variable.
 
 `rademacher_avg` computes (E_delta || sum_i delta_i g_i ||_{L^p(X)}^p)^{1/p}
-by full enumeration of the 2^k sign patterns (k <= 20) or by seeded
-Monte-Carlo with a reported standard error.
+from ||x||^p per sign pattern (no root before the average), over the 2^{k-1}
+patterns with delta_{k-1} = +1 (k <= 20; ||-x|| = ||x||) or over seeded
+Monte-Carlo samples with a standard error, in blocks of about `_BLOCK` values.
 
 `radial_sup_rademacher_moment` is the O(n log n + W^2) reduction, with W
 the sign-total window below, that makes the quantity
@@ -39,7 +40,8 @@ from .rng import stream_generator
 
 MAX_EXACT_SIGNS = 20
 _CHUNK = 1 << 12
-_BLOCK = 1 << 17  # (s, d) pairs per sup-kernel block
+# numpy 2.4 (2-core x86) ran ~6x slower per element on temporaries >= 512 KiB
+_BLOCK = 1 << 15  # sign-pattern values or sup-kernel (s, d) pairs per block
 
 
 @dataclass(frozen=True)
@@ -72,10 +74,33 @@ class MixedNormSpec:
         return cls(p=p, inner="Lq", q=q)
 
 
-def _power_mean(absvals: np.ndarray, p: float, axis=-1) -> np.ndarray:
-    if np.isinf(p):
-        return absvals.max(axis=axis)
-    return (absvals**p).mean(axis=axis) ** (1.0 / p)
+def _pow(a: np.ndarray, e: float) -> np.ndarray:
+    """a**e for a >= 0, with e = 1, 2, 3 done by multiplication."""
+    if e in (1, 2, 3):
+        return a if e == 1 else a * a if e == 2 else a * a * a
+    return a**e
+
+
+def _pattern_powers(block: np.ndarray, spec: MixedNormSpec) -> np.ndarray:
+    """mean_x ||block(x)||^p over the trailing axes of a (..., inner?, points)
+    block, one value per leading index: the mean of (sum or mean of |v|^q)^{p/q}
+    with no root taken.  p = inf gives the norm max_x ||block(x)|| itself."""
+    a = np.abs(block)
+    q = 1.0  # the power of the inner norm that `s` holds
+    if spec.inner == "scalar":
+        s = a
+    elif np.isinf(spec.q):
+        s = a.max(axis=-2 if spec.inner == "lq" else -1)
+    else:
+        q = spec.q  # lq: counting sum over R; Lq: mean over the second cube
+        s = _pow(a, q).sum(axis=-2) if spec.inner == "lq" else _pow(a, q).mean(axis=-1)
+    if np.isinf(spec.p):
+        return s.max(axis=-1) ** (1.0 / q)
+    return _pow(s, spec.p / q).mean(axis=-1)
+
+
+def _root(power_mean, p: float) -> float:
+    return float(power_mean if np.isinf(p) else power_mean ** (1.0 / p))
 
 
 def lp_norm(f, p: float) -> float:
@@ -87,29 +112,13 @@ def lp_norm(f, p: float) -> float:
     if not p >= 1:
         raise ValueError(f"exponent must be in [1, inf], got {p}")
     if isinstance(f, CubeFunction):
-        return float(_power_mean(np.abs(f.values()), p))
+        return _root(_pattern_powers(f.values(), MixedNormSpec.scalar(p)), p)
     if isinstance(f, RadialProfile):
         a = np.abs(f.v)
         if np.isinf(p):
             return float(a.max())
         return float((binomial_weights(f.n) @ a**p) ** (1.0 / p))
     raise TypeError(f"unsupported operand {type(f).__name__}")
-
-
-def _inner_then_outer(vals: np.ndarray, spec: MixedNormSpec) -> np.ndarray:
-    """Reduce trailing axes of a (..., inner?, points)-shaped value block."""
-    if spec.inner == "scalar":
-        return _power_mean(np.abs(vals), spec.p)
-    if spec.inner == "lq":
-        # vals shape (..., R, points): counting ell^q over the R axis
-        if np.isinf(spec.q):
-            inner = np.abs(vals).max(axis=-2)
-        else:
-            inner = (np.abs(vals) ** spec.q).sum(axis=-2) ** (1.0 / spec.q)
-        return _power_mean(inner, spec.p)
-    # "Lq": vals shape (..., points_eps, points_delta): mean in the second cube
-    inner = _power_mean(np.abs(vals), spec.q)
-    return _power_mean(inner, spec.p)
 
 
 def _operand_values(g) -> np.ndarray:
@@ -136,7 +145,7 @@ def mixed_norm(F, spec: MixedNormSpec) -> float:
     """Outer L^p over the cube of the inner norm declared by `spec`."""
     if not _spec_matches(F, spec):
         raise ValueError(f"norm spec {spec} does not match operand {type(F).__name__}")
-    return float(_inner_then_outer(_operand_values(F), spec))
+    return _root(_pattern_powers(_operand_values(F), spec), spec.p)
 
 
 @dataclass(frozen=True)
@@ -164,8 +173,15 @@ class RademacherResult:
         return self.value
 
 
-def _sign_chunk(indices: np.ndarray, k: int) -> np.ndarray:
-    return 1.0 - 2.0 * ((indices[:, None] >> np.arange(k)) & 1)
+def _sign_powers(signs: np.ndarray, vals: np.ndarray, spec: MixedNormSpec) -> np.ndarray:
+    """`_pattern_powers` of sum_i signs[j, i] vals[i] for each row j, in blocks."""
+    flat = vals.reshape(vals.shape[0], -1)
+    rows = max(1, _BLOCK // flat.shape[1])
+    out = np.empty(signs.shape[0])
+    for lo in range(0, signs.shape[0], rows):
+        block = (signs[lo:lo + rows] @ flat).reshape(-1, *vals.shape[1:])
+        out[lo:lo + rows] = _pattern_powers(block, spec)
+    return out
 
 
 def rademacher_avg(operands, p: float, spec: MixedNormSpec | None = None,
@@ -173,9 +189,10 @@ def rademacher_avg(operands, p: float, spec: MixedNormSpec | None = None,
     """(E_delta || sum_i delta_i g_i ||_{L^p(X)}^p)^{1/p} over uniform signs.
 
     All operands must share their shape and match `spec` (default: scalar).
-    Exact mode enumerates the 2^k patterns and is capped at k = 20; the
-    Monte-Carlo mode reports the delta-method standard error of the final
-    p-th root.  p = inf takes the maximum over patterns.
+    Exact mode enumerates the 2^{k-1} patterns with delta_{k-1} = +1
+    (||-x|| = ||x||) and is capped at k = 20; the Monte-Carlo mode reports the
+    delta-method standard error of the final p-th root.  A block holds about
+    `_BLOCK` values, or one pattern.  p = inf takes the maximum over patterns.
     """
     operands = list(operands)
     if not operands:
@@ -193,34 +210,23 @@ def rademacher_avg(operands, p: float, spec: MixedNormSpec | None = None,
     if cfg.mode == "exact":
         if k > MAX_EXACT_SIGNS:
             raise ValueError(f"exact mode capped at {MAX_EXACT_SIGNS} sign variables, got {k}")
-        total = 1 << k
-        norms = np.empty(total)
-        for lo in range(0, total, _CHUNK):
-            idx = np.arange(lo, min(lo + _CHUNK, total))
-            signs = _sign_chunk(idx, k)
-            block = np.tensordot(signs, vals, axes=(1, 0))
-            norms[idx] = _inner_then_outer(block, spec)
-        if np.isinf(p):
-            return RademacherResult(float(norms.max()))
-        return RademacherResult(float(((norms**p).mean()) ** (1.0 / p)))
-
-    rng = stream_generator(cfg.seed, cfg.stream)
-    norms = np.empty(cfg.samples)
-    done = 0
-    while done < cfg.samples:
-        m = min(_CHUNK, cfg.samples - done)
-        signs = 1.0 - 2.0 * rng.integers(0, 2, size=(m, k))
-        block = np.tensordot(signs, vals, axes=(1, 0))
-        norms[done:done + m] = _inner_then_outer(block, spec)
-        done += m
+        half = 1 << (k - 1)
+        chunks = (1.0 - 2.0 * ((np.arange(lo, min(lo + _CHUNK, half))[:, None]
+                                >> np.arange(k)) & 1) for lo in range(0, half, _CHUNK))
+    else:
+        rng = stream_generator(cfg.seed, cfg.stream)
+        chunks = (1.0 - 2.0 * rng.integers(0, 2, size=(min(_CHUNK, cfg.samples - lo), k))
+                  for lo in range(0, cfg.samples, _CHUNK))
+    powers = np.concatenate([_sign_powers(signs, vals, spec) for signs in chunks])
     if np.isinf(p):
-        return RademacherResult(float(norms.max()))
-    powers = norms**p
+        return RademacherResult(float(powers.max()))
     mean = powers.mean()
+    value = _root(mean, p)
+    if cfg.mode == "exact":
+        return RademacherResult(value)
     se_mean = powers.std(ddof=1) / math.sqrt(cfg.samples) if cfg.samples > 1 else 0.0
-    value = mean ** (1.0 / p)
     stderr = se_mean * value / (p * mean) if mean > 0 else se_mean
-    return RademacherResult(float(value), float(stderr))
+    return RademacherResult(value, float(stderr))
 
 
 # -- radial sup-Rademacher reduction ------------------------------------------
@@ -252,7 +258,8 @@ def _envelope_weights(alpha: np.ndarray, beta: np.ndarray, n: int, smax: float,
     of the points (slope, intercept) between the t = 0 and t = 1 maximisers;
     every line within a relative 1e-12 of that envelope is kept too, so
     rounding ties cannot lose the maximiser.  A degenerate point set (all
-    equal, collinear, fewer than three points) keeps every weight.
+    equal, collinear, fewer than three points) is tested against the chord
+    of its t = 0 and t = 1 maximisers instead.
     """
     if d.size == 0:
         return d
@@ -262,11 +269,16 @@ def _envelope_weights(alpha: np.ndarray, beta: np.ndarray, n: int, smax: float,
     try:
         ring = ConvexHull(np.column_stack([x, y])).vertices  # counter-clockwise
     except QhullError:
-        return d
-    # counter-clockwise from the t = 1 maximiser to the t = 0 one runs right
-    # to left along the upper hull; reversed, the slopes ascend
-    top, right = np.argmax(y[ring]), np.argmax(x[ring] + y[ring])
-    chain = np.roll(ring, -right)[:(top - right) % ring.size + 1][::-1]
+        # collinear or too few points: test against the chord from the t = 0
+        # to the t = 1 maximiser (x ascends along it), which lies under the
+        # envelope, so every line that attains the sup still passes
+        ends = np.array([np.argmax(y), np.argmax(x + y)])
+        chain = ends if x[ends[1]] > x[ends[0]] else ends[:1]
+    else:
+        # counter-clockwise from the t = 1 maximiser to the t = 0 one runs right
+        # to left along the upper hull; reversed, the slopes ascend
+        top, right = np.argmax(y[ring]), np.argmax(x[ring] + y[ring])
+        chain = np.roll(ring, -right)[:(top - right) % ring.size + 1][::-1]
     xc, yc = x[chain], y[chain]
     # the gap x t + y - envelope(t) is concave in t, largest where the
     # envelope's slope passes x: at a breakpoint, or at t = 0 or 1

@@ -116,3 +116,23 @@ def test_counterexample_non_finite_row_exits_two(capsys):
                            "--s", "1.5")
     assert code == 2
     assert "non-finite" in err and "1100" in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ("ratio", "--ineq", "PISIER", "--n", "4", "--p", "2000"),
+    ("sweep", "--ineq", "PISIER", "--n-list", "4", "--p-list", "2,2000"),
+])
+def test_ratio_and_sweep_non_finite_rows_exit_two(capsys, argv):
+    # |f|^p overflows at p = 2000: lhs = rhs = inf and the ratio is nan
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "non-finite" in err and "[4]" in err
+
+
+def test_ratio_input_over_budget_exits_one(capsys):
+    # 14 * 2^28 coefficients, about 30 GB, is refused before anything is drawn
+    code, _, err = run_cli(capsys, "ratio", "--ineq", "R_BELOW", "--inner", "Lq", "--n", "14",
+                           "--p", "2", "--q", "2", "--a", "0.5", "--search", "random")
+    assert code == 1
+    assert "budget" in err

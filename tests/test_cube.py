@@ -270,3 +270,23 @@ def test_bicube_translate_lift(rng):
     for e in range(8):
         for h in range(8):
             assert abs(F.values[e, h] - vals[e ^ h]) < 1e-12
+
+
+def test_batched_walsh_transform_matches_rows(rng):
+    a = rng.standard_normal((3, 5, 1 << 6))
+    rows = np.stack([[walsh_transform(row) for row in block] for block in a])
+    assert np.array_equal(walsh_transform(a), rows)
+    assert np.array_equal(walsh_transform(a[0].T.copy().T), rows[0])  # strided input
+    F = VectorCubeFunction([random_function(4, rng) for _ in range(3)])
+    assert np.array_equal(F.values(), np.stack([c.values() for c in F.components]))
+
+
+@pytest.mark.parametrize("n_eps,n_delta", [(1, 1), (3, 2), (5, 4)])
+def test_map_eps_matches_per_column_loop(rng, n_eps, n_delta):
+    F = BiCubeFunction(n_eps, n_delta, rng.standard_normal((1 << n_eps, 1 << n_delta)))
+    for op in (lambda h: frac_power(discrete_derivative(h, 0), 0.5),
+               lambda h: heat(h, 0.3), lambda h: riesz(h, n_eps - 1)):
+        loop = np.empty_like(F.values)
+        for col in range(F.values.shape[1]):
+            loop[:, col] = op(CubeFunction.from_values(F.values[:, col])).values()
+        assert np.array_equal(F.map_eps(op).values, loop)

@@ -13,6 +13,7 @@ from cubeineq.cube import (
     random_function,
 )
 from cubeineq.inequalities import (
+    MAX_INPUT_COEFFS,
     InequalityInstance,
     SearchConfig,
     evaluate,
@@ -21,6 +22,7 @@ from cubeineq.inequalities import (
     search_max_ratio,
     sweep,
     SWEEP_COLUMNS,
+    _input_dim,
 )
 from cubeineq.norms import lp_norm
 from cubeineq.rng import stream_generator
@@ -169,6 +171,18 @@ def test_shape_mismatch_rejected(rng):
         evaluate(inst, [random_function(4, rng)])  # family too short
     with pytest.raises(ValueError):
         evaluate(InequalityInstance("RIESZ_LOWER", n=4, p=2.0), random_function(5, rng))
+
+
+def test_inputs_over_budget_refused(rng):
+    # an L^q-valued input at n = 11 is exactly the budget; n = 12 is over it
+    assert _input_dim(InequalityInstance("GAMMA_BELOW", n=11, p=2.0, q=2.0, gamma=0.25,
+                                         inner="Lq"))[1] == MAX_INPUT_COEFFS
+    for inst in (InequalityInstance("GAMMA_BELOW", n=12, p=2.0, q=2.0, gamma=0.25, inner="Lq"),
+                 InequalityInstance("R_BELOW", n=14, p=2.0, q=2.0, a=0.5, inner="Lq")):
+        with pytest.raises(ValueError, match="budget"):
+            random_inputs(inst, rng)
+        with pytest.raises(ValueError, match="budget"):
+            search_max_ratio(inst, SearchConfig(trials=1))
 
 
 def test_infinite_ratio_reported_not_raised():

@@ -23,7 +23,9 @@ from cubeineq.norms import (
 )
 from cubeineq.counterexamples import lamberton_point_mass, talagrand_profile
 from cubeineq.radial import RadialProfile
-from conftest import brute_sup_rademacher_moment, windowed_sup_reference
+from cubeineq import norms
+from cubeineq.norms import _envelope_weights
+from conftest import brute_sup_rademacher_moment, rademacher_reference, windowed_sup_reference
 
 
 def test_dictator_has_unit_norm_for_every_p():
@@ -186,12 +188,24 @@ def test_sup_kernel_bitwise_on_random_profiles(rng, n):
         assert_sup_kernel_matches_reference(RadialProfile(n, rng.standard_normal(n + 1)))
 
 
-@pytest.mark.parametrize("n", [200, 1000])
+def kept_off_band(prof):
+    """How many off-band weights the envelope pick keeps for the full window."""
+    smax = float(sign_total_window(prof.n)[-1])
+    alpha, beta = radial_derivative_profiles(prof)
+    d = np.arange(prof.n + 1)
+    return _envelope_weights(alpha, beta, prof.n, smax, d[np.abs(prof.n - 2 * d) > smax]).size
+
+
+@pytest.mark.parametrize("n", [200, 1000, 1 << 16])
 def test_sup_kernel_bitwise_on_degenerate_hulls(n):
-    # constant: every off-band point is (0, 0); linear: all share one slope
+    # constant: every off-band point is (0, 0); linear: all share one slope,
+    # and v = d puts the off-band points exactly on one line, so Qhull fails
     d = np.arange(n + 1, dtype=np.float64)
-    for v in (np.full(n + 1, 3.0), 0.7 * d, 2.0 - 1.3 * d):
+    if n < 1 << 16:  # constant lines all tie at 0, so every weight is kept
+        assert_sup_kernel_matches_reference(RadialProfile(n, np.full(n + 1, 3.0)))
+    for v in (d, 0.7 * d, 2.0 - 1.3 * d):
         assert_sup_kernel_matches_reference(RadialProfile(n, v))
+        assert kept_off_band(RadialProfile(n, v)) <= 4
 
 
 @pytest.mark.parametrize("n", range(96, 111))
@@ -217,3 +231,46 @@ def test_sup_moment_refuses_non_finite_profile():
     v[5] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         radial_sup_rademacher_moment(RadialProfile(32, v), 2.0)
+
+
+def rademacher_operands(rng, inner, k):
+    """k random operands of each value space, with the matching inner exponents."""
+    if inner == "scalar":
+        return [random_function(4, rng) for _ in range(k)]
+    if inner == "lq":
+        return [VectorCubeFunction([random_function(3, rng) for _ in range(3)]) for _ in range(k)]
+    return [BiCubeFunction(3, 2, rng.standard_normal((8, 4))) for _ in range(k)]
+
+
+def rademacher_specs(p):
+    yield MixedNormSpec.scalar(p)
+    for q in (1.0, 2.0, 3.0, np.inf):
+        yield MixedNormSpec.lq(p, q)
+        yield MixedNormSpec.cube(p, q)
+
+
+@pytest.mark.parametrize("block", [None, 37])
+@pytest.mark.parametrize("p", [1.0, 2.0, 2.5, 3.0, np.inf])
+@pytest.mark.parametrize("k", [1, 2, 5, 7])
+def test_exact_rademacher_matches_full_enumeration(rng, monkeypatch, block, p, k):
+    # half the patterns, p-th powers without roots, and (block = 37) many
+    # small row blocks: the value still agrees with the root-then-power path
+    if block is not None:
+        monkeypatch.setattr(norms, "_BLOCK", block)
+    for spec in rademacher_specs(p):
+        ops = rademacher_operands(rng, spec.inner, k)
+        value, _ = rademacher_reference(ops, p, spec)
+        out = rademacher_avg(ops, p, spec)
+        assert out.stderr == 0.0
+        assert abs(out.value - value) <= 1e-12 * value, (spec, k)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.5, 3.0, np.inf])
+def test_monte_carlo_rademacher_matches_reference_on_same_signs(rng, p):
+    cfg = RademacherConfig("monte-carlo", samples=5000, seed=11, stream=3)  # two chunks
+    for spec in rademacher_specs(p):
+        ops = rademacher_operands(rng, spec.inner, 6)
+        value, stderr = rademacher_reference(ops, p, spec, cfg)
+        out = rademacher_avg(ops, p, spec, cfg)
+        assert abs(out.value - value) <= 1e-12 * value, spec
+        assert abs(out.stderr - stderr) <= 1e-9 * stderr + 1e-300, spec
