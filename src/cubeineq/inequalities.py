@@ -13,7 +13,7 @@ unknown, so nothing here pins one).  The catalog ids:
     PISIER            || f - E f ||                        vs  rad{D_i f}
     F1                || sum_j L^{-1} D_j F_j ||            vs  || F ||  (two-variable F)
     DF                rad{L^{-1} D_j g}                    vs  || g ||
-    PT_DERIV          || sum_i D_i P_t f_i ||               vs  (e^{2t}-1)^{-1/2} rad{D_i f_i}
+    PT_DERIV          e^t || sum_i D_i P_t f_i ||           vs  (1-e^{-2t})^{-1/2} rad{D_i f_i}
     EPI               || sum_i D_i L^{-1/2} f_i ||_p        vs  || (sum |D_i f_i|^2)^{1/2} ||_p
     GAMMA_BELOW       || L^{1/2-gamma} f ||                vs  rad{D_i f}
     RIESZ_FULL_BELOW  || L^{1/2} f ||                      vs  rad{D_i f}
@@ -41,10 +41,10 @@ from .cube import (
     BiCubeFunction,
     CubeFunction,
     VectorCubeFunction,
+    apply_multiplier,
     discrete_derivative,
     frac_power,
     gradient,
-    heat,
     riesz,
 )
 from .norms import MixedNormSpec, RademacherConfig, lp_norm, mixed_norm, rademacher_avg
@@ -288,11 +288,16 @@ def evaluate(instance: InequalityInstance, inputs,
                               for j in range(n)], cfg)
         rhs = _norm(instance, inputs)
     elif ineq == "PT_DERIV":
+        # both sides times e^t: level k >= 1 of D_i P_t gets e^{-t(k-1)}, and no
+        # level 0 survives D_i; so neither e^{2t} nor e^{-tk} is formed
         t = instance.t
+        shifted = np.zeros(n + 1)
+        shifted[1:] = np.exp(-t * np.arange(n))
         lhs = _norm(instance, _sum(
-            _apply(lambda h, i=i: D(heat(h, t), i), inputs[i]) for i in range(n)))
+            _apply(lambda h, i=i: apply_multiplier(D(h, i), shifted), inputs[i])
+            for i in range(n)))
         rhs = _rad(instance, [_apply(lambda h, i=i: D(h, i), inputs[i]) for i in range(n)], cfg)
-        rhs /= math.sqrt(math.exp(2.0 * t) - 1.0)
+        rhs /= math.sqrt(-math.expm1(-2.0 * t))
     elif ineq == "EPI":
         lhs = lp_norm(_sum(D(frac_power(f, 0.5), i) for i, f in enumerate(inputs)), p)
         rhs = _square_function_norm([D(f, i) for i, f in enumerate(inputs)], p)

@@ -34,14 +34,12 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 from scipy.stats import binom
 
-from .cube import BiCubeFunction, CubeFunction, VectorCubeFunction
+from .cube import _BLOCK, BiCubeFunction, CubeFunction, VectorCubeFunction, walsh_transform
 from .radial import RadialProfile, binomial_weights
 from .rng import stream_generator
 
 MAX_EXACT_SIGNS = 20
 _CHUNK = 1 << 12
-# numpy 2.4 (2-core x86) ran ~6x slower per element on temporaries >= 512 KiB
-_BLOCK = 1 << 15  # sign-pattern values or sup-kernel (s, d) pairs per block
 
 
 @dataclass(frozen=True)
@@ -121,13 +119,16 @@ def lp_norm(f, p: float) -> float:
     raise TypeError(f"unsupported operand {type(f).__name__}")
 
 
-def _operand_values(g) -> np.ndarray:
-    if isinstance(g, CubeFunction):
-        return g.values()
-    if isinstance(g, VectorCubeFunction):
-        return g.values()
+def _operand_values(operands) -> np.ndarray:
+    """Point values of same-kind operands stacked on a leading axis, from one
+    batched transform; BiCubeFunction operands keep their stored grid."""
+    g = operands[0]
     if isinstance(g, BiCubeFunction):
-        return g.values
+        return np.stack([h.values for h in operands])
+    if isinstance(g, CubeFunction):
+        return walsh_transform(np.stack([h.coeffs for h in operands]))
+    if isinstance(g, VectorCubeFunction):
+        return walsh_transform(np.array([[c.coeffs for c in h.components] for h in operands]))
     raise TypeError(f"unsupported operand {type(g).__name__}")
 
 
@@ -145,7 +146,7 @@ def mixed_norm(F, spec: MixedNormSpec) -> float:
     """Outer L^p over the cube of the inner norm declared by `spec`."""
     if not _spec_matches(F, spec):
         raise ValueError(f"norm spec {spec} does not match operand {type(F).__name__}")
-    return _root(_pattern_powers(_operand_values(F), spec), spec.p)
+    return _root(_pattern_powers(_operand_values([F])[0], spec), spec.p)
 
 
 @dataclass(frozen=True)
@@ -205,7 +206,7 @@ def rademacher_avg(operands, p: float, spec: MixedNormSpec | None = None,
         if not _spec_matches(g, spec):
             raise ValueError(f"operand {type(g).__name__} does not match spec {spec}")
     k = len(operands)
-    vals = np.stack([_operand_values(g) for g in operands])  # (k, ...)
+    vals = _operand_values(operands)  # (k, ...)
 
     if cfg.mode == "exact":
         if k > MAX_EXACT_SIGNS:

@@ -37,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import CubeFunction, VectorCubeFunction, partial_derivative, riesz, frac_power
+from .cube import (CubeFunction, VectorCubeFunction, _xor_grid, frac_power, partial_derivative,
+                   riesz)
 from .inequalities import InequalityInstance, RatioReport
 from . import inequalities
 
@@ -63,12 +64,6 @@ def _check_qubits(n: int, cap: int = MAX_QUBITS) -> None:
 @functools.lru_cache(maxsize=16)
 def _popcounts(n: int) -> np.ndarray:
     return np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(np.float64)
-
-
-@functools.lru_cache(maxsize=16)
-def _xor_grid(n: int) -> np.ndarray:
-    idx = np.arange(1 << n)
-    return np.bitwise_xor.outer(idx, idx)
 
 
 class MatrixObservable:

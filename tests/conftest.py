@@ -22,6 +22,31 @@ def brute_walsh_coefficients(values):
     return out
 
 
+def walsh_reference(a):
+    """Stage-by-stage Walsh transform along the last axis: one full pass per
+    stage h = 1, 2, 4, ..., each value updated as (a0 + a1, a0 - a1)."""
+    a = np.array(a, dtype=np.float64, order="C")
+    shape = a.shape
+    h = 1
+    while h < shape[-1]:
+        a = a.reshape(-1, 2, h)
+        top = a[:, 0, :] + a[:, 1, :]
+        bot = a[:, 0, :] - a[:, 1, :]
+        a[:, 0, :] = top
+        a[:, 1, :] = bot
+        h *= 2
+    return a.reshape(shape)
+
+
+def enumerated_noise_reference(values, weights):
+    """out[x] = sum_b weights[b] * values[x xor b], one outcome b at a time."""
+    idx = np.arange(len(values))
+    out = np.zeros_like(values)
+    for b in idx:
+        out += weights[b] * values[idx ^ b]
+    return out
+
+
 def derivative_value_matrix(f):
     """G[i, x] = D_i f at point x, from the pointwise difference quotient."""
     n = f.n
@@ -84,10 +109,11 @@ def rademacher_reference(operands, p, spec=None, cfg=None):
     """(value, stderr) of the sign average over all 2^k patterns, or over the
     seeded Monte-Carlo signs `rademacher_avg` draws: root each pattern's norm,
     then raise it back to the p-th power."""
-    from cubeineq.norms import _CHUNK, MixedNormSpec, _operand_values
+    from cubeineq.cube import BiCubeFunction
+    from cubeineq.norms import _CHUNK, MixedNormSpec
 
     spec = spec if spec is not None else MixedNormSpec.scalar(p)
-    vals = np.stack([_operand_values(g) for g in operands])
+    vals = np.stack([g.values if isinstance(g, BiCubeFunction) else g.values() for g in operands])
     k = len(operands)
     if cfg is None or cfg.mode == "exact":
         idx = np.arange(1 << k)

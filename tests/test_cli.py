@@ -130,6 +130,14 @@ def test_ratio_and_sweep_non_finite_rows_exit_two(capsys, argv):
     assert "non-finite" in err and "[4]" in err
 
 
+def test_pt_deriv_at_large_t_exits_zero(capsys):
+    code, out, _ = run_cli(capsys, "ratio", "--ineq", "PT_DERIV", "--t", "400", "--n", "3",
+                           "--p", "2")
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert row["lhs"] > 0 and row["rhs"] > 0 and row["ratio"] > 0
+
+
 def test_ratio_input_over_budget_exits_one(capsys):
     # 14 * 2^28 coefficients, about 30 GB, is refused before anything is drawn
     code, _, err = run_cli(capsys, "ratio", "--ineq", "R_BELOW", "--inner", "Lq", "--n", "14",

@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubeineq.cube import (
+    _xor_grid,
     BiCubeFunction,
     CubeFunction,
     VectorCubeFunction,
@@ -21,7 +23,7 @@ from cubeineq.cube import (
     riesz,
     walsh_transform,
 )
-from conftest import brute_walsh_coefficients, derivative_value_matrix
+from conftest import brute_walsh_coefficients, derivative_value_matrix, walsh_reference
 
 
 def test_two_point_expansion():
@@ -290,3 +292,36 @@ def test_map_eps_matches_per_column_loop(rng, n_eps, n_delta):
         for col in range(F.values.shape[1]):
             loop[:, col] = op(CubeFunction.from_values(F.values[:, col])).values()
         assert np.array_equal(F.map_eps(op).values, loop)
+
+
+def _spread(rng, shape):
+    """Signed values whose magnitudes span 1e-5 to 1e5."""
+    return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-5.0, 5.0, shape)
+
+
+@pytest.mark.parametrize("shape", [(1 << n,) for n in (0, 1, 15, 16, 17, 20, 22)]
+                         + [(3, 1 << 16), (2, 3, 1 << 17)])
+def test_walsh_transform_bit_identical_to_stage_by_stage(rng, shape):
+    # one block, one bit past it (the first grid split), and the 2^22 size
+    a = _spread(rng, shape)
+    assert np.array_equal(walsh_transform(a), walsh_reference(a))
+
+
+@settings(max_examples=25, deadline=None)
+@given(lead=st.lists(st.integers(1, 3), max_size=2), n=st.integers(0, 17),
+       seed=st.integers(0, 2**32 - 1))
+def test_walsh_transform_property(lead, n, seed):
+    a = _spread(np.random.default_rng(seed), (*lead, 1 << n))
+    out = walsh_transform(a)
+    assert np.array_equal(out, walsh_reference(a))
+    m = 1 << n
+    assert np.max(np.abs(walsh_transform(out) - m * a)) <= 1e-12 * m * np.abs(a).max()
+
+
+def test_xor_grid_is_cached_and_read_only():
+    grid = _xor_grid(4)
+    assert grid is _xor_grid(4)
+    idx = np.arange(16)
+    assert np.array_equal(grid, idx[:, None] ^ idx[None, :])
+    with pytest.raises(ValueError):
+        grid[0, 0] = 1

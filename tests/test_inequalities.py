@@ -9,6 +9,7 @@ from cubeineq.cube import (
     character,
     discrete_derivative,
     frac_power,
+    heat,
     permute_coordinates,
     random_function,
 )
@@ -24,7 +25,7 @@ from cubeineq.inequalities import (
     SWEEP_COLUMNS,
     _input_dim,
 )
-from cubeineq.norms import lp_norm
+from cubeineq.norms import lp_norm, rademacher_avg
 from cubeineq.rng import stream_generator
 
 
@@ -131,6 +132,24 @@ def test_pt_deriv_single_character_closed_form():
     rep = evaluate(InequalityInstance("PT_DERIV", n=n, p=2.0, t=t), family)
     expect = math.sqrt(k) * math.exp(-k * t) * math.sqrt(math.exp(2 * t) - 1.0)
     assert abs(rep.ratio - expect) < 1e-12
+
+
+def test_pt_deriv_matches_unscaled_sides_and_stays_finite_at_large_t(rng):
+    n = 4
+    family = [random_function(n, rng) for _ in range(n)]
+
+    def ratio(t):
+        return evaluate(InequalityInstance("PT_DERIV", n=n, p=2.0, t=t), family).ratio
+
+    lhs = lp_norm(sum((discrete_derivative(heat(f, 0.5), i) for i, f in enumerate(family)),
+                      0.0), 2.0)
+    rad = rademacher_avg([discrete_derivative(f, i) for i, f in enumerate(family)], 2.0).value
+    unscaled = lhs / (rad / math.sqrt(math.exp(1.0) - 1.0))
+    assert abs(ratio(0.5) - unscaled) <= 1e-12 * unscaled
+    # unscaled, exp(2t) overflows past t ~ 355 and the e^{-t} lhs terms underflow when squared
+    far, farther = ratio(400.0), ratio(800.0)
+    assert math.isfinite(far) and far > 0
+    assert abs(far - farther) <= 1e-12 * far
 
 
 def test_epi_trivial_and_reduction(rng):

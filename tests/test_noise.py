@@ -5,6 +5,8 @@ import pytest
 
 from cubeineq.cube import CubeFunction, character, random_function
 from cubeineq.noise import (
+    _enumerated_noise_values,
+    _outcome_weights,
     MCEstimate,
     NoiseParameter,
     SampleBatch,
@@ -16,6 +18,7 @@ from cubeineq.noise import (
 )
 from cubeineq.radial import RadialProfile
 from cubeineq.rng import stream_generator
+from conftest import enumerated_noise_reference
 
 
 def test_noise_parameter_invariants():
@@ -58,6 +61,20 @@ def test_zero_time_is_identity(rng):
 def test_spectral_vs_enumerative_cross_check(rng):
     f = random_function(8, rng)
     assert verify_heat_representation(f, 0.7) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_enumerator_matches_per_outcome_loop(rng, n):
+    # heat weights, and derivative weights for a coordinate in each half
+    values = rng.standard_normal(1 << n)
+    noise = NoiseParameter(0.4)
+    heat_w = _outcome_weights(n, noise)
+    bits = np.arange(1 << n)
+    for w in [heat_w] + [heat_w * ((1.0 - 2.0 * ((bits >> j) & 1)) - noise.mean)
+                         / math.sqrt(noise.variance) for j in {0, n - 1}]:
+        ref = enumerated_noise_reference(values, w)
+        got = _enumerated_noise_values(values, w)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.abs(ref).max()
 
 
 def test_enumeration_refused_above_cap():

@@ -9,6 +9,7 @@ from cubeineq.cube import (
     discrete_derivative,
     frac_power,
     random_function,
+    walsh_transform,
 )
 from cubeineq.norms import (
     MixedNormSpec,
@@ -274,3 +275,23 @@ def test_monte_carlo_rademacher_matches_reference_on_same_signs(rng, p):
         out = rademacher_avg(ops, p, spec, cfg)
         assert abs(out.value - value) <= 1e-12 * value, spec
         assert abs(out.stderr - stderr) <= 1e-9 * stderr + 1e-300, spec
+
+
+@pytest.mark.parametrize("spec", [MixedNormSpec.scalar(3.0), MixedNormSpec.lq(3.0, 2.0),
+                                  MixedNormSpec.cube(3.0, 2.0)])
+def test_rademacher_avg_makes_one_batched_transform(rng, monkeypatch, spec):
+    ops = rademacher_operands(rng, spec.inner, 5)
+    per_operand = np.stack([g.values if isinstance(g, BiCubeFunction) else g.values()
+                            for g in ops])
+    calls = []
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return walsh_transform(a)
+
+    monkeypatch.setattr(norms, "walsh_transform", counted)
+    assert np.array_equal(norms._operand_values(ops), per_operand)
+    calls.clear()
+    rademacher_avg(ops, 3.0, spec)
+    # a BiCubeFunction keeps its stored grid
+    assert calls == ([] if spec.inner == "Lq" else [per_operand.shape])
