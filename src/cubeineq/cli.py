@@ -22,13 +22,13 @@ import numpy as np
 from . import __version__
 from .cube import random_function
 from .inequalities import (
-    INEQUALITY_IDS,
+    SWEEP_COLUMNS,
     InequalityInstance,
     SearchConfig,
     evaluate,
     random_inputs,
+    ratio_row,
     rows_to_csv,
-    rows_to_json,
     search_max_ratio,
     sweep,
 )
@@ -148,16 +148,10 @@ def _cmd_verify(args) -> int:
 # -- ratio / sweep ----------------------------------------------------------------
 
 
-def _instance_from_args(args, n=None, p=None, q=None) -> InequalityInstance:
-    return InequalityInstance(
-        args.ineq, n=n if n is not None else args.n,
-        p=p if p is not None else args.p,
-        q=q if q is not None else args.q,
-        a=args.a, gamma=args.gamma, t=args.t, inner=args.inner, R=args.r_components)
-
-
 def _cmd_ratio(args) -> int:
-    instance = _instance_from_args(args)
+    instance = InequalityInstance(args.ineq, n=args.n, p=args.p, q=args.q, a=args.a,
+                                  gamma=args.gamma, t=args.t, inner=args.inner,
+                                  R=args.r_components)
     if args.search == "none":
         rng = stream_generator(args.seed)
         report = evaluate(instance, random_inputs(instance, rng))
@@ -166,14 +160,8 @@ def _cmd_ratio(args) -> int:
                            ascent_steps=0 if args.search == "random" else args.ascent_steps,
                            seed=args.seed)
         report, _ = search_max_ratio(instance, cfg)
-    a_or_gamma = args.a if args.a is not None else args.gamma
-    row = {"inequality_id": instance.ineq_id, "n": instance.n, "p": instance.p,
-           "q": instance.q if instance.q is not None else "",
-           "a_or_gamma": a_or_gamma if a_or_gamma is not None else "",
-           "t": args.t if args.t is not None else "",
-           "lhs": report.lhs, "rhs": report.rhs, "ratio": report.ratio,
-           "mode": report.mode, "seed": args.seed}
-    record = ExperimentRecord("ratio", {"ineq": instance.ineq_id}, args.seed, [row])
+    record = ExperimentRecord("ratio", {"ineq": instance.ineq_id}, args.seed,
+                              [ratio_row(instance, report, args.seed)])
     record.wall_time_s = time.perf_counter() - args._t0
     _emit(record, args)
     return _check_finite(record.rows, f"ratio {instance.ineq_id}")
@@ -189,8 +177,6 @@ def _cmd_sweep(args) -> int:
                  R=args.r_components, search=search, seed=args.seed)
     record = ExperimentRecord("sweep", {"ineq": args.ineq}, args.seed, rows)
     record.wall_time_s = time.perf_counter() - args._t0
-    from .inequalities import SWEEP_COLUMNS
-
     _emit(record, args, columns=SWEEP_COLUMNS)
     return _check_finite(rows, f"sweep {args.ineq}")
 

@@ -3,37 +3,38 @@
 Every entry evaluates the two sides of one labeled inequality on concrete
 inputs and reports the ratio lhs/rhs; dimension-free claims are probed as
 ratio curves over n, never as absolute constants (the sharp constants are
-unknown, so nothing here pins one).  The catalog ids:
+unknown, so nothing here pins one).  The 11 catalog entries:
 
     R_ABOVE           || sum_i delta_i R_i f ||            vs  || f ||
     RIESZ_LOWER       || L^{1/2} f ||                      vs  rad{D_i f}
     R_BELOW           || sum_i L^{-a} D_i f_i ||           vs  rad{D_i f_i}
     R_BELOW_NOD       || sum_i L^{-a} D_i f_i ||           vs  rad{f_i}
-    DELTA_FI          same display as R_BELOW_NOD (its own catalog label)
     PISIER            || f - E f ||                        vs  rad{D_i f}
     F1                || sum_j L^{-1} D_j F_j ||            vs  || F ||  (two-variable F)
     DF                rad{L^{-1} D_j g}                    vs  || g ||
     PT_DERIV          e^t || sum_i D_i P_t f_i ||           vs  (1-e^{-2t})^{-1/2} rad{D_i f_i}
     EPI               || sum_i D_i L^{-1/2} f_i ||_p        vs  || (sum |D_i f_i|^2)^{1/2} ||_p
     GAMMA_BELOW       || L^{1/2-gamma} f ||                vs  rad{D_i f}
-    RIESZ_FULL_BELOW  || L^{1/2} f ||                      vs  rad{D_i f}
     GRAD_L1P          || |grad f|_{ell^2} ||_p             vs  || L^{1/p} f ||_p   (probe, 1<p<2)
 
 rad{...} is the Rademacher average (E_delta ||sum_i delta_i . ||^p)^{1/p}.
-R_ABOVE_DUAL is accepted as an alias of F1 (the dual display carries no
-extra normalization of its own).  The ratio search is a seeded heuristic --
-random restarts on the coefficient sphere plus greedy coordinate ascent --
-and is reported as an observed lower bound on the constant, never a
-certified maximum.
+Three ids are aliases that repeat an entry's display: R_ABOVE_DUAL of F1 (the
+dual display carries no extra normalization of its own), DELTA_FI of
+R_BELOW_NOD and RIESZ_FULL_BELOW of RIESZ_LOWER; an alias is reported under
+the entry's id.  The ratio search is a seeded heuristic -- random restarts on
+the coefficient sphere plus greedy coordinate ascent -- and is reported as an
+observed lower bound on the constant, never a certified maximum.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import io
-import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -50,30 +51,7 @@ from .cube import (
 from .norms import MixedNormSpec, RademacherConfig, lp_norm, mixed_norm, rademacher_avg
 from .rng import stream_generator
 
-INEQUALITY_IDS = (
-    "R_ABOVE",
-    "RIESZ_LOWER",
-    "R_BELOW",
-    "R_BELOW_NOD",
-    "DELTA_FI",
-    "PISIER",
-    "F1",
-    "DF",
-    "PT_DERIV",
-    "EPI",
-    "GAMMA_BELOW",
-    "RIESZ_FULL_BELOW",
-    "GRAD_L1P",
-)
-ALIASES = {"R_ABOVE_DUAL": "F1"}
 MAX_INPUT_COEFFS = 1 << 22  # one input's coefficient vector: 32 MiB of doubles
-
-_FAMILY_IDS = {"R_BELOW", "R_BELOW_NOD", "DELTA_FI", "PT_DERIV", "EPI"}
-_BI_IDS = {"F1"}
-_NEEDS_A = {"R_BELOW", "R_BELOW_NOD", "DELTA_FI"}
-_NEEDS_GAMMA = {"GAMMA_BELOW"}
-_NEEDS_T = {"PT_DERIV"}
-_SCALAR_ONLY = {"F1", "EPI", "GRAD_L1P"}
 
 
 @dataclass(frozen=True)
@@ -97,34 +75,29 @@ class InequalityInstance:
     def __post_init__(self):
         ineq = ALIASES.get(self.ineq_id, self.ineq_id)
         object.__setattr__(self, "ineq_id", ineq)
-        if ineq not in INEQUALITY_IDS:
+        entry = CATALOG.get(ineq)
+        if entry is None:
             raise ValueError(f"unknown inequality id {self.ineq_id!r}; "
                              f"catalog: {', '.join(INEQUALITY_IDS)}")
         if not (1 <= self.p < math.inf):
             raise ValueError(f"p must be in [1, inf), got {self.p}")
         if self.q is not None and not self.q >= 1:
             raise ValueError(f"q must be in [1, inf], got {self.q}")
-        if ineq in _NEEDS_A:
-            if self.a is None or not 0 < self.a <= 1:
-                raise ValueError(f"{ineq} needs exponent a in (0, 1], got {self.a}")
-        if ineq in _NEEDS_GAMMA:
-            if self.gamma is None or not 0 <= self.gamma < 0.5:
-                raise ValueError(f"{ineq} needs gamma in [0, 1/2), got {self.gamma}")
-        if ineq in _NEEDS_T:
-            if self.t is None or self.t <= 0:
-                raise ValueError(f"{ineq} needs t > 0, got {self.t}")
+        if entry.needs is not None:
+            value = getattr(self, entry.needs)
+            allowed, what = _PARAMETER_RANGES[entry.needs]
+            if value is None or not allowed(value):
+                raise ValueError(f"{ineq} needs {what}, got {value}")
         if ineq == "GRAD_L1P" and not 1 < self.p < 2:
             raise ValueError(f"GRAD_L1P probes 1 < p < 2, got p={self.p}")
         if self.inner not in ("scalar", "lq", "Lq"):
             raise ValueError(f"unknown inner kind {self.inner!r}")
-        if ineq in _SCALAR_ONLY and self.inner != "scalar":
+        if entry.scalar_only and self.inner != "scalar":
             raise ValueError(f"{ineq} is implemented for scalar values only")
 
     @property
     def input_kind(self) -> str:
-        if self.ineq_id in _BI_IDS:
-            return "bi"
-        return "family" if self.ineq_id in _FAMILY_IDS else "single"
+        return CATALOG[self.ineq_id].kind
 
     def norm_spec(self) -> MixedNormSpec:
         if self.inner == "scalar":
@@ -196,14 +169,6 @@ def _add(a, b):
     return a + b
 
 
-def _sum(gs):
-    gs = list(gs)
-    out = gs[0]
-    for g in gs[1:]:
-        out = _add(out, g)
-    return out
-
-
 def _norm(instance: InequalityInstance, g) -> float:
     if isinstance(g, CubeFunction):
         return lp_norm(g, instance.p)
@@ -229,6 +194,116 @@ def _square_function_norm(family, p: float) -> float:
     return float(((np.sqrt((vals**2).sum(axis=0)) ** p).mean()) ** (1.0 / p))
 
 
+# -- the catalog ------------------------------------------------------------------
+# Each entry names its input kind, the one parameter it needs and its two sides.
+# The sides call the cube and norms operators through this module's names at call
+# time, so a wrapper installed on those names sees every call.
+
+
+def _rad_derivatives(instance, operands, cfg) -> float:
+    """rad{D_i g_i} over the operands g_0..g_{n-1}."""
+    return _rad(instance, [_apply(lambda h, i=i: discrete_derivative(h, i), g)
+                           for i, g in enumerate(operands)], cfg)
+
+
+def _r_above(instance, f, cfg):
+    n = instance.n
+    lhs = _rad(instance, [_apply(lambda h, i=i: riesz(h, i), f) for i in range(n)], cfg)
+    return lhs, _norm(instance, f)
+
+
+def _riesz_lower(instance, f, cfg, gamma=0.0):
+    lhs = _norm(instance, _apply(lambda h: frac_power(h, gamma - 0.5), f))
+    return lhs, _rad_derivatives(instance, [f] * instance.n, cfg)
+
+
+def _r_below(instance, family, cfg, with_derivative=True):
+    a = instance.a
+    lhs = _norm(instance, reduce(_add, (
+        _apply(lambda h, i=i: frac_power(discrete_derivative(h, i), a), g)
+        for i, g in enumerate(family))))
+    if with_derivative:
+        return lhs, _rad_derivatives(instance, family, cfg)
+    return lhs, _rad(instance, family, cfg)
+
+
+def _pisier(instance, f, cfg):
+    return (_norm(instance, _subtract_mean(f)),
+            _rad_derivatives(instance, [f] * instance.n, cfg))
+
+
+def _f1(instance, F, cfg):
+    p = instance.p
+    lhs = lp_norm(reduce(_add, (frac_power(discrete_derivative(m, j), 1.0)
+                                for j, m in enumerate(F.marginals()))), p)
+    return lhs, float((np.abs(F.values) ** p).mean() ** (1.0 / p))
+
+
+def _df(instance, g, cfg):
+    lhs = _rad(instance, [_apply(lambda h, j=j: frac_power(discrete_derivative(h, j), 1.0), g)
+                          for j in range(instance.n)], cfg)
+    return lhs, _norm(instance, g)
+
+
+def _pt_deriv(instance, family, cfg):
+    # both sides times e^t: level k >= 1 of D_i P_t gets e^{-t(k-1)}, and no
+    # level 0 survives D_i; so neither e^{2t} nor e^{-tk} is formed
+    t = instance.t
+    shifted = np.zeros(instance.n + 1)
+    shifted[1:] = np.exp(-t * np.arange(instance.n))
+    lhs = _norm(instance, reduce(_add, (
+        _apply(lambda h, i=i: apply_multiplier(discrete_derivative(h, i), shifted), g)
+        for i, g in enumerate(family))))
+    rhs = _rad_derivatives(instance, family, cfg)
+    return lhs, rhs / math.sqrt(-math.expm1(-2.0 * t))
+
+
+def _epi(instance, family, cfg):
+    p = instance.p
+    lhs = lp_norm(reduce(_add, (discrete_derivative(frac_power(f, 0.5), i)
+                                for i, f in enumerate(family))), p)
+    rhs = _square_function_norm([discrete_derivative(f, i) for i, f in enumerate(family)], p)
+    return lhs, rhs
+
+
+def _grad_l1p(instance, f, cfg):
+    p = instance.p
+    return (_square_function_norm(gradient(f), p),
+            lp_norm(frac_power(f, -1.0 / p), p))
+
+
+@dataclass(frozen=True)
+class _Entry:
+    kind: str  # "single", "family" or "bi"
+    sides: Callable  # sides(instance, inputs, cfg) -> (lhs, rhs)
+    needs: str | None = None  # the instance field the entry reads: "a", "gamma" or "t"
+    scalar_only: bool = False
+
+
+CATALOG = {
+    "R_ABOVE": _Entry("single", _r_above),
+    "RIESZ_LOWER": _Entry("single", _riesz_lower),
+    "R_BELOW": _Entry("family", _r_below, needs="a"),
+    "R_BELOW_NOD": _Entry("family", lambda inst, fs, cfg: _r_below(inst, fs, cfg, False),
+                          needs="a"),
+    "PISIER": _Entry("single", _pisier),
+    "F1": _Entry("bi", _f1, scalar_only=True),
+    "DF": _Entry("single", _df),
+    "PT_DERIV": _Entry("family", _pt_deriv, needs="t"),
+    "EPI": _Entry("family", _epi, scalar_only=True),
+    "GAMMA_BELOW": _Entry("single", lambda inst, f, cfg: _riesz_lower(inst, f, cfg, inst.gamma),
+                          needs="gamma"),
+    "GRAD_L1P": _Entry("single", _grad_l1p, scalar_only=True),
+}
+INEQUALITY_IDS = tuple(CATALOG)
+ALIASES = {"R_ABOVE_DUAL": "F1", "DELTA_FI": "R_BELOW_NOD", "RIESZ_FULL_BELOW": "RIESZ_LOWER"}
+_PARAMETER_RANGES = {
+    "a": (lambda a: 0 < a <= 1, "exponent a in (0, 1]"),
+    "gamma": (lambda gamma: 0 <= gamma < 0.5, "gamma in [0, 1/2)"),
+    "t": (lambda t: t > 0, "t > 0"),
+}
+
+
 def evaluate(instance: InequalityInstance, inputs,
              cfg: RademacherConfig | None = None) -> RatioReport:
     """Evaluate both sides of the instance on concrete inputs.
@@ -240,7 +315,7 @@ def evaluate(instance: InequalityInstance, inputs,
     cfg = cfg if cfg is not None else RademacherConfig()
     ineq = instance.ineq_id
     kind = instance.input_kind
-    n, p = instance.n, instance.p
+    n = instance.n
 
     if kind == "bi":
         if not isinstance(inputs, BiCubeFunction):
@@ -257,56 +332,7 @@ def evaluate(instance: InequalityInstance, inputs,
             raise ValueError(f"{ineq} expects a single operand")
         _check_operand_dims([inputs], instance)
 
-    D = discrete_derivative
-    if ineq == "R_ABOVE":
-        lhs = _rad(instance, [_apply(lambda h: riesz(h, i), inputs) for i in range(n)], cfg)
-        rhs = _norm(instance, inputs)
-    elif ineq in ("RIESZ_LOWER", "RIESZ_FULL_BELOW"):
-        lhs = _norm(instance, _apply(lambda h: frac_power(h, -0.5), inputs))
-        rhs = _rad(instance, [_apply(lambda h, i=i: D(h, i), inputs) for i in range(n)], cfg)
-    elif ineq == "GAMMA_BELOW":
-        lhs = _norm(instance, _apply(lambda h: frac_power(h, instance.gamma - 0.5), inputs))
-        rhs = _rad(instance, [_apply(lambda h, i=i: D(h, i), inputs) for i in range(n)], cfg)
-    elif ineq in ("R_BELOW", "R_BELOW_NOD", "DELTA_FI"):
-        a = instance.a
-        lhs = _norm(instance, _sum(
-            _apply(lambda h, i=i: frac_power(D(h, i), a), inputs[i]) for i in range(n)))
-        if ineq == "R_BELOW":
-            ops = [_apply(lambda h, i=i: D(h, i), inputs[i]) for i in range(n)]
-        else:
-            ops = inputs
-        rhs = _rad(instance, ops, cfg)
-    elif ineq == "PISIER":
-        lhs = _norm(instance, _subtract_mean(inputs))
-        rhs = _rad(instance, [_apply(lambda h, i=i: D(h, i), inputs) for i in range(n)], cfg)
-    elif ineq == "F1":
-        margs = inputs.marginals()
-        lhs = lp_norm(_sum(frac_power(D(m, j), 1.0) for j, m in enumerate(margs)), p)
-        rhs = float((np.abs(inputs.values) ** p).mean() ** (1.0 / p))
-    elif ineq == "DF":
-        lhs = _rad(instance, [_apply(lambda h, j=j: frac_power(D(h, j), 1.0), inputs)
-                              for j in range(n)], cfg)
-        rhs = _norm(instance, inputs)
-    elif ineq == "PT_DERIV":
-        # both sides times e^t: level k >= 1 of D_i P_t gets e^{-t(k-1)}, and no
-        # level 0 survives D_i; so neither e^{2t} nor e^{-tk} is formed
-        t = instance.t
-        shifted = np.zeros(n + 1)
-        shifted[1:] = np.exp(-t * np.arange(n))
-        lhs = _norm(instance, _sum(
-            _apply(lambda h, i=i: apply_multiplier(D(h, i), shifted), inputs[i])
-            for i in range(n)))
-        rhs = _rad(instance, [_apply(lambda h, i=i: D(h, i), inputs[i]) for i in range(n)], cfg)
-        rhs /= math.sqrt(-math.expm1(-2.0 * t))
-    elif ineq == "EPI":
-        lhs = lp_norm(_sum(D(frac_power(f, 0.5), i) for i, f in enumerate(inputs)), p)
-        rhs = _square_function_norm([D(f, i) for i, f in enumerate(inputs)], p)
-    elif ineq == "GRAD_L1P":
-        lhs = _square_function_norm(gradient(inputs), p)
-        rhs = lp_norm(frac_power(inputs, -1.0 / p), p)
-    else:  # pragma: no cover
-        raise AssertionError(ineq)
-
+    lhs, rhs = CATALOG[ineq].sides(instance, inputs, cfg)
     mode = "exact" if cfg.mode == "exact" else f"monte-carlo[{cfg.samples}]"
     return RatioReport(float(lhs), float(rhs), _ratio(lhs, rhs), _digest(inputs), mode)
 
@@ -461,6 +487,14 @@ SWEEP_COLUMNS = ("inequality_id", "n", "p", "q", "a_or_gamma", "t",
                  "lhs", "rhs", "ratio", "mode", "seed")
 
 
+def ratio_row(instance: InequalityInstance, report: RatioReport, seed: int) -> dict:
+    """The `SWEEP_COLUMNS` row of one report; an unset parameter reads ""."""
+    a_or_gamma = instance.a if instance.a is not None else instance.gamma
+    values = (instance.ineq_id, instance.n, instance.p, instance.q, a_or_gamma, instance.t,
+              report.lhs, report.rhs, report.ratio, report.mode, seed)
+    return {col: "" if v is None else v for col, v in zip(SWEEP_COLUMNS, values)}
+
+
 def sweep(ineq_id: str, n_list, p_list, q_list=None, a: float | None = None,
           gamma: float | None = None, t: float | None = None, inner: str = "scalar",
           R: int = 2, search: SearchConfig | None = None, seed: int = 0) -> list[dict]:
@@ -479,34 +513,17 @@ def sweep(ineq_id: str, n_list, p_list, q_list=None, a: float | None = None,
                 instance = InequalityInstance(ineq_id, n=n, p=p, q=q, a=a,
                                               gamma=gamma, t=t, inner=inner, R=R)
                 if search is not None:
-                    point_cfg = SearchConfig(trials=search.trials, restarts=search.restarts,
-                                             ascent_steps=search.ascent_steps,
-                                             perturbation=search.perturbation,
-                                             seed=seed, stream=stream)
+                    point_cfg = replace(search, seed=seed, stream=stream)
                     report, _ = search_max_ratio(instance, point_cfg)
                 else:
                     rng = stream_generator(seed, stream)
                     report = evaluate(instance, random_inputs(instance, rng))
-                rows.append({
-                    "inequality_id": instance.ineq_id,
-                    "n": n,
-                    "p": p,
-                    "q": q if q is not None else "",
-                    "a_or_gamma": a if a is not None else (gamma if gamma is not None else ""),
-                    "t": t if t is not None else "",
-                    "lhs": report.lhs,
-                    "rhs": report.rhs,
-                    "ratio": report.ratio,
-                    "mode": report.mode,
-                    "seed": seed,
-                })
+                rows.append(ratio_row(instance, report, seed))
                 stream += 1
     return rows
 
 
 def rows_to_csv(rows, columns=SWEEP_COLUMNS) -> str:
-    import csv
-
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(columns), lineterminator="\n")
     writer.writeheader()
@@ -514,6 +531,3 @@ def rows_to_csv(rows, columns=SWEEP_COLUMNS) -> str:
         writer.writerow(row)
     return buf.getvalue()
 
-
-def rows_to_json(rows) -> str:
-    return json.dumps(rows, indent=2, sort_keys=False)

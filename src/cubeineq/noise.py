@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cube import CubeFunction, _xor_grid, discrete_derivative, heat
+from .cube import CubeFunction, _xor_grid, discrete_derivative, heat, levels, signs_to_index
 from .radial import RadialProfile
 from .rng import stream_generator
 
@@ -78,7 +78,7 @@ def _as_noise(t) -> NoiseParameter:
 
 def _outcome_weights(n: int, noise: NoiseParameter) -> np.ndarray:
     """P(xi = outcome b) where bit i of b marks xi_i = -1."""
-    pc = np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(np.float64)
+    pc = levels(n)
     pp = noise.p_plus
     return pp ** (n - pc) * (1.0 - pp) ** pc
 
@@ -171,7 +171,7 @@ def mc_noise_expectation(f, t, batch: SampleBatch, at=None) -> MCEstimate:
     rng = batch.generator()
     if isinstance(f, RadialProfile):
         n = f.n
-        base_down = 0 if at is None else int(np.sum(np.asarray(at) == -1))
+        base_down = 0 if at is None else signs_to_index(at, n).bit_count()
         # weight of eps*xi = (flips among +1 coords) + (non-flips among -1 coords)
         flips_up = rng.binomial(n - base_down, 1.0 - noise.p_plus, size=batch.count)
         stays_down = rng.binomial(base_down, noise.p_plus, size=batch.count)
@@ -179,7 +179,7 @@ def mc_noise_expectation(f, t, batch: SampleBatch, at=None) -> MCEstimate:
     elif isinstance(f, CubeFunction):
         n = f.n
         vals = f.values()
-        base = 0 if at is None else _sign_index(at)
+        base = 0 if at is None else signs_to_index(at, n)
         flip_bits = rng.random((batch.count, n)) < (1.0 - noise.p_plus)
         masks = flip_bits @ (1 << np.arange(n))
         samples = vals[np.bitwise_xor(masks.astype(np.int64), base)]
@@ -188,11 +188,6 @@ def mc_noise_expectation(f, t, batch: SampleBatch, at=None) -> MCEstimate:
     value = float(samples.mean())
     stderr = float(samples.std(ddof=1) / math.sqrt(batch.count)) if batch.count > 1 else 0.0
     return MCEstimate(value, stderr, batch.count)
-
-
-def _sign_index(at) -> int:
-    at = np.asarray(at)
-    return int(((at == -1) @ (1 << np.arange(len(at)))))
 
 
 def symmetrized_tail_integral(t: float, r: float, numeric: bool = False) -> float:

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import (CubeFunction, VectorCubeFunction, _xor_grid, frac_power, partial_derivative,
-                   riesz)
+from .cube import (CubeFunction, VectorCubeFunction, _xor_grid, frac_power, levels,
+                   partial_derivative, riesz)
 from .inequalities import InequalityInstance, RatioReport
 from . import inequalities
 
@@ -59,11 +59,6 @@ class QuadratureAccuracyError(RuntimeError):
 def _check_qubits(n: int, cap: int = MAX_QUBITS) -> None:
     if not 1 <= n <= cap:
         raise ValueError(f"qubit count must be in [1, {cap}], got {n}")
-
-
-@functools.lru_cache(maxsize=16)
-def _popcounts(n: int) -> np.ndarray:
-    return np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(np.float64)
 
 
 class MatrixObservable:
@@ -242,7 +237,7 @@ def rotate(T, theta: float) -> MatrixObservable:
     """
     mat = _as_mat(T)
     n = mat.shape[0].bit_length() - 1
-    pc = _popcounts(n)
+    pc = levels(n).astype(np.float64)
     phase = np.exp(1j * theta * (pc[None, :] - pc[:, None]))
     return MatrixObservable(n, mat * phase)
 
@@ -362,7 +357,7 @@ def kernel_transform(G, quad: QuadratureRule) -> MatrixObservable:
     half-power representation below holds with a positive constant)."""
     mat = _as_mat(G)
     n = mat.shape[0].bit_length() - 1
-    pc = _popcounts(n)
+    pc = levels(n).astype(np.float64)
     delta = pc[None, :] - pc[:, None]
 
     def F(theta):
@@ -377,6 +372,7 @@ def qa_word_defect(n: int, j: int, thetas=(0.3, 0.9, 1.4)) -> float:
     _check_qubits(n, MAX_FORMULA_QUBITS)
     m = 1 << n
     idx = np.arange(m)
+    lev = levels(n)
     worst = 0.0
     for A in range(m):
         if not (A >> j) & 1:
@@ -385,7 +381,7 @@ def qa_word_defect(n: int, j: int, thetas=(0.3, 0.9, 1.4)) -> float:
         q_rest = np.zeros((m, m), dtype=complex)
         q_rest[idx ^ rest, idx] = 1.0
         g = apply_p_left(q_rest, j)
-        k = bin(A).count("1") - 1
+        k = int(lev[A]) - 1
         for theta in thetas:
             lhs = project_Q(rotate(g, -theta)).mat
             expect = np.zeros((m, m), dtype=complex)

@@ -22,7 +22,7 @@ import json
 import numpy as np
 from scipy.stats import binom
 
-from .cube import CubeFunction
+from .cube import CubeFunction, levels
 
 MAX_RADIAL_N = 1 << 21  # "up to ~10^6"; 2^20 workflows need a power of two
 MAX_TABLE_N = 2048
@@ -78,15 +78,14 @@ class RadialProfile:
     def from_cube_function(cls, f: CubeFunction) -> "RadialProfile":
         """Project a dense function onto its radial part (exact if invariant)."""
         vals = f.values()
-        w = np.bitwise_count(np.arange(1 << f.n, dtype=np.uint32))
+        w = levels(f.n)
         sums = np.bincount(w, weights=vals, minlength=f.n + 1)
         counts = np.bincount(w, minlength=f.n + 1)
         return cls(f.n, sums / counts)
 
     def to_cube_function(self) -> CubeFunction:
         """Densify (n <= 24): value at x is v[popcount(x)]."""
-        w = np.bitwise_count(np.arange(1 << self.n, dtype=np.uint32))
-        return CubeFunction.from_values(self.v[w])
+        return CubeFunction.from_values(self.v[levels(self.n)])
 
     def level_coefficients(self) -> np.ndarray:
         """w[k] such that v(d) = sum_k w[k] K_k(d); needs the Krawtchouk table."""

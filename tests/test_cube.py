@@ -17,10 +17,12 @@ from cubeineq.cube import (
     group_translate,
     heat,
     laplacian,
+    levels,
     partial_derivative,
     permute_coordinates,
     random_function,
     riesz,
+    signs_to_index,
     walsh_transform,
 )
 from conftest import brute_walsh_coefficients, derivative_value_matrix, walsh_reference
@@ -194,6 +196,35 @@ def test_apply_multiplier_table_and_callable(rng):
     assert np.array_equal(by_callable.coeffs, by_table.coeffs)
     with pytest.raises(ValueError):
         apply_multiplier(f, np.ones(3))
+
+
+def test_levels_cached_and_read_only():
+    lev = levels(6)
+    assert lev is levels(6) and not lev.flags.writeable
+    assert lev.tolist() == [bin(A).count("1") for A in range(1 << 6)]
+
+
+def test_signs_to_index_matches_bit_sum():
+    rng = np.random.default_rng(3)
+    for n in (1, 7, 64, 200):
+        eta = 1 - 2 * rng.integers(0, 2, size=n)
+        assert signs_to_index(eta, n) == sum(1 << i for i in range(n) if eta[i] == -1)
+
+
+@pytest.mark.parametrize("eta", [[1, 1], [1, 1, 1, 1], [1, 0, 7], [1, -1, 0.5], [[1, 1, 1]]])
+def test_bad_sign_vectors_refused(eta):
+    f = random_function(3, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="sign vector"):
+        signs_to_index(eta, 3)
+    with pytest.raises(ValueError, match="sign vector"):
+        f(eta)
+    with pytest.raises(ValueError, match="sign vector"):
+        group_translate(f, eta)
+
+
+def test_call_reads_point_value(rng):
+    f = random_function(3, rng)
+    assert f([1, -1, -1]) == f.values()[0b110]
 
 
 def test_translate_identity_and_point_mass():

@@ -14,6 +14,8 @@ from cubeineq.cube import (
     random_function,
 )
 from cubeineq.inequalities import (
+    ALIASES,
+    CATALOG,
     MAX_INPUT_COEFFS,
     InequalityInstance,
     SearchConfig,
@@ -180,8 +182,62 @@ def test_instance_validation():
         InequalityInstance("RIESZ_LOWER", n=4, p=np.inf)
     with pytest.raises(ValueError):
         InequalityInstance("GRAD_L1P", n=4, p=2.5)
-    # documented alias
+    # documented aliases
     assert InequalityInstance("R_ABOVE_DUAL", n=4, p=2.0).ineq_id == "F1"
+    assert InequalityInstance("DELTA_FI", n=4, p=2.0, a=1.0).ineq_id == "R_BELOW_NOD"
+    assert InequalityInstance("RIESZ_FULL_BELOW", n=4, p=2.0).ineq_id == "RIESZ_LOWER"
+    assert len(CATALOG) == 11 and len(ALIASES) == 3
+    assert not set(ALIASES) & set(CATALOG) and set(ALIASES.values()) <= set(CATALOG)
+
+
+@pytest.mark.parametrize("alias", sorted(ALIASES))
+def test_alias_evaluates_bit_equal_to_its_target(alias):
+    target = ALIASES[alias]
+    params = dict(n=4, p=3.0, a=0.5)
+    via_alias = InequalityInstance(alias, **params)
+    direct = InequalityInstance(target, **params)
+    inputs = random_inputs(direct, stream_generator(21, 0))
+    assert evaluate(via_alias, inputs) == evaluate(direct, inputs)
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+@pytest.mark.parametrize("inner", ["scalar", "lq"])
+def test_r_above_p2_identity(n, inner):
+    # p = 2: rad{R_i f}^2 = sum_i ||R_i f||_2^2 = sum_{A != 0} fhat(A)^2 = ||f - Ef||_2^2
+    inst = InequalityInstance("R_ABOVE", n=n, p=2.0, q=2.0 if inner == "lq" else None,
+                              inner=inner)
+    rng = stream_generator(n, 1)
+    f = random_inputs(inst, rng)
+    parts = [f] if inner == "scalar" else f.components
+    total = math.sqrt(sum(float(np.sum(g.coeffs**2)) for g in parts))
+    centred = math.sqrt(sum(float(np.sum(g.coeffs[1:]**2)) for g in parts))
+    assert abs(evaluate(inst, f).ratio - centred / total) < 1e-12
+    for g in parts:
+        g.coeffs[0] = 0.0
+    assert abs(evaluate(inst, f).ratio - 1.0) < 1e-12
+
+
+def _catalog_instance(ineq, inner="scalar", **overrides):
+    params = dict(n=3, p=1.5 if ineq == "GRAD_L1P" else 3.0, a=0.5, gamma=0.25, t=0.5,
+                  inner=inner, q=None if inner == "scalar" else 3.0)
+    return InequalityInstance(ineq, **{**params, **overrides})
+
+
+@pytest.mark.parametrize("ineq", list(CATALOG))
+def test_catalog_entry_contract(ineq):
+    entry = CATALOG[ineq]
+    if entry.needs is not None:
+        with pytest.raises(ValueError, match=f"{ineq} needs"):
+            _catalog_instance(ineq, **{entry.needs: None})
+    inners = ["scalar"] if entry.scalar_only else ["scalar", "lq", "Lq"]
+    if entry.scalar_only:
+        with pytest.raises(ValueError, match="scalar values only"):
+            _catalog_instance(ineq, inner="lq")
+    for inner in inners:
+        inst = _catalog_instance(ineq, inner)
+        assert inst.input_kind == entry.kind
+        rep = evaluate(inst, random_inputs(inst, stream_generator(5, 0)))
+        assert math.isfinite(rep.lhs) and math.isfinite(rep.rhs)
 
 
 def test_shape_mismatch_rejected(rng):

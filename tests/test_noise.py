@@ -138,6 +138,27 @@ def test_mc_radial_and_base_point():
     assert abs(est.value - truth) < 4 * est.stderr
 
 
+@pytest.mark.parametrize("at", [[1, 0, 7], [1, 1], [1, 1, 1, 1], [-1, -1, 2]])
+def test_mc_bad_base_point_refused(at):
+    batch = SampleBatch(seed=1, count=100)
+    for f in (character(3, 0b1), RadialProfile(3, np.arange(4.0))):
+        with pytest.raises(ValueError, match="sign vector"):
+            mc_noise_expectation(f, 0.5, batch, at=at)
+
+
+def test_mc_base_point_beyond_64_coordinates():
+    # the radial branch counts -1 entries of a base point longer than an int64 bitmask
+    n = 200
+    prof = RadialProfile(n, np.arange(n + 1.0))
+    at = np.ones(n)
+    at[::3] = -1
+    est = mc_noise_expectation(prof, 0.4, SampleBatch(seed=2, count=10_000), at=at)
+    par = NoiseParameter(0.4)
+    down = int(np.sum(at == -1))
+    truth = down * par.p_plus + (n - down) * (1 - par.p_plus)
+    assert abs(est.value - truth) < 4 * est.stderr
+
+
 def test_mc_stderr_shrinks_like_root_count():
     f = character(10, 0b1)
     small = mc_noise_expectation(f, 1.0, SampleBatch(seed=4, count=4_000))
