@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .cube import random_function
 from .inequalities import (
+    ALIASES,
     SWEEP_COLUMNS,
     InequalityInstance,
     SearchConfig,
@@ -175,10 +176,11 @@ def _cmd_sweep(args) -> int:
     rows = sweep(args.ineq, args.n_list, args.p_list, q_list=args.q_list,
                  a=args.a, gamma=args.gamma, t=args.t, inner=args.inner,
                  R=args.r_components, search=search, seed=args.seed)
-    record = ExperimentRecord("sweep", {"ineq": args.ineq}, args.seed, rows)
+    ineq = ALIASES.get(args.ineq, args.ineq)
+    record = ExperimentRecord("sweep", {"ineq": ineq}, args.seed, rows)
     record.wall_time_s = time.perf_counter() - args._t0
     _emit(record, args, columns=SWEEP_COLUMNS)
-    return _check_finite(rows, f"sweep {args.ineq}")
+    return _check_finite(rows, f"sweep {ineq}")
 
 
 # -- counterexamples ----------------------------------------------------------------

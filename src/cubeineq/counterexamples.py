@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.stats import binom
 
 from .inequalities import RatioReport, _ratio
 from .norms import radial_derivative_profiles, radial_sup_rademacher_moment
@@ -175,7 +173,7 @@ def riesz_above_vector_check(n: int, p: float, s: float) -> RatioReport:
     if not (p >= 2 > s > 1):
         raise ValueError(f"need p >= 2 > s > 1, got p={p}, s={s}")
     k = np.arange(n + 1)
-    pmf = binom.pmf(k, n, 0.5)
+    pmf = binomial_weights(n)
     total = np.abs(2.0 * k - n)
     inner = 2.0 ** (-n - s) * (total**s + n)
     lhs = float((pmf @ inner ** (p / s)) ** (1.0 / p))
@@ -222,6 +220,15 @@ def pisier_constant_bound(n: int) -> PisierMin:
     def log_obj(r):
         return -n * math.log(r) + math.log(math.log1p(r) - math.log1p(-r))
 
-    res = minimize_scalar(log_obj, bounds=(1e-13, 1.0 - 1e-13), method="bounded",
-                          options={"xatol": 1e-13})
-    return PisierMin(float(math.exp(res.fun)), float(res.x))
+    # the log-objective is convex; its derivative has the sign of
+    # 2r - n log((1+r)/(1-r)) (1 - r^2), which bisection takes to one ulp
+    lo, hi = 0.0, 1.0
+    while True:
+        r = 0.5 * (lo + hi)
+        if r in (lo, hi):
+            break
+        if n * (math.log1p(r) - math.log1p(-r)) * ((1.0 - r) * (1.0 + r)) > 2.0 * r:
+            lo = r
+        else:
+            hi = r
+    return PisierMin(math.exp(log_obj(lo)), lo)

@@ -8,7 +8,8 @@ R components or L^q / L^infty over a second cube variable.
 `rademacher_avg` computes (E_delta || sum_i delta_i g_i ||_{L^p(X)}^p)^{1/p}
 from ||x||^p per sign pattern (no root before the average), over the 2^{k-1}
 patterns with delta_{k-1} = +1 (k <= 20; ||-x|| = ||x||) or over seeded
-Monte-Carlo samples with a standard error, in blocks of about `_BLOCK` values.
+Monte-Carlo samples with a standard error, in blocks of about `_BLOCK` values
+computed into one reused buffer and reduced in place.
 
 `radial_sup_rademacher_moment` is the O(n log n + W^2) reduction, with W
 the sign-total window below, that makes the quantity
@@ -22,7 +23,9 @@ endpoints) range of u = (signed delta-mass on the -1 set), which is linear
 in u and hence attained at the range endpoints.  The delta-average then
 collapses to a binomial sum over s.  For large n the binomial sum is
 truncated where the total discarded probability mass is below `tail_mass`
-(default 1e-20); below the window size the computation is exact.
+(default 1e-20); below the window size the computation is exact.  The
+binomial weights are evaluated on that window only (`radial.binomial_pmf`),
+and the blocks of (s, d) pairs reuse three preallocated buffers.
 """
 
 from __future__ import annotations
@@ -32,10 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
-from scipy.stats import binom
 
 from .cube import _BLOCK, BiCubeFunction, CubeFunction, VectorCubeFunction, walsh_transform
-from .radial import RadialProfile, binomial_weights
+from .radial import RadialProfile, binomial_pmf, binomial_weights
 from .rng import stream_generator
 
 MAX_EXACT_SIGNS = 20
@@ -73,17 +75,22 @@ class MixedNormSpec:
 
 
 def _pow(a: np.ndarray, e: float) -> np.ndarray:
-    """a**e for a >= 0, with e = 1, 2, 3 done by multiplication."""
-    if e in (1, 2, 3):
-        return a if e == 1 else a * a if e == 2 else a * a * a
+    """a**e for a >= 0; e = 1, 2, 3 by multiplication, written over `a`."""
+    if e == 1:
+        return a
+    if e == 2:
+        return np.multiply(a, a, out=a)
+    if e == 3:
+        return np.multiply(a * a, a, out=a)
     return a**e
 
 
 def _pattern_powers(block: np.ndarray, spec: MixedNormSpec) -> np.ndarray:
     """mean_x ||block(x)||^p over the trailing axes of a (..., inner?, points)
     block, one value per leading index: the mean of (sum or mean of |v|^q)^{p/q}
-    with no root taken.  p = inf gives the norm max_x ||block(x)|| itself."""
-    a = np.abs(block)
+    with no root taken.  p = inf gives the norm max_x ||block(x)|| itself.
+    `block` is overwritten."""
+    a = np.abs(block, out=block)
     q = 1.0  # the power of the inner norm that `s` holds
     if spec.inner == "scalar":
         s = a
@@ -179,9 +186,11 @@ def _sign_powers(signs: np.ndarray, vals: np.ndarray, spec: MixedNormSpec) -> np
     flat = vals.reshape(vals.shape[0], -1)
     rows = max(1, _BLOCK // flat.shape[1])
     out = np.empty(signs.shape[0])
+    buf = np.empty((min(rows, signs.shape[0]), flat.shape[1]))  # reused by every block
     for lo in range(0, signs.shape[0], rows):
-        block = (signs[lo:lo + rows] @ flat).reshape(-1, *vals.shape[1:])
-        out[lo:lo + rows] = _pattern_powers(block, spec)
+        part = signs[lo:lo + rows]
+        block = np.matmul(part, flat, out=buf[:part.shape[0]])
+        out[lo:lo + rows] = _pattern_powers(block.reshape(-1, *vals.shape[1:]), spec)
     return out
 
 
@@ -295,8 +304,9 @@ def sup_gradient_sum_by_sign_total(profile: RadialProfile, svals: np.ndarray) ->
 
     The max over d of |alpha s + gamma u| at the u-range endpoints, taken
     over the band |n - 2d| <= max|s| and the few weights `_envelope_weights`
-    selects off it, in blocks of at most `_BLOCK` (s, d) pairs.  Cost is
-    O(n log n) for the hull plus O(W^2) for the W ~ max|s| band weights.
+    selects off it, in blocks of at most `_BLOCK` (s, d) pairs written into
+    three preallocated buffers.  Cost is O(n log n) for the hull plus O(W^2)
+    for the W ~ max|s| band weights.
     """
     alpha, beta = radial_derivative_profiles(profile)
     svals = np.asarray(svals, dtype=np.float64)
@@ -307,15 +317,25 @@ def sup_gradient_sum_by_sign_total(profile: RadialProfile, svals: np.ndarray) ->
     idx = np.concatenate([weights[~off], _envelope_weights(alpha, beta, n, smax, weights[off])])
     d = idx.astype(np.float64)
     a, g = alpha[idx], beta[idx] - alpha[idx]
+    neg_d, d_minus_n = -d, d - n
     out = np.empty(svals.shape[0])
     rows = max(1, _BLOCK // idx.size)
+    # three (rows, W) buffers reused by every block: base, then the two ends
+    bufs = np.empty((3, min(rows, svals.shape[0]), idx.size))
     for lo in range(0, svals.shape[0], rows):
         s = svals[lo:lo + rows, None]
-        base = a * s
-        umin = np.maximum(-d, d - n + s)
-        umax = np.minimum(d, n + s - d)
-        out[lo:lo + rows] = np.maximum(np.abs(base + g * umin),
-                                       np.abs(base + g * umax)).max(axis=1)
+        base, lo_end, hi_end = bufs[:, :s.shape[0]]
+        np.multiply(a, s, out=base)
+        np.add(d_minus_n, s, out=lo_end)
+        np.maximum(neg_d, lo_end, out=lo_end)  # umin
+        np.subtract(n + s, d, out=hi_end)
+        np.minimum(d, hi_end, out=hi_end)  # umax
+        for u in (lo_end, hi_end):
+            np.multiply(g, u, out=u)
+            np.add(base, u, out=u)
+            np.abs(u, out=u)
+        np.maximum(lo_end, hi_end, out=lo_end)
+        lo_end.max(axis=1, out=out[lo:lo + rows])
     return out
 
 
@@ -346,5 +366,5 @@ def radial_sup_rademacher_moment(profile: RadialProfile, p: float,
     sups = sup_gradient_sum_by_sign_total(profile, svals)
     if np.isinf(p):
         return float(sups.max())
-    pmf = binom.pmf((svals + n) // 2, n, 0.5)
+    pmf = binomial_pmf(n, (svals + n) // 2)
     return float((pmf @ sups**p) ** (1.0 / p))

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import cubeineq
 from cubeineq.cli import main
 
 
@@ -77,6 +83,37 @@ def test_sweep_csv_schema(tmp_path, capsys):
     assert code == 0
     header = out_file.read_text().splitlines()[0]
     assert header == ("inequality_id,n,p,q,a_or_gamma,t,lhs,rhs,ratio,mode,seed")
+
+
+def test_sweep_params_carry_canonical_id(capsys):
+    # DELTA_FI is an alias: the payload names the entry its rows were computed by
+    code, out, _ = run_cli(capsys, "sweep", "--ineq", "DELTA_FI", "--n-list", "3",
+                           "--p-list", "3", "--a", "0.5")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["params"]["ineq"] == "R_BELOW_NOD"
+    assert {row["inequality_id"] for row in payload["rows"]} == {"R_BELOW_NOD"}
+
+
+def test_start_up_imports_neither_scipy_stats_nor_optimize():
+    # a fresh interpreter: the package import plus the first calls of a CLI run
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        import cubeineq.cli
+        for argv in (["counterexample", "talagrand", "--n-list", "8,16"],
+                     ["counterexample", "pisier-constant", "--n-list", "10"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cubeineq.cli.main(argv) == 0
+        print(sorted(m for m in sys.modules
+                     if m.split(".")[:2] in (["scipy", "stats"], ["scipy", "optimize"])))
+    """)
+    src = str(Path(cubeineq.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_quantum_subcommands(capsys):

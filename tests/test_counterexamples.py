@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -203,6 +204,28 @@ def test_pisier_constant_bound_drift():
         v = cx.pisier_constant_bound(n).value
         drifts.append(v - math.log(n) - math.log(math.log(n)))
     assert max(drifts) - min(drifts) < 0.5
+
+
+def _pisier_bound_oracle(n):
+    """Value and argmin of min r^{-n} log((1+r)/(1-r)) by 50-digit bisection."""
+    with mpmath.workdps(50):
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        for _ in range(200):
+            r = (lo + hi) / 2
+            if n * mpmath.log((1 + r) / (1 - r)) * (1 - r * r) > 2 * r:
+                lo = r
+            else:
+                hi = r
+        value = lo ** (-n) * mpmath.log((1 + lo) / (1 - lo))
+        return float(value), float(lo)
+
+
+@pytest.mark.parametrize("n", [2, 10, 10**3, 10**5, 10**6])
+def test_pisier_constant_bound_matches_oracle(n):
+    value, argmin = _pisier_bound_oracle(n)
+    got = cx.pisier_constant_bound(n)
+    assert got.value == pytest.approx(value, rel=1e-13, abs=0)
+    assert got.argmin == pytest.approx(argmin, rel=1e-13, abs=0)
 
 
 def test_pisier_displayed_functional_grows_linearly():

@@ -1,9 +1,11 @@
+import mpmath
 import numpy as np
 import pytest
 
 from cubeineq.cube import apply_multiplier
 from cubeineq.radial import (
     RadialProfile,
+    binomial_pmf,
     binomial_weights,
     krawtchouk,
     krawtchouk_table,
@@ -99,6 +101,59 @@ def test_radial_projection_of_dense(rng):
 def test_binomial_weights_sum_to_one():
     for n in (5, 100, 2**16):
         assert abs(binomial_weights(n).sum() - 1.0) < 1e-10
+
+
+def _exact_half_pmf(n):
+    """C(n, k) 2^{-n} for k = n//2 down to the first value below 1e-300, from
+    the exact central term by the ratio recurrence at 40 digits."""
+    with mpmath.workdps(40):
+        k = n // 2
+        cur = mpmath.binomial(n, k) * mpmath.mpf(2) ** (-n)
+        out = {}
+        while k >= 0:
+            out[k] = float(cur)
+            if out[k] < 1e-300:
+                break
+            cur = cur * k / (n - k + 1)
+            k -= 1
+    ks = np.array(sorted(out))
+    return ks, np.array([out[k] for k in ks])
+
+
+@pytest.mark.parametrize("n", list(range(1, 18)) + [100, 501, 1000, 4097, 2**16, 2**20])
+def test_binomial_pmf_matches_exact(n):
+    ks, exact = _exact_half_pmf(n)
+    keep = exact >= 1e-300
+    w = binomial_weights(n)
+    assert np.max(np.abs(w[ks][keep] / exact[keep] - 1.0)) <= 1e-12
+    assert np.array_equal(binomial_pmf(n, ks), w[ks])
+    assert np.array_equal(w, w[::-1])
+    assert abs(w.sum() - 1.0) <= 1e-13
+
+
+def test_binomial_pmf_refuses_outside_support():
+    for k in (-1, 6, 2.5):
+        with pytest.raises(ValueError):
+            binomial_pmf(5, [0, k])
+
+
+def test_level_coefficients_scale_by_power_of_two():
+    # the 2^{-n} scaling after the division is bit-identical to dividing by C(n, k)
+    n = 60
+    v = np.random.default_rng(3).standard_normal(n + 1)
+    pmf = binomial_weights(n)
+    expect = (krawtchouk_table(n) @ (pmf * v)) / (pmf * 2.0**n)
+    assert np.array_equal(RadialProfile(n, v).level_coefficients(), expect)
+
+
+@pytest.mark.parametrize("n", [1024, 1100])
+def test_level_coefficients_refuse_overflow(n):
+    # 1/pmf(0) = 2^n overflows float64 from n = 1024: ValueError, not OverflowError
+    prof = RadialProfile(n, np.ones(n + 1))
+    with pytest.raises(ValueError, match="not finite"):
+        prof.level_coefficients()
+    with pytest.raises(ValueError, match="not finite"):
+        radial_apply_multiplier(prof, np.ones(n + 1))
 
 
 def test_file_format():
