@@ -91,9 +91,9 @@ def _fail(status: int, message: str) -> int:
 
 def _check_finite(rows, what: str) -> int:
     """Exit status 2, with a message naming the n, when a row's result is not finite."""
-    keys = ("lhs", "rhs", "ratio", "minimum", "argmin")
+    keys = ("lhs", "rhs", "ratio", "minimum", "argmin", "bound")
     bad = [row["n"] for row in rows
-           if not all(math.isfinite(row[key]) for key in keys if key in row)]
+           if not all(math.isfinite(row[key]) for key in keys if row.get(key, "") != "")]
     if bad:
         return _fail(2, f"{what}: non-finite result at n = {bad}")
     return 0
@@ -195,7 +195,9 @@ def _cmd_counterexample(args) -> int:
     for n in args.n_list:
         if report is None:  # pisier-constant
             pm = cx.pisier_min_constant(n)
-            rows.append({"n": n, "minimum": pm.value, "argmin": pm.argmin})
+            # at n = 1 the bound's infimum is not attained (r -> 0): the column is blank
+            bound = cx.pisier_constant_bound(n).value if n >= 2 else ""
+            rows.append({"n": n, "minimum": pm.value, "argmin": pm.argmin, "bound": bound})
         else:
             rep = report(n)
             rows.append({"n": n, "lhs": rep.lhs, "rhs": rep.rhs, "ratio": rep.ratio})
@@ -303,6 +305,16 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="output path (default stdout)")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
 
+    def entry_parameters(sp):
+        # an entry reads at most one of a and gamma, so giving both is a usage error
+        one = sp.add_mutually_exclusive_group()
+        one.add_argument("--a", type=float, default=None)
+        one.add_argument("--gamma", type=float, default=None)
+        sp.add_argument("--t", type=float, default=None)
+        sp.add_argument("--inner", choices=("scalar", "lq", "Lq"), default="scalar")
+        sp.add_argument("--r-components", type=int, default=2)
+        sp.add_argument("--search", choices=("none", "random", "ascent"), default="none")
+
     sp = sub.add_parser("verify", help="check a representation formula")
     sp.add_argument("kind", choices=("formula",))
     sp.add_argument("--which", required=True,
@@ -321,12 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--q", type=float, default=None)
-    sp.add_argument("--a", type=float, default=None)
-    sp.add_argument("--gamma", type=float, default=None)
-    sp.add_argument("--t", type=float, default=None)
-    sp.add_argument("--inner", choices=("scalar", "lq", "Lq"), default="scalar")
-    sp.add_argument("--r-components", type=int, default=2)
-    sp.add_argument("--search", choices=("none", "random", "ascent"), default="none")
+    entry_parameters(sp)
     sp.add_argument("--trials", type=int, default=100)
     sp.add_argument("--ascent-steps", type=int, default=200)
     common(sp)
@@ -337,12 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-list", type=_int_list, required=True)
     sp.add_argument("--p-list", type=_float_list, required=True)
     sp.add_argument("--q-list", type=_float_list, default=None)
-    sp.add_argument("--a", type=float, default=None)
-    sp.add_argument("--gamma", type=float, default=None)
-    sp.add_argument("--t", type=float, default=None)
-    sp.add_argument("--inner", choices=("scalar", "lq", "Lq"), default="scalar")
-    sp.add_argument("--r-components", type=int, default=2)
-    sp.add_argument("--search", choices=("none", "random", "ascent"), default="none")
+    entry_parameters(sp)
     sp.add_argument("--trials", type=int, default=60)
     sp.add_argument("--ascent-steps", type=int, default=120)
     common(sp)

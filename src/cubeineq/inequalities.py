@@ -488,9 +488,12 @@ SWEEP_COLUMNS = ("inequality_id", "n", "p", "q", "a_or_gamma", "t",
 
 
 def ratio_row(instance: InequalityInstance, report: RatioReport, seed: int) -> dict:
-    """The `SWEEP_COLUMNS` row of one report; an unset parameter reads ""."""
-    a_or_gamma = instance.a if instance.a is not None else instance.gamma
-    values = (instance.ineq_id, instance.n, instance.p, instance.q, a_or_gamma, instance.t,
+    """The `SWEEP_COLUMNS` row of one report; a parameter the entry does not
+    read (its `needs`), or leaves unset, reads ""."""
+    needs = CATALOG[instance.ineq_id].needs
+    a_or_gamma = getattr(instance, needs) if needs in ("a", "gamma") else None
+    t = instance.t if needs == "t" else None
+    values = (instance.ineq_id, instance.n, instance.p, instance.q, a_or_gamma, t,
               report.lhs, report.rhs, report.ratio, report.mode, seed)
     return {col: "" if v is None else v for col, v in zip(SWEEP_COLUMNS, values)}
 

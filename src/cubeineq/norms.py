@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .cube import _BLOCK, BiCubeFunction, CubeFunction, VectorCubeFunction, walsh_transform
 from .radial import RadialProfile, binomial_pmf, binomial_weights
@@ -74,22 +73,25 @@ class MixedNormSpec:
         return cls(p=p, inner="Lq", q=q)
 
 
-def _pow(a: np.ndarray, e: float) -> np.ndarray:
-    """a**e for a >= 0; e = 1, 2, 3 by multiplication, written over `a`."""
+def _pow(a: np.ndarray, e: float, scratch: np.ndarray | None = None) -> np.ndarray:
+    """a**e for a >= 0; e = 1, 2, 3 by multiplication, written over `a`
+    (e = 3 squares into `scratch`, shaped like `a`, when one is given)."""
     if e == 1:
         return a
     if e == 2:
         return np.multiply(a, a, out=a)
     if e == 3:
-        return np.multiply(a * a, a, out=a)
+        return np.multiply(np.multiply(a, a, out=scratch), a, out=a)
     return a**e
 
 
-def _pattern_powers(block: np.ndarray, spec: MixedNormSpec) -> np.ndarray:
+def _pattern_powers(block: np.ndarray, spec: MixedNormSpec,
+                    scratch: np.ndarray | None = None) -> np.ndarray:
     """mean_x ||block(x)||^p over the trailing axes of a (..., inner?, points)
     block, one value per leading index: the mean of (sum or mean of |v|^q)^{p/q}
     with no root taken.  p = inf gives the norm max_x ||block(x)|| itself.
-    `block` is overwritten."""
+    `block` is overwritten, and so is `scratch`, an optional array shaped like
+    it that takes the squares of a cube in place of a temporary."""
     a = np.abs(block, out=block)
     q = 1.0  # the power of the inner norm that `s` holds
     if spec.inner == "scalar":
@@ -98,10 +100,11 @@ def _pattern_powers(block: np.ndarray, spec: MixedNormSpec) -> np.ndarray:
         s = a.max(axis=-2 if spec.inner == "lq" else -1)
     else:
         q = spec.q  # lq: counting sum over R; Lq: mean over the second cube
-        s = _pow(a, q).sum(axis=-2) if spec.inner == "lq" else _pow(a, q).mean(axis=-1)
+        s = _pow(a, q, scratch)
+        s = s.sum(axis=-2) if spec.inner == "lq" else s.mean(axis=-1)
     if np.isinf(spec.p):
         return s.max(axis=-1) ** (1.0 / q)
-    return _pow(s, spec.p / q).mean(axis=-1)
+    return _pow(s, spec.p / q, scratch if s is a else None).mean(axis=-1)
 
 
 def _root(power_mean, p: float) -> float:
@@ -186,11 +189,16 @@ def _sign_powers(signs: np.ndarray, vals: np.ndarray, spec: MixedNormSpec) -> np
     flat = vals.reshape(vals.shape[0], -1)
     rows = max(1, _BLOCK // flat.shape[1])
     out = np.empty(signs.shape[0])
-    buf = np.empty((min(rows, signs.shape[0]), flat.shape[1]))  # reused by every block
+    # the block and the scratch of its powers, reused by every block: glibc
+    # maps a fresh temporary of this size (up to 256 KiB) and faults in every
+    # page of it, unless an earlier large free happened to raise its threshold
+    bufs = np.empty((2, min(rows, signs.shape[0]), flat.shape[1]))
+    shape = (-1, *vals.shape[1:])
     for lo in range(0, signs.shape[0], rows):
         part = signs[lo:lo + rows]
-        block = np.matmul(part, flat, out=buf[:part.shape[0]])
-        out[lo:lo + rows] = _pattern_powers(block.reshape(-1, *vals.shape[1:]), spec)
+        block, scratch = bufs[:, :part.shape[0]]
+        np.matmul(part, flat, out=block)
+        out[lo:lo + rows] = _pattern_powers(block.reshape(shape), spec, scratch.reshape(shape))
     return out
 
 
@@ -257,6 +265,39 @@ def radial_derivative_profiles(profile: RadialProfile) -> tuple[np.ndarray, np.n
     return alpha, beta
 
 
+def _upper_chain(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Indices of the upper-hull vertices of the points (x, y), by ascending x,
+    from the t = 0 maximiser of x t + y (max y, the largest x among ties) to
+    the t = 1 maximiser (max x + y, the smallest x among ties).
+
+    A Pareto scan over x descending keeps each point whose y beats every y
+    before it; Andrew's monotone chain (Inf. Process. Lett. 9, 1979) then
+    walks that front, by ascending x, up to the t = 1 maximiser.  Duplicate,
+    collinear and equal-x points drop out of the chain, and one or two points
+    need no special case.
+    """
+    order = np.argsort(-x, kind="stable")  # timsort: the off-band slopes come in runs
+    ys = y[order]
+    beats = np.empty(ys.size, dtype=bool)
+    beats[0] = True
+    beats[1:] = ys[1:] > np.maximum.accumulate(ys)[:-1]
+    front = order[beats][::-1]
+    xf, yf = x[front], y[front]
+    stop = int(np.argmax(xf + yf)) + 1
+    hx, hy, hull = [], [], []
+    for i, (px, py) in enumerate(zip(xf[:stop].tolist(), yf[:stop].tolist())):
+        # drop the last vertex while it lies on or under the chord to the new point
+        while len(hull) > 1 and ((hx[-1] - hx[-2]) * (py - hy[-2])
+                                 >= (hy[-1] - hy[-2]) * (px - hx[-2])):
+            hx.pop()
+            hy.pop()
+            hull.pop()
+        hx.append(px)
+        hy.append(py)
+        hull.append(i)
+    return front[hull]
+
+
 def _envelope_weights(alpha: np.ndarray, beta: np.ndarray, n: int, smax: float,
                       d: np.ndarray) -> np.ndarray:
     """The weights among `d` (all with |n - 2d| > smax) that can attain the sup.
@@ -265,30 +306,16 @@ def _envelope_weights(alpha: np.ndarray, beta: np.ndarray, n: int, smax: float,
     d - n + s, n + s - d above), so a weight's term is the line
     |alpha| |s| + |gamma| d (|beta| |s| + |gamma| (n - d) above n/2) in
     t = |s| / smax.  The winners for t in [0, 1] are the upper-hull vertices
-    of the points (slope, intercept) between the t = 0 and t = 1 maximisers;
-    every line within a relative 1e-12 of that envelope is kept too, so
-    rounding ties cannot lose the maximiser.  A degenerate point set (all
-    equal, collinear, fewer than three points) is tested against the chord
-    of its t = 0 and t = 1 maximisers instead.
+    of the points (slope, intercept) between the t = 0 and t = 1 maximisers
+    (`_upper_chain`); every line within a relative 1e-12 of that envelope is
+    kept too, so rounding ties cannot lose the maximiser.
     """
     if d.size == 0:
         return d
     below = 2 * d < n
     x = np.abs(np.where(below, alpha[d], beta[d])) * smax
     y = np.abs(beta[d] - alpha[d]) * np.where(below, d, n - d)
-    try:
-        ring = ConvexHull(np.column_stack([x, y])).vertices  # counter-clockwise
-    except QhullError:
-        # collinear or too few points: test against the chord from the t = 0
-        # to the t = 1 maximiser (x ascends along it), which lies under the
-        # envelope, so every line that attains the sup still passes
-        ends = np.array([np.argmax(y), np.argmax(x + y)])
-        chain = ends if x[ends[1]] > x[ends[0]] else ends[:1]
-    else:
-        # counter-clockwise from the t = 1 maximiser to the t = 0 one runs right
-        # to left along the upper hull; reversed, the slopes ascend
-        top, right = np.argmax(y[ring]), np.argmax(x[ring] + y[ring])
-        chain = np.roll(ring, -right)[:(top - right) % ring.size + 1][::-1]
+    chain = _upper_chain(x, y)
     xc, yc = x[chain], y[chain]
     # the gap x t + y - envelope(t) is concave in t, largest where the
     # envelope's slope passes x: at a breakpoint, or at t = 0 or 1

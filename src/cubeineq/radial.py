@@ -164,8 +164,8 @@ class RadialProfile:
 
     @classmethod
     def from_level_coefficients(cls, n: int, w) -> "RadialProfile":
-        K = krawtchouk_table(n)
-        return cls(n, np.asarray(w, dtype=np.float64) @ K)
+        """v(d) = sum_k w[k] K_k(d); refused if not finite."""
+        return cls(n, _level_synthesis(krawtchouk_table(n), np.asarray(w, dtype=np.float64)))
 
     @property
     def mean(self) -> float:
@@ -200,6 +200,15 @@ def _level_coefficients(K: np.ndarray, v: np.ndarray) -> np.ndarray:
     return w
 
 
+def _level_synthesis(K: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """v(d) = sum_k w[k] K[k, d]; refused if not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = w @ K
+    if not np.isfinite(v).all():
+        raise ValueError(f"radial profile at n={K.shape[0] - 1} is not finite in float64")
+    return v
+
+
 def radial_apply_multiplier(p: RadialProfile, m) -> RadialProfile:
     """Radial counterpart of the spectral calculus: level k scaled by m(k).
 
@@ -215,8 +224,4 @@ def radial_apply_multiplier(p: RadialProfile, m) -> RadialProfile:
         if table.shape != (n + 1,):
             raise ValueError(f"multiplier table must have length n+1={n + 1}")
     K = krawtchouk_table(n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = (table * _level_coefficients(K, p.v)) @ K
-    if not np.isfinite(v).all():
-        raise ValueError(f"radial multiplier at n={n} is not finite in float64")
-    return RadialProfile(n, v)
+    return RadialProfile(n, _level_synthesis(K, table * _level_coefficients(K, p.v)))

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,22 @@ def windowed_sup_reference(alpha, beta, n, svals):
         out[i] = max(np.abs(base + gamma * umin).max(),
                      np.abs(base + gamma * umax).max())
     return out
+
+
+def brute_upper_chain(points):
+    """The distinct points (x, y) that alone maximise x t + y on some open
+    interval of t in [0, 1], by ascending x: the upper-hull vertices from the
+    t = 0 to the t = 1 maximiser.  Exact rational arithmetic: the maximiser is
+    read at the midpoint of every pair of consecutive line crossings."""
+    pts = sorted({(Fraction(x), Fraction(y)) for x, y in points})
+    cuts = {Fraction(0), Fraction(1)}
+    for i, (xi, yi) in enumerate(pts):
+        for xj, yj in pts[:i]:
+            if xi != xj and 0 < (yj - yi) / (xi - xj) < 1:
+                cuts.add((yj - yi) / (xi - xj))
+    cuts = sorted(cuts)
+    mids = [(lo + hi) / 2 for lo, hi in zip(cuts, cuts[1:])]
+    return sorted({max(pts, key=lambda pt: pt[0] * t + pt[1]) for t in mids})
 
 
 def _power_mean(absvals, p, axis=-1):

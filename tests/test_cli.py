@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import cubeineq
+from cubeineq import counterexamples as cx
 from cubeineq.cli import main
+from cubeineq.norms import sign_total_window
 
 
 def run_cli(capsys, *argv):
@@ -38,6 +40,16 @@ def test_pisier_constant_subcommand(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["rows"][0]["minimum"] == pytest.approx(5.8284271, abs=1e-6)
+
+
+def test_pisier_constant_rows_carry_the_bound(capsys):
+    # the bound's infimum is not attained at n = 1, so that row leaves it blank
+    code, out, _ = run_cli(capsys, "counterexample", "pisier-constant",
+                           "--n-list", "1,10,1000")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [row["bound"] for row in rows] == [
+        "", cx.pisier_constant_bound(10).value, cx.pisier_constant_bound(1000).value]
 
 
 def test_verify_derivative_exit_zero(capsys):
@@ -95,17 +107,20 @@ def test_sweep_params_carry_canonical_id(capsys):
     assert {row["inequality_id"] for row in payload["rows"]} == {"R_BELOW_NOD"}
 
 
-def test_start_up_imports_neither_scipy_stats_nor_optimize():
-    # a fresh interpreter: the package import plus the first calls of a CLI run
+def test_start_up_imports_no_scipy():
+    # a fresh interpreter: the package import, the first calls of a CLI run,
+    # and a talagrand run whose window leaves weights off the band, so that
+    # the sup kernel builds its upper hull
+    assert sign_total_window(1024)[-1] < 1024
     script = textwrap.dedent("""
         import contextlib, io, sys
         import cubeineq.cli
         for argv in (["counterexample", "talagrand", "--n-list", "8,16"],
-                     ["counterexample", "pisier-constant", "--n-list", "10"]):
+                     ["counterexample", "pisier-constant", "--n-list", "10"],
+                     ["counterexample", "talagrand", "--n-list", "1024"]):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cubeineq.cli.main(argv) == 0
-        print(sorted(m for m in sys.modules
-                     if m.split(".")[:2] in (["scipy", "stats"], ["scipy", "optimize"])))
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     """)
     src = str(Path(cubeineq.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -144,6 +159,25 @@ def test_ratio_row_keeps_gamma_zero(capsys):
                            "--n", "4", "--p", "2")
     assert code == 0
     assert json.loads(out)["rows"][0]["a_or_gamma"] == 0.0
+
+
+@pytest.mark.parametrize("ineq, a_or_gamma, t", [
+    ("RIESZ_LOWER", "", ""), ("R_BELOW", 0.5, ""), ("PT_DERIV", "", 2.0)])
+def test_ratio_row_blanks_parameters_the_entry_does_not_read(capsys, ineq, a_or_gamma, t):
+    code, out, _ = run_cli(capsys, "ratio", "--ineq", ineq, "--n", "3", "--p", "3",
+                           "--a", "0.5", "--t", "2", "--format", "csv")
+    assert code == 0
+    row = dict(zip(*(line.split(",") for line in out.splitlines())))
+    assert (row["a_or_gamma"], row["t"]) == (str(a_or_gamma), str(t))
+
+
+@pytest.mark.parametrize("cmd", [("ratio", "--n", "3", "--p", "3"),
+                                 ("sweep", "--n-list", "3", "--p-list", "3")])
+def test_a_with_gamma_is_refused(capsys, cmd):
+    code, out, err = run_cli(capsys, *cmd, "--ineq", "RIESZ_LOWER", "--a", "0.5",
+                             "--gamma", "0.3")
+    assert code == 1
+    assert out == "" and "not allowed" in err
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

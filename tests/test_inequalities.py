@@ -18,9 +18,11 @@ from cubeineq.inequalities import (
     CATALOG,
     MAX_INPUT_COEFFS,
     InequalityInstance,
+    RatioReport,
     SearchConfig,
     evaluate,
     random_inputs,
+    ratio_row,
     rows_to_csv,
     search_max_ratio,
     sweep,
@@ -238,6 +240,15 @@ def test_catalog_entry_contract(ineq):
         assert inst.input_kind == entry.kind
         rep = evaluate(inst, random_inputs(inst, stream_generator(5, 0)))
         assert math.isfinite(rep.lhs) and math.isfinite(rep.rhs)
+
+
+@pytest.mark.parametrize("ineq", list(CATALOG))
+def test_ratio_row_echoes_only_the_parameter_the_entry_reads(ineq):
+    # the instance carries a, gamma and t; the row names the one in `needs`
+    needs = CATALOG[ineq].needs
+    row = ratio_row(_catalog_instance(ineq), RatioReport(1.0, 1.0, 1.0), seed=0)
+    assert row["a_or_gamma"] == {"a": 0.5, "gamma": 0.25}.get(needs, "")
+    assert row["t"] == (0.5 if needs == "t" else "")
 
 
 def test_shape_mismatch_rejected(rng):

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cubeineq.cube import (
     BiCubeFunction,
@@ -25,8 +28,9 @@ from cubeineq.norms import (
 from cubeineq.counterexamples import lamberton_point_mass, talagrand_profile
 from cubeineq.radial import RadialProfile
 from cubeineq import norms
-from cubeineq.norms import _envelope_weights
-from conftest import brute_sup_rademacher_moment, rademacher_reference, windowed_sup_reference
+from cubeineq.norms import _envelope_weights, _pattern_powers, _upper_chain
+from conftest import (brute_sup_rademacher_moment, brute_upper_chain, rademacher_reference,
+                      windowed_sup_reference)
 
 
 def test_dictator_has_unit_norm_for_every_p():
@@ -200,13 +204,47 @@ def kept_off_band(prof):
 @pytest.mark.parametrize("n", [200, 1000, 1 << 16])
 def test_sup_kernel_bitwise_on_degenerate_hulls(n):
     # constant: every off-band point is (0, 0); linear: all share one slope,
-    # and v = d puts the off-band points exactly on one line, so Qhull fails
+    # and v = d puts the off-band points exactly on one line, which the
+    # monotone chain reduces to its two ends
     d = np.arange(n + 1, dtype=np.float64)
     if n < 1 << 16:  # constant lines all tie at 0, so every weight is kept
         assert_sup_kernel_matches_reference(RadialProfile(n, np.full(n + 1, 3.0)))
     for v in (d, 0.7 * d, 2.0 - 1.3 * d):
         assert_sup_kernel_matches_reference(RadialProfile(n, v))
         assert kept_off_band(RadialProfile(n, v)) <= 4
+
+
+def _descending(steps):
+    """Points by ascending x with y descending, so that all of them lie on the
+    Pareto front the chain walks; a zero step repeats an x or a y."""
+    return [(sum(dx for dx, _ in steps[:i + 1]), 60 - sum(dy for _, dy in steps[:i + 1]))
+            for i in range(len(steps))]
+
+
+# small integer points: duplicates, equal x and equal y are common; then
+# all-collinear sets of every slope sign; then whole fronts
+_hull_points = st.one_of(
+    st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=30),
+    st.builds(lambda ks, m, c: [(k, c + m * k) for k in ks],
+              st.lists(st.integers(0, 8), min_size=1, max_size=12),
+              st.integers(-3, 3), st.integers(0, 30)),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=20)
+    .map(_descending))
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=_hull_points)
+@example(points=[(2, 5)])
+@example(points=[(2, 5), (2, 5)])
+@example(points=[(1, 5), (3, 5)])
+@example(points=[(3, 1), (3, 4)])
+@example(points=[(0, 4), (1, 3), (2, 2), (3, 1)])
+@example(points=[(0, 6), (2, 4), (6, 3)])
+def test_upper_chain_matches_brute_force_hull(points):
+    x, y = (np.array(c, dtype=np.float64) for c in zip(*points))
+    chain = _upper_chain(x, y)
+    assert np.all(np.diff(x[chain]) > 0)
+    assert list(zip(x[chain].tolist(), y[chain].tolist())) == brute_upper_chain(points)
 
 
 @pytest.mark.parametrize("n", range(96, 111))
@@ -248,6 +286,25 @@ def rademacher_specs(p):
     for q in (1.0, 2.0, 3.0, np.inf):
         yield MixedNormSpec.lq(p, q)
         yield MixedNormSpec.cube(p, q)
+
+
+@pytest.mark.parametrize("spec, shape", [(MixedNormSpec.scalar(3.0), (16, 2048)),
+                                         (MixedNormSpec.lq(3.0, 3.0), (16, 2, 1024)),
+                                         (MixedNormSpec.cube(3.0, 3.0), (16, 64, 32))])
+def test_pattern_powers_square_into_scratch(rng, spec, shape):
+    # the cube's squares go to the scratch block: the same bits, and no
+    # block-sized temporary, which glibc would map and fault in for each block
+    block = rng.standard_normal(shape)
+    expected = _pattern_powers(block.copy(), spec)
+    scratch = np.empty_like(block)
+    tracemalloc.start()
+    try:
+        got = _pattern_powers(block, spec, scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, expected)
+    assert peak < block.nbytes
 
 
 @pytest.mark.parametrize("block", [None, 37])

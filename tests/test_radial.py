@@ -156,6 +156,12 @@ def test_level_coefficients_refuse_overflow(n):
         radial_apply_multiplier(prof, np.ones(n + 1))
 
 
+def test_from_level_coefficients_refuses_overflow():
+    # sum_k K_k(d) overflows float64 at n = 1100: ValueError, not a nan profile
+    with pytest.raises(ValueError, match="not finite"):
+        RadialProfile.from_level_coefficients(1100, np.ones(1101))
+
+
 def test_file_format():
     prof = RadialProfile(3, [0.0, 1.0, 2.0, 3.0])
     back = RadialProfile.from_json(prof.to_json())
