@@ -107,6 +107,8 @@ _VERIFY_TOL = {"heat": 1e-12, "derivative": 1e-12, "tail-integral": 1e-12,
 
 def _cmd_verify(args) -> int:
     which = args.which
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     tol = args.tol if args.tol is not None else _VERIFY_TOL[which]
     rng = stream_generator(args.seed)
     rows = []
@@ -220,11 +222,12 @@ def _cmd_quantum(args) -> int:
     rows = []
     status = 0
     if check == "projection":
+        qt._check_qubits(args.n)  # before the 2^n x 2^n draw
         m = 1 << args.n
         worst = 0.0
         for k in range(20):
             M = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-            PM = qt.project_Q(M)  # raises if the two implementations disagree
+            PM = qt.project_Q(M, method="both")  # raises if the two implementations disagree
             idem = float(np.max(np.abs(qt.project_Q(PM.mat).mat - PM.mat)))
             worst = max(worst, idem)
             for p in (1.0, 1.5, 2.0, 3.0, np.inf):

@@ -8,9 +8,9 @@ where Q_A flips the bits of A.  Under the normalized trace tr = Tr / 2^n
 the embedding is an L^p isometry onto a commutative subalgebra: the
 eigenvalue multiset of T_f is exactly the value multiset of f.  Around it
 live the anticommuting partners P_j, the projection back onto the Q-span
-(a Schatten-norm contraction, realized both as a word-coefficient
-projection and as a conjugated diagonal restriction), and the rotation
-group
+(a Schatten-norm contraction, taken through the word coefficients; the
+conjugated diagonal restriction is kept as a cross-check), and the
+rotation group
 
     rotate(T, theta) = A_theta^* T A_theta,  A_theta = diag(1, e^{i theta})^{(x) n},
 
@@ -25,6 +25,10 @@ with c the kernel's own normalization integral.  Note the inverse rotation
 inside the integral: with the rotation oriented as above (the convention
 that also matches the generator sum_j P_j d_j), the forward rotation would
 flip the sign of the identity.
+
+A rotation scales entry [y, x] by a phase in the level gap |x| - |y|, so the
+rotation and the kernel integral are both (2n+1)-entry level-gap multipliers
+read through one shared index table.
 
 Dense complex matrices only, n <= 10; all Schatten norms go through SVD.
 """
@@ -78,10 +82,6 @@ class MatrixObservable:
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         return bool(np.max(np.abs(self.mat - self.mat.conj().T)) <= tol)
-
-    def trace(self) -> complex:
-        """Normalized trace Tr / 2^n."""
-        return complex(np.trace(self.mat) / (1 << self.n))
 
     def __repr__(self):
         return f"MatrixObservable(n={self.n})"
@@ -184,27 +184,13 @@ def rho_matrix(n: int) -> np.ndarray:
     return out
 
 
-def conjugate_nu(T) -> np.ndarray:
-    """nu(T) = rho T rho^*."""
-    mat = _as_mat(T)
-    n = mat.shape[0].bit_length() - 1
-    rho = rho_matrix(n)
-    return rho @ mat @ rho.conj().T
-
-
-def conjugate_nu_inv(T) -> np.ndarray:
-    mat = _as_mat(T)
-    n = mat.shape[0].bit_length() - 1
-    rho = rho_matrix(n)
-    return rho.conj().T @ mat @ rho
-
-
-def project_Q(T, method: str = "both", tol: float = 1e-12) -> MatrixObservable:
+def project_Q(T, method: str = "words", tol: float = 1e-12) -> MatrixObservable:
     """Orthogonal projection onto span{Q_A}; a contraction in every sigma_p.
 
-    method "words" projects through the word coefficients, "conjugation"
-    through rho Diag(rho^* T rho) rho^*; "both" runs the two and demands
-    agreement within `tol` (an internal-consistency failure otherwise).
+    method "words" (the default) projects through the word coefficients,
+    "conjugation" through the dense rho Diag(rho^* T rho) rho^*; "both" runs
+    the two and demands agreement within `tol` (an internal-consistency
+    failure otherwise), the cross-check `cubeineq quantum projection` reports.
     """
     mat = _as_mat(T)
     n = mat.shape[0].bit_length() - 1
@@ -229,6 +215,16 @@ def project_Q(T, method: str = "both", tol: float = 1e-12) -> MatrixObservable:
 # -- rotation group and derivation ---------------------------------------------
 
 
+@functools.lru_cache(maxsize=16)
+def _level_gap(n: int) -> np.ndarray:
+    """Read-only 2^n x 2^n table [y, x] -> |x| - |y| + n: the index of an
+    entry's level gap into a multiplier over the gaps -n..n."""
+    lev = levels(n).astype(np.intp)
+    gap = lev[None, :] - lev[:, None] + n
+    gap.setflags(write=False)
+    return gap
+
+
 def rotate(T, theta: float) -> MatrixObservable:
     """A_theta^* T A_theta with A_theta = diag(1, e^{i theta})^{(x) n}.
 
@@ -237,9 +233,7 @@ def rotate(T, theta: float) -> MatrixObservable:
     """
     mat = _as_mat(T)
     n = mat.shape[0].bit_length() - 1
-    pc = levels(n).astype(np.float64)
-    phase = np.exp(1j * theta * (pc[None, :] - pc[:, None]))
-    return MatrixObservable(n, mat * phase)
+    return MatrixObservable(n, mat * np.exp(1j * theta * np.arange(-n, n + 1))[_level_gap(n)])
 
 
 def apply_p_left(M, j: int) -> np.ndarray:
@@ -347,28 +341,23 @@ class QuadratureRule:
         return self._norm_const
 
 
-def pisier_kernel_integral(m: int, quad: QuadratureRule) -> float:
-    """The kernel moment I(m); I(m) sqrt(m+1) is constant in m."""
-    return quad.moment(m)
-
-
 def kernel_transform(G, quad: QuadratureRule) -> MatrixObservable:
     """int K(theta) rotate(G, -theta) dtheta (the orientation under which the
-    half-power representation below holds with a positive constant)."""
+    half-power representation below holds with a positive constant):
+    G * kappa[|x| - |y|] with kappa(delta) = -2i sum_k w_k sin(theta_k delta).
+    """
     mat = _as_mat(G)
     n = mat.shape[0].bit_length() - 1
-    pc = levels(n).astype(np.float64)
-    delta = pc[None, :] - pc[:, None]
-
-    def F(theta):
-        return mat * np.exp(-1j * theta * delta)
-
-    return MatrixObservable(n, quad.integrate(F))
+    gaps = np.arange(-n, n + 1)
+    kappa = quad.integrate(lambda theta: np.exp(-1j * theta * gaps))
+    return MatrixObservable(n, mat * kappa[_level_gap(n)])
 
 
+@functools.lru_cache(maxsize=32)
 def qa_word_defect(n: int, j: int, thetas=(0.3, 0.9, 1.4)) -> float:
     """Max defect of proj_Q(rotate(P_j d_j Q_A, -theta)) = cos^{|A|-1} sin(theta) Q_A
-    over every basis word A and the sampled rotation angles."""
+    over every basis word A and the sampled rotation angles; cached, as no
+    function enters it."""
     _check_qubits(n, MAX_FORMULA_QUBITS)
     m = 1 << n
     idx = np.arange(m)

@@ -3,6 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import cubeineq.quantum as qt
+from cubeineq.cube import levels
 from cubeineq.rng import stream_generator
 
 
@@ -150,3 +152,28 @@ def rademacher_reference(operands, p, spec=None, cfg=None):
         return float(value), 0.0
     se_mean = powers.std(ddof=1) / np.sqrt(cfg.samples) if cfg.samples > 1 else 0.0
     return float(value), float(se_mean * value / (p * mean) if mean > 0 else se_mean)
+
+
+def conjugate_nu(T):
+    """nu(T) = rho T rho^* with the rho of the conjugation projection."""
+    rho = qt.rho_matrix(T.shape[0].bit_length() - 1)
+    return rho @ T @ rho.conj().T
+
+
+def conjugate_nu_inv(T):
+    """nu^{-1}(T) = rho^* T rho."""
+    rho = qt.rho_matrix(T.shape[0].bit_length() - 1)
+    return rho.conj().T @ T @ rho
+
+
+def rotate_reference(G, theta):
+    """G * e^{i theta (|x| - |y|)} from a float grid of level differences."""
+    G = np.asarray(G, dtype=complex)
+    pc = levels(G.shape[0].bit_length() - 1).astype(np.float64)
+    return G * np.exp(1j * theta * (pc[None, :] - pc[:, None]))
+
+
+def kernel_transform_reference(G, quad):
+    """int K(theta) rotate(G, -theta) dtheta with one full-matrix rotation
+    per quadrature node."""
+    return quad.integrate(lambda theta: rotate_reference(G, -theta))

@@ -182,7 +182,7 @@ def test_criterion_08_projection():
 
 def test_criterion_09_kernel_moment_law():
     quad = qt.QuadratureRule.build(1e-8)
-    prods = [qt.pisier_kernel_integral(m, quad) * math.sqrt(m + 1) for m in range(65)]
+    prods = [quad.moment(m) * math.sqrt(m + 1) for m in range(65)]
     spread = max(prods) - min(prods)
     # 2 sqrt(pi) comes from u = -log cos theta, confirmed by an independent
     # adaptive quadrature before being frozen here

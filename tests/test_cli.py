@@ -9,6 +9,7 @@ import pytest
 
 import cubeineq
 from cubeineq import counterexamples as cx
+from cubeineq import quantum as qt
 from cubeineq.cli import main
 from cubeineq.norms import sign_total_window
 
@@ -135,6 +136,29 @@ def test_quantum_subcommands(capsys):
     for check in ("projection", "rotation", "pisier-integral", "isometry"):
         code, out, _ = run_cli(capsys, "quantum", check, "--n", "3")
         assert code == 0, (check, out)
+
+
+def test_qa_word_defect_once_per_coordinate(capsys):
+    qt.qa_word_defect.cache_clear()
+    code, _, _ = run_cli(capsys, "verify", "formula", "--which", "qa", "--n", "3",
+                         "--count", "5")
+    assert code == 0
+    info = qt.qa_word_defect.cache_info()
+    assert (info.misses, info.hits) == (3, 12)
+
+
+@pytest.mark.parametrize("n", ["0", "11", "20"])
+def test_quantum_projection_checks_qubits_first(capsys, n):
+    code, _, err = run_cli(capsys, "quantum", "projection", "--n", n)
+    assert code == 1
+    assert "qubit count must be in [1, 10]" in err
+
+
+@pytest.mark.parametrize("which", ["qa", "heat"])
+def test_verify_count_below_one_exits_one(capsys, which):
+    code, _, err = run_cli(capsys, "verify", "formula", "--which", which, "--count", "0")
+    assert code == 1
+    assert "--count" in err
 
 
 def test_tail_integral_verify(capsys):

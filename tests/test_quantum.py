@@ -15,6 +15,9 @@ from cubeineq.cube import (
 )
 from cubeineq.norms import MixedNormSpec, lp_norm, mixed_norm
 
+from conftest import (conjugate_nu, conjugate_nu_inv, kernel_transform_reference,
+                      rotate_reference)
+
 
 @pytest.fixture(scope="module")
 def quad():
@@ -124,6 +127,14 @@ def test_rotation_identity_and_closed_form():
     assert np.max(np.abs(RP - (math.cos(theta) * P0 - math.sin(theta) * Q0))) < 1e-12
 
 
+def test_rotation_equals_level_formula_bitwise(rng):
+    for n in (1, 3, 6):
+        m = 1 << n
+        M = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        for theta in (0.0, 0.3, -0.9, 1.4, 2.5, -math.pi):
+            assert np.array_equal(qt.rotate(M, theta).mat, rotate_reference(M, theta))
+
+
 def test_rotation_generator_first_order(rng):
     f = random_function(3, rng)
     T = qt.embed(f)
@@ -152,10 +163,38 @@ def test_kernel_moment_law(quad):
     # 2 Gamma(1/2) / sqrt(m+1); the constant was confirmed by an independent
     # adaptive quadrature before freezing
     assert abs(c - 2.0 * math.sqrt(math.pi)) < 1e-9
-    prods = [qt.pisier_kernel_integral(m, quad) * math.sqrt(m + 1.0) for m in range(65)]
+    prods = [quad.moment(m) * math.sqrt(m + 1.0) for m in range(65)]
     assert max(prods) - min(prods) < 1e-8
-    assert abs(qt.pisier_kernel_integral(3, quad) - c / 2.0) < 1e-9
+    assert abs(quad.moment(3) - c / 2.0) < 1e-9
     assert quad.constancy_defect() < 1e-8
+
+
+@pytest.mark.parametrize("accuracy", [1e-8, 1e-10])
+def test_kernel_transform_matches_per_node_rotation(rng, accuracy):
+    quad = qt.QuadratureRule.build(accuracy)
+    for n in range(1, 8):
+        m = 1 << n
+        G = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        ref = kernel_transform_reference(G, quad)
+        gap = np.max(np.abs(qt.kernel_transform(G, quad).mat - ref))
+        assert gap <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_library_projects_through_words_only(monkeypatch, rng, quad):
+    from cubeineq.cli import main
+
+    def refuse(n):
+        raise RuntimeError("conjugation path reached")
+
+    monkeypatch.setattr(qt, "rho_matrix", refuse)
+    qt.qa_word_defect.cache_clear()
+    f = random_function(3, rng, mean_zero=True)
+    for j in range(3):
+        assert qt.verify_qa_formula(f, j, quad) < 1e-6
+    assert qt.verify_elpF(f, quad) < 1e-6
+    # the CLI projection check is the cross-check, so it does reach rho
+    with pytest.raises(RuntimeError, match="conjugation path reached"):
+        main(["quantum", "projection", "--n", "3"])
 
 
 def test_kernel_is_odd_completion(quad):
@@ -230,15 +269,15 @@ def test_conjugation_table():
         pj = qt.pauli_build(qt.PauliWord.p_word(1 << j, n)).mat
         uj = qt.pauli_build(
             qt.PauliWord(tuple("U" if i == j else "I" for i in range(n)))).mat
-        assert np.max(np.abs(qt.conjugate_nu_inv(uj) - qj)) < 1e-12
+        assert np.max(np.abs(conjugate_nu_inv(uj) - qj)) < 1e-12
         # nu^{-1}(Q_j) = -U_j = -i Q_j P_j (the product order matters:
         # -i P_j Q_j is +U_j)
-        assert np.max(np.abs(qt.conjugate_nu_inv(qj) + uj)) < 1e-12
+        assert np.max(np.abs(conjugate_nu_inv(qj) + uj)) < 1e-12
         assert np.max(np.abs(-1j * (qj @ pj) + uj)) < 1e-12
-        assert np.max(np.abs(qt.conjugate_nu_inv(pj) - pj)) < 1e-12
+        assert np.max(np.abs(conjugate_nu_inv(pj) - pj)) < 1e-12
     # and nu nu^{-1} = id
     M = np.arange(16.0).reshape(4, 4) + 0j
-    assert np.max(np.abs(qt.conjugate_nu(qt.conjugate_nu_inv(M)) - M)) < 1e-12
+    assert np.max(np.abs(conjugate_nu(conjugate_nu_inv(M)) - M)) < 1e-12
 
 
 def test_anticommutation_transport(rng):
