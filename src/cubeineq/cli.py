@@ -204,7 +204,7 @@ def _cmd_counterexample(args) -> int:
             rep = report(n)
             rows.append({"n": n, "lhs": rep.lhs, "rhs": rep.rhs, "ratio": rep.ratio})
     extra = {}
-    if name == "talagrand":
+    if name == "talagrand" and len(rows) >= 2:  # a line through one point says nothing
         extra["lhs_fit"] = cx.GrowthCurve.fit(args.n_list, [r["lhs"] for r in rows]).fit_record()
     record = ExperimentRecord("counterexample-" + name,
                               {"p": args.p, "s": args.s, **extra}, args.seed, rows)
@@ -287,12 +287,19 @@ def _cmd_quantum(args) -> int:
 # -- parser ----------------------------------------------------------------
 
 
+def _number_list(text: str, kind) -> list:
+    values = [kind(tok) for tok in text.replace(",", " ").split()]
+    if not values:
+        raise argparse.ArgumentTypeError("needs at least one value")
+    return values
+
+
 def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.replace(",", " ").split()]
+    return _number_list(text, int)
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.replace(",", " ").split()]
+    return _number_list(text, float)
 
 
 def build_parser() -> argparse.ArgumentParser:

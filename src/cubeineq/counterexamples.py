@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .inequalities import RatioReport, _ratio
-from .norms import radial_derivative_profiles, radial_sup_rademacher_moment
+from .norms import lp_norm, radial_derivative_profiles, radial_sup_rademacher_moment
 from .radial import RadialProfile, binomial_weights, krawtchouk_table
 from .rng import stream_generator
 
@@ -44,6 +44,8 @@ class GrowthCurve:
     @classmethod
     def fit(cls, ns, values) -> "GrowthCurve":
         ns = [int(n) for n in ns]
+        if len(ns) < 2:
+            raise ValueError(f"a fit against log n needs at least two n, got {len(ns)}")
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ValueError("abscissa must be strictly increasing")
         values = [float(v) for v in values]
@@ -154,8 +156,7 @@ def lamberton_ratio(n: int, s: float) -> RatioReport:
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
     lhs = lamberton_gradient_norm(n, s)
-    prof = lamberton_halflap_profile(n)
-    rhs = float((binomial_weights(n) @ np.abs(prof.v) ** s) ** (1.0 / s))
+    rhs = lp_norm(lamberton_halflap_profile(n), s)
     regime = "failure-regime" if 1 < s < 2 else "outside-failure-regime"
     return RatioReport(lhs, rhs, _ratio(lhs, rhs), mode=f"radial[{regime}]")
 

@@ -257,17 +257,22 @@ def _check_coord(f: CubeFunction, i: int) -> None:
         raise ValueError(f"coordinate {i} out of range for n={f.n}")
 
 
+def _multiplier_table(m, n: int) -> np.ndarray:
+    """The levels 0..n of a multiplier given as a callable or an array of length n+1."""
+    if callable(m):
+        return np.array([m(k) for k in range(n + 1)], dtype=np.float64)
+    table = np.asarray(m, dtype=np.float64)
+    if table.shape != (n + 1,):
+        raise ValueError(f"multiplier table must have length n+1={n + 1}")
+    return table
+
+
 def apply_multiplier(f: CubeFunction, m) -> CubeFunction:
     """Spectral calculus: fhat(A) -> m(|A|) * fhat(A).
 
     `m` is a callable on levels 0..n or an array of length n+1.
     """
-    if callable(m):
-        table = np.array([m(k) for k in range(f.n + 1)], dtype=np.float64)
-    else:
-        table = np.asarray(m, dtype=np.float64)
-        if table.shape != (f.n + 1,):
-            raise ValueError(f"multiplier table must have length n+1={f.n + 1}")
+    table = _multiplier_table(m, f.n)
     # take, not table[...]: numpy gathers by a uint8 index array much slower
     return CubeFunction(f.n, f.coeffs * table.take(levels(f.n)),
                         mean_annihilated=f.mean_annihilated)
@@ -413,6 +418,11 @@ class BiCubeFunction:
     def from_translate(cls, f: CubeFunction) -> "BiCubeFunction":
         """F(eps, eta) = f(eps * eta), the group-shifted two-variable lift."""
         return cls(f.n, f.n, f.values()[_xor_grid(f.n)])
+
+    def __add__(self, other: "BiCubeFunction") -> "BiCubeFunction":
+        if (self.n_eps, self.n_delta) != (other.n_eps, other.n_delta):
+            raise ValueError("value grid shape mismatch")
+        return BiCubeFunction(self.n_eps, self.n_delta, self.values + other.values)
 
     def marginal(self, j: int) -> CubeFunction:
         """F_j(eps) = E_delta[ delta_j F(eps, delta) ]."""

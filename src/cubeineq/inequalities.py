@@ -18,6 +18,10 @@ unknown, so nothing here pins one).  The 11 catalog entries:
     GRAD_L1P          || |grad f|_{ell^2} ||_p             vs  || L^{1/p} f ||_p   (probe, 1<p<2)
 
 rad{...} is the Rademacher average (E_delta ||sum_i delta_i . ||^p)^{1/p}.
+A side only composes `cube` operators (lifted to vector and two-variable
+operands, summed with `+`); every norm, square function and Rademacher average
+comes from `norms`, which also decides which operand class carries which value
+space.
 Three ids are aliases that repeat an entry's display: R_ABOVE_DUAL of F1 (the
 dual display carries no extra normalization of its own), DELTA_FI of
 R_BELOW_NOD and RIESZ_FULL_BELOW of RIESZ_LOWER; an alias is reported under
@@ -29,9 +33,9 @@ observed lower bound on the constant, never a certified maximum.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import reduce
@@ -48,10 +52,12 @@ from .cube import (
     gradient,
     riesz,
 )
-from .norms import MixedNormSpec, RademacherConfig, lp_norm, mixed_norm, rademacher_avg
+from .norms import (MixedNormSpec, RademacherConfig, inner_kind, lp_norm, mixed_norm,
+                    rademacher_avg)
 from .rng import stream_generator
 
 MAX_INPUT_COEFFS = 1 << 22  # one input's coefficient vector: 32 MiB of doubles
+ASCENT_STEP = 0.25  # first coordinate step of the ratio search's ascent
 
 
 @dataclass(frozen=True)
@@ -110,7 +116,6 @@ class RatioReport:
     lhs: float
     rhs: float
     ratio: float
-    inputs_digest: str = ""
     mode: str = "exact"
 
 
@@ -121,7 +126,6 @@ class SearchConfig:
     trials: int = 100
     restarts: int = 3
     ascent_steps: int = 200
-    perturbation: float = 0.25
     seed: int = 0
     stream: int = 0
 
@@ -130,26 +134,6 @@ def _ratio(lhs: float, rhs: float) -> float:
     if rhs > 0:
         return lhs / rhs
     return math.inf if lhs > 0 else 0.0
-
-
-def _digest(inputs) -> str:
-    h = hashlib.sha256()
-    for g in _flatten(inputs):
-        h.update(g.tobytes())
-    return h.hexdigest()[:16]
-
-
-def _flatten(inputs):
-    if isinstance(inputs, CubeFunction):
-        yield inputs.coeffs
-    elif isinstance(inputs, VectorCubeFunction):
-        for c in inputs.components:
-            yield c.coeffs
-    elif isinstance(inputs, BiCubeFunction):
-        yield inputs.values
-    else:
-        for g in inputs:
-            yield from _flatten(g)
 
 
 def _apply(op, g):
@@ -163,35 +147,13 @@ def _apply(op, g):
     raise TypeError(f"unsupported operand {type(g).__name__}")
 
 
-def _add(a, b):
-    if isinstance(a, BiCubeFunction):
-        return BiCubeFunction(a.n_eps, a.n_delta, a.values + b.values)
-    return a + b
-
-
 def _norm(instance: InequalityInstance, g) -> float:
-    if isinstance(g, CubeFunction):
-        return lp_norm(g, instance.p)
     return mixed_norm(g, instance.norm_spec())
 
 
 def _rad(instance, operands, cfg) -> float:
     spec = instance.norm_spec()
     return rademacher_avg(operands, instance.p, spec, cfg).value
-
-
-def _subtract_mean(g):
-    if isinstance(g, CubeFunction):
-        return g - g.mean
-    if isinstance(g, VectorCubeFunction):
-        return VectorCubeFunction([c - c.mean for c in g.components])
-    mean = g.values.mean(axis=0, keepdims=True)
-    return BiCubeFunction(g.n_eps, g.n_delta, g.values - mean)
-
-
-def _square_function_norm(family, p: float) -> float:
-    vals = np.stack([f.values() for f in family])
-    return float(((np.sqrt((vals**2).sum(axis=0)) ** p).mean()) ** (1.0 / p))
 
 
 # -- the catalog ------------------------------------------------------------------
@@ -219,7 +181,7 @@ def _riesz_lower(instance, f, cfg, gamma=0.0):
 
 def _r_below(instance, family, cfg, with_derivative=True):
     a = instance.a
-    lhs = _norm(instance, reduce(_add, (
+    lhs = _norm(instance, reduce(operator.add, (
         _apply(lambda h, i=i: frac_power(discrete_derivative(h, i), a), g)
         for i, g in enumerate(family))))
     if with_derivative:
@@ -228,15 +190,15 @@ def _r_below(instance, family, cfg, with_derivative=True):
 
 
 def _pisier(instance, f, cfg):
-    return (_norm(instance, _subtract_mean(f)),
+    return (_norm(instance, _apply(lambda h: h - h.mean, f)),
             _rad_derivatives(instance, [f] * instance.n, cfg))
 
 
 def _f1(instance, F, cfg):
     p = instance.p
-    lhs = lp_norm(reduce(_add, (frac_power(discrete_derivative(m, j), 1.0)
-                                for j, m in enumerate(F.marginals()))), p)
-    return lhs, float((np.abs(F.values) ** p).mean() ** (1.0 / p))
+    lhs = lp_norm(reduce(operator.add, (frac_power(discrete_derivative(m, j), 1.0)
+                                        for j, m in enumerate(F.marginals()))), p)
+    return lhs, mixed_norm(F, MixedNormSpec.cube(p, p))
 
 
 def _df(instance, g, cfg):
@@ -251,7 +213,7 @@ def _pt_deriv(instance, family, cfg):
     t = instance.t
     shifted = np.zeros(instance.n + 1)
     shifted[1:] = np.exp(-t * np.arange(instance.n))
-    lhs = _norm(instance, reduce(_add, (
+    lhs = _norm(instance, reduce(operator.add, (
         _apply(lambda h, i=i: apply_multiplier(discrete_derivative(h, i), shifted), g)
         for i, g in enumerate(family))))
     rhs = _rad_derivatives(instance, family, cfg)
@@ -260,15 +222,15 @@ def _pt_deriv(instance, family, cfg):
 
 def _epi(instance, family, cfg):
     p = instance.p
-    lhs = lp_norm(reduce(_add, (discrete_derivative(frac_power(f, 0.5), i)
-                                for i, f in enumerate(family))), p)
-    rhs = _square_function_norm([discrete_derivative(f, i) for i, f in enumerate(family)], p)
-    return lhs, rhs
+    lhs = lp_norm(reduce(operator.add, (discrete_derivative(frac_power(f, 0.5), i)
+                                        for i, f in enumerate(family))), p)
+    square = VectorCubeFunction([discrete_derivative(f, i) for i, f in enumerate(family)])
+    return lhs, mixed_norm(square, MixedNormSpec.lq(p, 2))
 
 
 def _grad_l1p(instance, f, cfg):
     p = instance.p
-    return (_square_function_norm(gradient(f), p),
+    return (mixed_norm(VectorCubeFunction(gradient(f)), MixedNormSpec.lq(p, 2)),
             lp_norm(frac_power(f, -1.0 / p), p))
 
 
@@ -317,37 +279,27 @@ def evaluate(instance: InequalityInstance, inputs,
     kind = instance.input_kind
     n = instance.n
 
-    if kind == "bi":
-        if not isinstance(inputs, BiCubeFunction):
-            raise ValueError(f"{ineq} expects a BiCubeFunction")
-        if inputs.n_eps != n:
-            raise ValueError(f"operand has n_eps={inputs.n_eps}, instance n={n}")
-    elif kind == "family":
+    if kind == "family":
         inputs = list(inputs)
         if len(inputs) != n:
             raise ValueError(f"{ineq} expects a family of n={n} operands, got {len(inputs)}")
-        _check_operand_dims(inputs, instance)
-    else:
-        if isinstance(inputs, (list, tuple)):
-            raise ValueError(f"{ineq} expects a single operand")
-        _check_operand_dims([inputs], instance)
+        _check_operand_dims(inputs, instance.inner, instance)
+    else:  # a "bi" entry reads one two-variable operand whatever its value space
+        _check_operand_dims([inputs], "Lq" if kind == "bi" else instance.inner, instance)
 
     lhs, rhs = CATALOG[ineq].sides(instance, inputs, cfg)
     mode = "exact" if cfg.mode == "exact" else f"monte-carlo[{cfg.samples}]"
-    return RatioReport(float(lhs), float(rhs), _ratio(lhs, rhs), _digest(inputs), mode)
+    return RatioReport(float(lhs), float(rhs), _ratio(lhs, rhs), mode)
 
 
-def _check_operand_dims(operands, instance) -> None:
+def _check_operand_dims(operands, inner: str, instance) -> None:
     for g in operands:
-        gn = g.n_eps if isinstance(g, BiCubeFunction) else g.n
+        if inner_kind(g) != inner:
+            raise ValueError(f"{instance.ineq_id} expects {inner} operands, "
+                             f"got {type(g).__name__}")
+        gn = g.n_eps if inner == "Lq" else g.n
         if gn != instance.n:
             raise ValueError(f"operand dimension {gn} != instance n={instance.n}")
-        if instance.inner == "scalar" and not isinstance(g, CubeFunction):
-            raise ValueError("scalar instance expects CubeFunction operands")
-        if instance.inner == "lq" and not isinstance(g, VectorCubeFunction):
-            raise ValueError("lq instance expects VectorCubeFunction operands")
-        if instance.inner == "Lq" and not isinstance(g, BiCubeFunction):
-            raise ValueError("Lq instance expects BiCubeFunction operands")
 
 
 # -- input parametrization and search -----------------------------------------
@@ -457,7 +409,7 @@ def search_max_ratio(instance: InequalityInstance, cfg: SearchConfig | None = No
     for r0, theta0 in probes[: max(1, cfg.restarts)]:
         theta = theta0.copy()
         r = r0
-        h = cfg.perturbation
+        h = ASCENT_STEP
         stale = 0
         for _ in range(cfg.ascent_steps):
             j = int(rng.integers(dim))
@@ -477,8 +429,7 @@ def search_max_ratio(instance: InequalityInstance, cfg: SearchConfig | None = No
             best_r, best_theta = r, theta
     witness = _build_inputs(instance, best_theta)
     report = evaluate(instance, witness, rademacher_cfg)
-    return RatioReport(report.lhs, report.rhs, report.ratio, report.inputs_digest,
-                       mode=f"search[trials={cfg.trials},ascent={cfg.ascent_steps}]"), witness
+    return replace(report, mode=f"search[trials={cfg.trials},ascent={cfg.ascent_steps}]"), witness
 
 
 # -- sweeps -------------------------------------------------------------------

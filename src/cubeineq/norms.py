@@ -142,19 +142,14 @@ def _operand_values(operands) -> np.ndarray:
     raise TypeError(f"unsupported operand {type(g).__name__}")
 
 
-def _spec_matches(g, spec: MixedNormSpec) -> bool:
-    if isinstance(g, CubeFunction):
-        return spec.inner == "scalar"
-    if isinstance(g, VectorCubeFunction):
-        return spec.inner == "lq"
-    if isinstance(g, BiCubeFunction):
-        return spec.inner == "Lq"
-    return False
+def inner_kind(g) -> str | None:
+    """The inner norm an operand carries ("scalar", "lq" or "Lq"); None for a non-operand."""
+    return {CubeFunction: "scalar", VectorCubeFunction: "lq", BiCubeFunction: "Lq"}.get(type(g))
 
 
 def mixed_norm(F, spec: MixedNormSpec) -> float:
     """Outer L^p over the cube of the inner norm declared by `spec`."""
-    if not _spec_matches(F, spec):
+    if inner_kind(F) != spec.inner:
         raise ValueError(f"norm spec {spec} does not match operand {type(F).__name__}")
     return _root(_pattern_powers(_operand_values([F])[0], spec), spec.p)
 
@@ -220,7 +215,7 @@ def rademacher_avg(operands, p: float, spec: MixedNormSpec | None = None,
         raise ValueError("spec outer exponent must agree with p")
     cfg = cfg if cfg is not None else RademacherConfig()
     for g in operands:
-        if not _spec_matches(g, spec):
+        if inner_kind(g) != spec.inner:
             raise ValueError(f"operand {type(g).__name__} does not match spec {spec}")
     k = len(operands)
     vals = _operand_values(operands)  # (k, ...)

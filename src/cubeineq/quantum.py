@@ -450,6 +450,8 @@ def epi_quantum_ratio(family, p: float) -> RatioReport:
     machinery that proves it.
     """
     family = list(family)
+    if not family:
+        raise ValueError("epi needs a family of n >= 1 functions")
     if p < 2:
         raise ValueError(f"the endpoint estimate concerns p >= 2, got {p}")
     instance = InequalityInstance("EPI", n=family[0].n, p=p)

@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from .cube import CubeFunction, levels
+from .cube import CubeFunction, _multiplier_table, levels
 
 MAX_RADIAL_N = 1 << 21  # "up to ~10^6"; 2^20 workflows need a power of two
 MAX_TABLE_N = 2048
@@ -216,12 +216,6 @@ def radial_apply_multiplier(p: RadialProfile, m) -> RadialProfile:
     delta_{kl}, so the whole round trip is O(n^2) and agrees with the dense
     path wherever both exist.
     """
-    n = p.n
-    if callable(m):
-        table = np.array([m(k) for k in range(n + 1)], dtype=np.float64)
-    else:
-        table = np.asarray(m, dtype=np.float64)
-        if table.shape != (n + 1,):
-            raise ValueError(f"multiplier table must have length n+1={n + 1}")
-    K = krawtchouk_table(n)
-    return RadialProfile(n, _level_synthesis(K, table * _level_coefficients(K, p.v)))
+    table = _multiplier_table(m, p.n)
+    K = krawtchouk_table(p.n)
+    return RadialProfile(p.n, _level_synthesis(K, table * _level_coefficients(K, p.v)))

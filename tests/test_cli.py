@@ -138,6 +138,30 @@ def test_quantum_subcommands(capsys):
         assert code == 0, (check, out)
 
 
+def test_quantum_epi_without_coordinates_exits_one(capsys):
+    code, out, err = run_cli(capsys, "quantum", "epi", "--n", "0")
+    assert (code, out) == (1, "")
+    assert "error: epi needs a family of n >= 1 functions" in err
+
+
+def test_talagrand_fit_needs_two_n(capsys):
+    code, out, _ = run_cli(capsys, "counterexample", "talagrand", "--n-list", "8")
+    assert code == 0
+    payload = json.loads(out)
+    assert "lhs_fit" not in payload["params"] and len(payload["rows"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--ineq", "PISIER", "--n-list", ",", "--p-list", "2"),
+    ("sweep", "--ineq", "PISIER", "--n-list", "3", "--p-list", " "),
+    ("counterexample", "lamberton", "--n-list", ","),
+])
+def test_empty_number_list_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "needs at least one value" in err
+
+
 def test_qa_word_defect_once_per_coordinate(capsys):
     qt.qa_word_defect.cache_clear()
     code, _, _ = run_cli(capsys, "verify", "formula", "--which", "qa", "--n", "3",

@@ -81,6 +81,9 @@ def test_growth_separation_moderate_range():
 def test_growth_curve_validation():
     with pytest.raises(ValueError):
         cx.GrowthCurve.fit([4, 4, 8], [1.0, 2.0, 3.0])
+    for ns in ([], [8]):  # a line through fewer than two points is arbitrary
+        with pytest.raises(ValueError, match="at least two n"):
+            cx.GrowthCurve.fit(ns, [1.0] * len(ns))
     curve = cx.GrowthCurve.fit([4, 8, 16], [1.0, 2.0, 3.0])
     assert set(curve.fit_record()) == {"slope", "intercept", "residual"}
     assert curve.to_csv().splitlines()[0] == "n,value"

@@ -189,6 +189,14 @@ def test_frac_power_composes_and_flags(rng):
     assert not frac_power(g, -0.5).mean_annihilated
 
 
+def test_bicube_sum_is_the_value_sum(rng):
+    a = BiCubeFunction(2, 3, rng.standard_normal((4, 8)))
+    b = BiCubeFunction(2, 3, rng.standard_normal((4, 8)))
+    assert np.array_equal((a + b).values, a.values + b.values)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        a + BiCubeFunction(2, 0, rng.standard_normal((4, 1)))
+
+
 def test_apply_multiplier_table_and_callable(rng):
     f = random_function(4, rng)
     by_callable = apply_multiplier(f, lambda k: k**2)

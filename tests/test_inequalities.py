@@ -251,6 +251,45 @@ def test_ratio_row_echoes_only_the_parameter_the_entry_reads(ineq):
     assert row["t"] == (0.5 if needs == "t" else "")
 
 
+def _close(value, expected):
+    return abs(value - expected) <= 1e-14 * abs(expected)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+def test_norm_sides_match_their_explicit_formulas(n, p):
+    rng = stream_generator(n, 2)
+    # EPI: || (sum_i |D_i f_i|^2)^{1/2} ||_p
+    inst = InequalityInstance("EPI", n=n, p=p)
+    family = random_inputs(inst, rng)
+    grads = np.stack([discrete_derivative(f, i).values() for i, f in enumerate(family)])
+    assert _close(evaluate(inst, family).rhs,
+                  float((np.sqrt((grads**2).sum(0)) ** p).mean() ** (1 / p)))
+    # F1: || F ||_p over the product cube
+    inst = InequalityInstance("F1", n=n, p=p)
+    F = random_inputs(inst, rng)
+    assert _close(evaluate(inst, F).rhs, float((np.abs(F.values) ** p).mean() ** (1 / p)))
+    # PISIER with L^q values: || F - E_eps F ||, centred in the first variable
+    inst = InequalityInstance("PISIER", n=n, p=p, q=2.5, inner="Lq")
+    F = random_inputs(inst, rng)
+    centred = F.values - F.values.mean(axis=0)
+    inner = (np.abs(centred) ** 2.5).mean(axis=1) ** (1 / 2.5)
+    assert _close(evaluate(inst, F).lhs, float((inner**p).mean() ** (1 / p)))
+
+
+def test_operand_of_the_wrong_value_space_refused(rng):
+    f = random_function(3, rng)
+    with pytest.raises(ValueError, match="RIESZ_LOWER expects lq operands, got CubeFunction"):
+        evaluate(InequalityInstance("RIESZ_LOWER", n=3, p=2.0, q=2.0, inner="lq"), f)
+    with pytest.raises(ValueError, match="F1 expects Lq operands, got CubeFunction"):
+        evaluate(InequalityInstance("F1", n=3, p=2.0), f)
+    with pytest.raises(ValueError, match="expects scalar operands, got list"):
+        evaluate(InequalityInstance("PISIER", n=3, p=2.0), [f])
+    with pytest.raises(ValueError, match="operand dimension 4"):
+        evaluate(InequalityInstance("F1", n=3, p=2.0),
+                 BiCubeFunction(4, 3, np.zeros((16, 8))))
+
+
 def test_shape_mismatch_rejected(rng):
     inst = InequalityInstance("R_BELOW", n=4, p=2.0, a=0.5)
     with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from cubeineq.cube import (
 from cubeineq.norms import (
     MixedNormSpec,
     RademacherConfig,
+    inner_kind,
     lp_norm,
     mixed_norm,
     rademacher_avg,
@@ -87,6 +88,14 @@ def test_mixed_norm_shape_mismatch(rng):
     F = VectorCubeFunction([random_function(3, rng)])
     with pytest.raises(ValueError):
         mixed_norm(F, MixedNormSpec.cube(2.0, 2.0))
+
+
+def test_scalar_mixed_norm_is_lp_norm(rng):
+    f = random_function(4, rng)
+    operands = (f, VectorCubeFunction([f]), BiCubeFunction.from_translate(f), [f])
+    assert [inner_kind(g) for g in operands] == ["scalar", "lq", "Lq", None]
+    for p in (1.0, 1.5, 2.0, 3.0, np.inf):
+        assert mixed_norm(f, MixedNormSpec.scalar(p)) == lp_norm(f, p)
 
 
 def test_khintchine_p2_identity():

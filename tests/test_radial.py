@@ -156,6 +156,15 @@ def test_level_coefficients_refuse_overflow(n):
         radial_apply_multiplier(prof, np.ones(n + 1))
 
 
+def test_multiplier_table_shared_with_the_dense_calculus(rng):
+    prof = RadialProfile(5, rng.standard_normal(6))
+    by_callable = radial_apply_multiplier(prof, lambda k: 0.5**k)
+    assert np.array_equal(by_callable.v, radial_apply_multiplier(prof, 0.5 ** np.arange(6.0)).v)
+    for apply, g in ((radial_apply_multiplier, prof), (apply_multiplier, prof.to_cube_function())):
+        with pytest.raises(ValueError, match=r"length n\+1=6"):
+            apply(g, np.ones(5))
+
+
 def test_from_level_coefficients_refuses_overflow():
     # sum_k K_k(d) overflows float64 at n = 1100: ValueError, not a nan profile
     with pytest.raises(ValueError, match="not finite"):
