@@ -1,11 +1,12 @@
 """Batch front door: verifications, ratio searches, sweeps, counterexamples.
 
 Subcommands map 1:1 onto module operations; nothing is computed here that
-the library cannot do.  Output is deterministic CSV or JSON (same seed and
-version => byte-identical bytes; wall time goes to stderr only).  Exit
-codes: 0 = all asserted tolerances met, 1 = usage error, 2 = a verification
-exceeded its tolerance or a ratio, sweep or counterexample result is not
-finite.
+the library cannot do.  `ratio` is the one-point `sweep` over --n, --p and
+--q, so `sweep` alone chooses between a random input and the search.  Output
+is deterministic CSV or JSON (same seed and version => byte-identical bytes;
+wall time goes to stderr only).  Exit codes: 0 = all asserted tolerances met,
+1 = usage error, 2 = a verification exceeded its tolerance or its discrepancy
+is not finite, or a ratio, sweep or counterexample result is not finite.
 """
 
 from __future__ import annotations
@@ -20,24 +21,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .cube import random_function
-from .inequalities import (
-    ALIASES,
-    SWEEP_COLUMNS,
-    InequalityInstance,
-    SearchConfig,
-    evaluate,
-    random_inputs,
-    ratio_row,
-    rows_to_csv,
-    search_max_ratio,
-    sweep,
-)
+from .cube import VectorCubeFunction, random_function
+from .inequalities import (ALIASES, SWEEP_COLUMNS, SearchConfig, check_input_budget, rows_to_csv,
+                           sweep)
 from .noise import (
     symmetrized_tail_integral,
     verify_derivative_representation,
     verify_heat_representation,
 )
+from .norms import MixedNormSpec, lp_norm, mixed_norm
 from .rng import stream_generator
 from . import counterexamples as cx
 from . import quantum as qt
@@ -52,11 +44,8 @@ class ExperimentRecord:
     seed: int
     rows: list = field(default_factory=list)
     version: str = __version__
-    wall_time_s: float = 0.0
 
     def payload(self) -> dict:
-        # wall time deliberately excluded: identical invocations must emit
-        # identical bytes
         return {
             "experiment": self.experiment,
             "version": self.version,
@@ -80,8 +69,9 @@ def _emit(record: ExperimentRecord, args, columns=None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    # wall time goes to stderr only: identical invocations must emit identical bytes
     print(f"[cubeineq] {record.experiment}: {len(record.rows)} row(s), "
-          f"{record.wall_time_s:.2f}s", file=sys.stderr)
+          f"{time.perf_counter() - args._t0:.2f}s", file=sys.stderr)
 
 
 def _fail(status: int, message: str) -> int:
@@ -112,7 +102,6 @@ def _cmd_verify(args) -> int:
     tol = args.tol if args.tol is not None else _VERIFY_TOL[which]
     rng = stream_generator(args.seed)
     rows = []
-    worst = 0.0
     if which in ("heat", "derivative"):
         for k in range(args.count):
             f = random_function(args.n, rng)
@@ -121,13 +110,11 @@ def _cmd_verify(args) -> int:
             else:
                 gap = verify_derivative_representation(f, k % args.n, args.t)
             rows.append({"case": k, "n": args.n, "t": args.t, "max_discrepancy": gap})
-            worst = max(worst, gap)
     elif which == "tail-integral":
         closed = symmetrized_tail_integral(args.t, args.r)
         numeric = symmetrized_tail_integral(args.t, args.r, numeric=True)
-        worst = abs(closed - numeric)
         rows.append({"t": args.t, "r": args.r, "closed": closed,
-                     "numeric": numeric, "max_discrepancy": worst})
+                     "numeric": numeric, "max_discrepancy": abs(closed - numeric)})
     else:
         quad = qt.QuadratureRule.build(args.quad_accuracy)
         for k in range(args.count):
@@ -137,13 +124,12 @@ def _cmd_verify(args) -> int:
             else:
                 gap = qt.verify_elpF(f, quad)
             rows.append({"case": k, "n": args.n, "max_discrepancy": gap})
-            worst = max(worst, gap)
     record = ExperimentRecord("verify-" + which,
                               {"n": args.n, "t": args.t, "count": args.count, "tol": tol},
                               args.seed, rows)
-    record.wall_time_s = time.perf_counter() - args._t0
     _emit(record, args)
-    if worst > tol:
+    worst = float(np.max([row["max_discrepancy"] for row in rows]))  # keeps a nan
+    if not worst <= tol:
         return _fail(2, f"verify {which}: max discrepancy {worst:.3e} exceeds {tol:.1e}")
     return 0
 
@@ -152,22 +138,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_ratio(args) -> int:
-    instance = InequalityInstance(args.ineq, n=args.n, p=args.p, q=args.q, a=args.a,
-                                  gamma=args.gamma, t=args.t, inner=args.inner,
-                                  R=args.r_components)
-    if args.search == "none":
-        rng = stream_generator(args.seed)
-        report = evaluate(instance, random_inputs(instance, rng))
-    else:
-        cfg = SearchConfig(trials=args.trials,
-                           ascent_steps=0 if args.search == "random" else args.ascent_steps,
-                           seed=args.seed)
-        report, _ = search_max_ratio(instance, cfg)
-    record = ExperimentRecord("ratio", {"ineq": instance.ineq_id}, args.seed,
-                              [ratio_row(instance, report, args.seed)])
-    record.wall_time_s = time.perf_counter() - args._t0
-    _emit(record, args)
-    return _check_finite(record.rows, f"ratio {instance.ineq_id}")
+    # a ratio is the one point of the matching sweep: same stream, search seed and row
+    args.n_list, args.p_list, args.q_list = [args.n], [args.p], [args.q]
+    return _cmd_sweep(args)
 
 
 def _cmd_sweep(args) -> int:
@@ -179,10 +152,9 @@ def _cmd_sweep(args) -> int:
                  a=args.a, gamma=args.gamma, t=args.t, inner=args.inner,
                  R=args.r_components, search=search, seed=args.seed)
     ineq = ALIASES.get(args.ineq, args.ineq)
-    record = ExperimentRecord("sweep", {"ineq": ineq}, args.seed, rows)
-    record.wall_time_s = time.perf_counter() - args._t0
+    record = ExperimentRecord(args.command, {"ineq": ineq}, args.seed, rows)
     _emit(record, args, columns=SWEEP_COLUMNS)
-    return _check_finite(rows, f"sweep {ineq}")
+    return _check_finite(rows, f"{args.command} {ineq}")
 
 
 # -- counterexamples ----------------------------------------------------------------
@@ -208,7 +180,6 @@ def _cmd_counterexample(args) -> int:
         extra["lhs_fit"] = cx.GrowthCurve.fit(args.n_list, [r["lhs"] for r in rows]).fit_record()
     record = ExperimentRecord("counterexample-" + name,
                               {"p": args.p, "s": args.s, **extra}, args.seed, rows)
-    record.wall_time_s = time.perf_counter() - args._t0
     _emit(record, args)
     return _check_finite(rows, f"counterexample {name}")
 
@@ -220,11 +191,10 @@ def _cmd_quantum(args) -> int:
     rng = stream_generator(args.seed)
     check = args.check
     rows = []
-    status = 0
+    worst, tol = 0.0, 1e-10
     if check == "projection":
         qt._check_qubits(args.n)  # before the 2^n x 2^n draw
         m = 1 << args.n
-        worst = 0.0
         for k in range(20):
             M = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
             PM = qt.project_Q(M, method="both")  # raises if the two implementations disagree
@@ -234,9 +204,7 @@ def _cmd_quantum(args) -> int:
                 excess = qt.schatten_norm(PM, p) - qt.schatten_norm(M, p)
                 worst = max(worst, excess)
         rows.append({"n": args.n, "max_defect": worst})
-        status = 0 if worst <= 1e-10 else 2
     elif check == "rotation":
-        worst = 0.0
         for theta in (0.0, 0.3, 1.0, 2.5):
             f = random_function(args.n, rng)
             T = qt.embed(f)
@@ -244,43 +212,34 @@ def _cmd_quantum(args) -> int:
             for p in (1.0, 2.0, 3.0, np.inf):
                 worst = max(worst, abs(qt.schatten_norm(RT, p) - qt.schatten_norm(T, p)))
         rows.append({"n": args.n, "max_isometry_defect": worst})
-        status = 0 if worst <= 1e-10 else 2
     elif check == "pisier-integral":
         quad = qt.QuadratureRule.build(args.quad_accuracy)
-        defect = quad.constancy_defect()
-        rows.append({"constancy_defect": defect, "c": quad.moment(0),
+        worst, tol = quad.constancy_defect(), args.quad_accuracy
+        rows.append({"constancy_defect": worst, "c": quad.moment(0),
                      "declared_accuracy": args.quad_accuracy})
-        status = 0 if defect <= args.quad_accuracy else 2
     elif check == "isometry":
-        from .norms import lp_norm
-        from .cube import VectorCubeFunction
-
-        worst = 0.0
         for _ in range(10):
             f = random_function(args.n, rng)
             for p in (1.0, 1.5, 2.0, 3.0, np.inf):
                 worst = max(worst, abs(qt.schatten_norm(qt.embed(f), p) - lp_norm(f, p)))
         F = VectorCubeFunction([random_function(args.n, rng) for _ in range(3)])
-        from .norms import MixedNormSpec, mixed_norm
-
         for p in (2.0, 3.0):
             worst = max(worst, abs(qt.block_column_norm(F, p)
                                    - mixed_norm(F, MixedNormSpec.lq(p, 2))))
             worst = max(worst, abs(qt.block_diag_norm(F, p)
                                    - mixed_norm(F, MixedNormSpec.lq(p, p))))
         rows.append({"n": args.n, "max_isometry_defect": worst})
-        status = 0 if worst <= 1e-10 else 2
     else:  # epi
+        check_input_budget(args.n * 2 ** args.n)  # before the family is drawn
         family = [random_function(args.n, rng) for _ in range(args.n)]
         rep = qt.epi_quantum_ratio(family, args.p)
         rows.append({"n": args.n, "p": args.p, "lhs": rep.lhs, "rhs": rep.rhs,
                      "ratio": rep.ratio})
     record = ExperimentRecord("quantum-" + check, {"n": args.n, "p": args.p},
                               args.seed, rows)
-    record.wall_time_s = time.perf_counter() - args._t0
     _emit(record, args)
-    if status:
-        return _fail(status, f"quantum {check}: tolerance exceeded")
+    if not worst <= tol:
+        return _fail(2, f"quantum {check}: tolerance exceeded")
     return 0
 
 

@@ -285,8 +285,8 @@ def laplacian(f: CubeFunction) -> CubeFunction:
 
 def heat(f: CubeFunction, t: float) -> CubeFunction:
     """Heat semigroup exp(-t L); multiplies level k by exp(-t k)."""
-    if t < 0:
-        raise ValueError(f"heat flow needs t >= 0, got {t}")
+    if not 0 <= t < np.inf:  # at t = inf, exp(-t * 0) is nan
+        raise ValueError(f"heat flow needs a finite t >= 0, got {t}")
     return apply_multiplier(f, np.exp(-t * np.arange(f.n + 1)))
 
 
@@ -408,10 +408,8 @@ class BiCubeFunction:
         n_eps = family[0].n
         n_delta = len(family)
         cols = np.zeros((1 << n_eps, 1 << n_delta))
-        didx = np.arange(1 << n_delta)
         for j, fj in enumerate(family):
-            dsign = 1.0 - 2.0 * ((didx >> j) & 1)
-            cols += np.outer(fj.values(), dsign)
+            cols += np.outer(fj.values(), character(n_delta, 1 << j).values())
         return cls(n_eps, n_delta, cols)
 
     @classmethod
@@ -428,8 +426,7 @@ class BiCubeFunction:
         """F_j(eps) = E_delta[ delta_j F(eps, delta) ]."""
         if not 0 <= j < self.n_delta:
             raise ValueError(f"coordinate {j} out of range for n_delta={self.n_delta}")
-        didx = np.arange(1 << self.n_delta)
-        dsign = 1.0 - 2.0 * ((didx >> j) & 1)
+        dsign = character(self.n_delta, 1 << j).values()
         return CubeFunction.from_values(self.values @ dsign / (1 << self.n_delta))
 
     def marginals(self) -> list[CubeFunction]:

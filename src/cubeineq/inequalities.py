@@ -27,7 +27,16 @@ dual display carries no extra normalization of its own), DELTA_FI of
 R_BELOW_NOD and RIESZ_FULL_BELOW of RIESZ_LOWER; an alias is reported under
 the entry's id.  The ratio search is a seeded heuristic -- random restarts on
 the coefficient sphere plus greedy coordinate ascent -- and is reported as an
-observed lower bound on the constant, never a certified maximum.
+observed lower bound on the constant, never a certified maximum.  It moves one
+coefficient vector, cut into n operands for a family entry and one otherwise,
+each laid out by its value space (`_LAYOUTS`, m = 2^n points):
+
+    scalar  CubeFunction        (m,)    Walsh coefficients
+    lq      VectorCubeFunction  (R, m)  coefficients of the R components
+    Lq      BiCubeFunction      (m, m)  values F(eps, delta); F1 reads one
+
+Its warm start puts the character eps_{i mod n} in operand i, and
+sum_j delta_j eps_j in F1's operand.
 """
 
 from __future__ import annotations
@@ -47,6 +56,7 @@ from .cube import (
     CubeFunction,
     VectorCubeFunction,
     apply_multiplier,
+    character,
     discrete_derivative,
     frac_power,
     gradient,
@@ -136,15 +146,33 @@ def _ratio(lhs: float, rhs: float) -> float:
     return math.inf if lhs > 0 else 0.0
 
 
+@dataclass(frozen=True)
+class _Layout:
+    """One value space's operand: its place in the search's coefficient vector
+    and how a CubeFunction operator reaches it.  A layout holds classes and
+    call-time lambdas only, so a wrapper installed on a module function or a
+    method sees every call."""
+
+    shape: Callable  # (m, R) -> the operand's array shape, m = 2^n points
+    build: Callable  # (n, array of that shape) -> the operand
+    lift: Callable  # CubeFunction f -> the operand array carrying f (by broadcasting)
+    apply: Callable  # (op, operand) -> op applied to every function the operand carries
+
+
+_LAYOUTS = {
+    "scalar": _Layout(lambda m, R: (m,), CubeFunction, lambda f: f.coeffs, lambda op, g: op(g)),
+    "lq": _Layout(lambda m, R: (R, m),
+                  lambda n, a: VectorCubeFunction([CubeFunction(n, c) for c in a]),
+                  lambda f: f.coeffs, lambda op, g: g.map(op)),
+    # value grids F(eps, delta): a lifted f is constant in the second cube
+    "Lq": _Layout(lambda m, R: (m, m), lambda n, a: BiCubeFunction(n, n, a),
+                  lambda f: f.values()[:, None], lambda op, g: g.map_eps(op)),
+}
+
+
 def _apply(op, g):
     """Lift a CubeFunction operator to vector or two-variable operands."""
-    if isinstance(g, CubeFunction):
-        return op(g)
-    if isinstance(g, VectorCubeFunction):
-        return g.map(op)
-    if isinstance(g, BiCubeFunction):
-        return g.map_eps(op)
-    raise TypeError(f"unsupported operand {type(g).__name__}")
+    return _LAYOUTS[inner_kind(g)].apply(op, g)
 
 
 def _norm(instance: InequalityInstance, g) -> float:
@@ -275,24 +303,25 @@ def evaluate(instance: InequalityInstance, inputs,
     must equal instance.n; family length must equal n.
     """
     cfg = cfg if cfg is not None else RademacherConfig()
-    ineq = instance.ineq_id
-    kind = instance.input_kind
-    n = instance.n
-
-    if kind == "family":
+    family = instance.input_kind == "family"
+    if family:
         inputs = list(inputs)
-        if len(inputs) != n:
-            raise ValueError(f"{ineq} expects a family of n={n} operands, got {len(inputs)}")
-        _check_operand_dims(inputs, instance.inner, instance)
-    else:  # a "bi" entry reads one two-variable operand whatever its value space
-        _check_operand_dims([inputs], "Lq" if kind == "bi" else instance.inner, instance)
-
-    lhs, rhs = CATALOG[ineq].sides(instance, inputs, cfg)
+        if len(inputs) != instance.n:
+            raise ValueError(f"{instance.ineq_id} expects a family of n={instance.n} "
+                             f"operands, got {len(inputs)}")
+    _check_operands(inputs if family else [inputs], instance)
+    lhs, rhs = CATALOG[instance.ineq_id].sides(instance, inputs, cfg)
     mode = "exact" if cfg.mode == "exact" else f"monte-carlo[{cfg.samples}]"
     return RatioReport(float(lhs), float(rhs), _ratio(lhs, rhs), mode)
 
 
-def _check_operand_dims(operands, inner: str, instance) -> None:
+def _operand_inner(instance: InequalityInstance) -> str:
+    """The value space of one operand: a "bi" entry reads one Lq operand."""
+    return "Lq" if instance.input_kind == "bi" else instance.inner
+
+
+def _check_operands(operands, instance: InequalityInstance) -> None:
+    inner = _operand_inner(instance)
     for g in operands:
         if inner_kind(g) != inner:
             raise ValueError(f"{instance.ineq_id} expects {inner} operands, "
@@ -305,38 +334,26 @@ def _check_operand_dims(operands, inner: str, instance) -> None:
 # -- input parametrization and search -----------------------------------------
 
 
+def check_input_budget(coeffs: int) -> None:
+    """Refuse an input of more than `MAX_INPUT_COEFFS` coefficients before it is drawn."""
+    if coeffs > MAX_INPUT_COEFFS:
+        raise ValueError(f"{coeffs} input coefficients exceed the budget of {MAX_INPUT_COEFFS}")
+
+
 def _input_dim(instance: InequalityInstance) -> tuple[tuple[int, ...], int]:
-    m = 1 << instance.n
-    kind = instance.input_kind
-    k = instance.n if kind == "family" else 1
-    if kind == "bi":
-        shape = (m, m)
-    elif instance.inner == "scalar":
-        shape = (k, m)
-    elif instance.inner == "lq":
-        shape = (k, instance.R, m)
-    else:
-        shape = (k, m, m)
+    """(operand count, *operand shape) and the size of the coefficient vector."""
+    k = instance.n if instance.input_kind == "family" else 1
+    shape = (k, *_LAYOUTS[_operand_inner(instance)].shape(1 << instance.n, instance.R))
     dim = math.prod(shape)
-    if dim > MAX_INPUT_COEFFS:
-        raise ValueError(f"{dim} input coefficients exceed the budget of {MAX_INPUT_COEFFS}")
+    check_input_budget(dim)
     return shape, dim
 
 
 def _build_inputs(instance: InequalityInstance, theta: np.ndarray):
     shape, _ = _input_dim(instance)
-    arr = theta.reshape(shape)
-    kind = instance.input_kind
-    n = instance.n
-    if kind == "bi":
-        return BiCubeFunction(n, n, arr)
-    if instance.inner == "scalar":
-        ops = [CubeFunction(n, row) for row in arr]
-    elif instance.inner == "lq":
-        ops = [VectorCubeFunction([CubeFunction(n, c) for c in row]) for row in arr]
-    else:
-        ops = [BiCubeFunction(n, n, row) for row in arr]
-    return ops if kind == "family" else ops[0]
+    build = _LAYOUTS[_operand_inner(instance)].build
+    ops = [build(instance.n, a) for a in theta.reshape(shape)]
+    return ops if instance.input_kind == "family" else ops[0]
 
 
 def random_inputs(instance: InequalityInstance, rng: np.random.Generator):
@@ -347,28 +364,21 @@ def random_inputs(instance: InequalityInstance, rng: np.random.Generator):
 
 
 def _canonical_thetas(instance: InequalityInstance) -> list[np.ndarray]:
-    """Warm starts for the search: the dictator witnesses and a flat vector.
+    """Warm starts for the search: the dictator witness and a flat vector.
 
-    Keeping the classical witnesses in the probe set makes the search at
-    least as good as any of them by construction.
+    Keeping the classical witness in the probe set makes the search at least
+    as good as it by construction.
     """
-    from .cube import character as _char
-
     shape, dim = _input_dim(instance)
     n = instance.n
     dictator = np.zeros(shape)
     if instance.input_kind == "bi":
-        family = [_char(n, 1 << j) for j in range(n)]
-        dictator = BiCubeFunction.from_sign_family(family).values
-    elif instance.inner == "scalar":
+        dictator[0] = BiCubeFunction.from_sign_family(
+            [character(n, 1 << j) for j in range(n)]).values
+    else:
+        lift = _LAYOUTS[_operand_inner(instance)].lift
         for i in range(shape[0]):
-            dictator[i, 1 << (i % n)] = 1.0
-    elif instance.inner == "lq":
-        for i in range(shape[0]):
-            dictator[i, :, 1 << (i % n)] = 1.0
-    else:  # Lq operands are stored as value grids, constant in the second cube
-        for i in range(shape[0]):
-            dictator[i] = _char(n, 1 << (i % n)).values()[:, None]
+            dictator[i] = lift(character(n, 1 << (i % n)))
     flat = np.ones(dim)
     return [dictator.reshape(dim) / np.linalg.norm(dictator),
             flat / np.linalg.norm(flat)]

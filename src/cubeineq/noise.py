@@ -26,7 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cube import CubeFunction, _xor_grid, discrete_derivative, heat, levels, signs_to_index
+from .cube import (CubeFunction, _xor_grid, character, discrete_derivative, heat, levels,
+                   signs_to_index)
 from .radial import RadialProfile
 from .rng import stream_generator
 
@@ -40,8 +41,8 @@ class NoiseParameter:
     t: float
 
     def __post_init__(self):
-        if self.t < 0:
-            raise ValueError(f"noise time must be >= 0, got {self.t}")
+        if not 0 <= self.t < math.inf:
+            raise ValueError(f"noise time must be finite and >= 0, got {self.t}")
 
     @property
     def p_plus(self) -> float:
@@ -147,8 +148,7 @@ def verify_derivative_representation(f: CubeFunction, j: int, t) -> float:
     e = noise.mean
     sd = math.sqrt(noise.variance)
     weights = _outcome_weights(f.n, noise)
-    b = np.arange(1 << f.n)
-    xi_j = 1.0 - 2.0 * ((b >> j) & 1)
+    xi_j = character(f.n, 1 << j).values()
     rhs = _enumerated_noise_values(f.values(), weights * (xi_j - e) / sd)
     rhs *= e / sd
     return float(np.max(np.abs(lhs - rhs)))
@@ -199,7 +199,7 @@ def symmetrized_tail_integral(t: float, r: float, numeric: bool = False) -> floa
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
-    if t < 0:
+    if not t >= 0:  # t = inf is the limit 2^{1-1/r}, finite
         raise ValueError(f"need t >= 0, got {t}")
     p_diff = (1.0 - math.exp(-2.0 * t)) / 2.0
     if not numeric:

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import (CubeFunction, VectorCubeFunction, _xor_grid, frac_power, levels,
+from .cube import (CubeFunction, VectorCubeFunction, _xor_grid, character, frac_power, levels,
                    partial_derivative, riesz)
 from .inequalities import InequalityInstance, RatioReport
 from . import inequalities
@@ -240,9 +240,8 @@ def apply_p_left(M, j: int) -> np.ndarray:
     """Left-multiply by P_j without forming it: row y picks i(-1)^{y_j} M[y xor e_j]."""
     mat = _as_mat(M)
     n = mat.shape[0].bit_length() - 1
-    idx = np.arange(1 << n)
-    sign = 1j * (1.0 - 2.0 * ((idx >> j) & 1))
-    return sign[:, None] * mat[idx ^ (1 << j), :]
+    sign = 1j * character(n, 1 << j).values()
+    return sign[:, None] * mat[np.arange(1 << n) ^ (1 << j), :]
 
 
 def derivation(f: CubeFunction) -> MatrixObservable:
@@ -353,8 +352,11 @@ def kernel_transform(G, quad: QuadratureRule) -> MatrixObservable:
     return MatrixObservable(n, mat * kappa[_level_gap(n)])
 
 
+_QA_THETAS = (0.3, 0.9, 1.4)  # the rotation angles qa_word_defect samples
+
+
 @functools.lru_cache(maxsize=32)
-def qa_word_defect(n: int, j: int, thetas=(0.3, 0.9, 1.4)) -> float:
+def qa_word_defect(n: int, j: int) -> float:
     """Max defect of proj_Q(rotate(P_j d_j Q_A, -theta)) = cos^{|A|-1} sin(theta) Q_A
     over every basis word A and the sampled rotation angles; cached, as no
     function enters it."""
@@ -371,7 +373,7 @@ def qa_word_defect(n: int, j: int, thetas=(0.3, 0.9, 1.4)) -> float:
         q_rest[idx ^ rest, idx] = 1.0
         g = apply_p_left(q_rest, j)
         k = int(lev[A]) - 1
-        for theta in thetas:
+        for theta in _QA_THETAS:
             lhs = project_Q(rotate(g, -theta)).mat
             expect = np.zeros((m, m), dtype=complex)
             expect[idx ^ A, idx] = math.cos(theta) ** k * math.sin(theta)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import cubeineq
+from cubeineq import cli
 from cubeineq import counterexamples as cx
 from cubeineq import quantum as qt
 from cubeineq.cli import main
@@ -263,3 +265,50 @@ def test_ratio_input_over_budget_exits_one(capsys):
                            "--p", "2", "--q", "2", "--a", "0.5", "--search", "random")
     assert code == 1
     assert "budget" in err
+
+
+@pytest.mark.parametrize("search", ["none", "random", "ascent"])
+def test_ratio_rows_are_the_one_point_sweep_rows(capsys, search):
+    shared = ("--ineq", "DELTA_FI", "--a", "0.5", "--inner", "lq", "--search", search,
+              "--trials", "5", "--ascent-steps", "10", "--seed", "4")
+    code1, ratio_out, _ = run_cli(capsys, "ratio", "--n", "3", "--p", "3", "--q", "2.5", *shared)
+    code2, sweep_out, _ = run_cli(capsys, "sweep", "--n-list", "3", "--p-list", "3",
+                                  "--q-list", "2.5", *shared)
+    assert code1 == code2 == 0
+    ratio, swept = json.loads(ratio_out), json.loads(sweep_out)
+    assert ratio["experiment"] == "ratio" and ratio["params"] == swept["params"]
+    assert ratio["rows"] == swept["rows"] and len(ratio["rows"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("--which", "heat", "--n", "3", "--t", "nan"),
+    ("--which", "derivative", "--n", "3", "--t", "nan"),
+    ("--which", "tail-integral", "--t", "nan"),
+    ("--which", "heat", "--n", "3", "--t", "inf"),
+])
+def test_verify_refuses_a_non_finite_time(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", "formula", *argv)
+    assert (code, out) == (1, "")
+    assert "error:" in err
+
+
+def test_verify_non_finite_discrepancy_exits_two(capsys, monkeypatch):
+    # a nan gap must not be folded away by the running maximum
+    gaps = iter([0.0, math.nan, 0.0])
+    monkeypatch.setattr(cli, "verify_heat_representation", lambda f, t: next(gaps))
+    code, out, err = run_cli(capsys, "verify", "formula", "--which", "heat", "--n", "3",
+                             "--count", "3")
+    assert code == 2
+    assert "NaN" in out and "max discrepancy nan" in err
+
+
+@pytest.mark.parametrize("n, code", [("18", 1), ("17", 0)])
+def test_quantum_epi_checks_the_input_budget_first(capsys, n, code):
+    # 18 * 2^18 coefficients are over the budget of 2^22; 17 * 2^17 are not
+    got, out, err = run_cli(capsys, "quantum", "epi", "--n", n, "--p", "3")
+    assert got == code
+    if code:
+        assert out == ""
+        assert "4718592 input coefficients exceed the budget of 4194304" in err
+    else:
+        assert json.loads(out)["rows"][0]["n"] == 17

@@ -25,6 +25,7 @@ from cubeineq.cube import (
     signs_to_index,
     walsh_transform,
 )
+from cubeineq.rng import stream_generator
 from conftest import brute_walsh_coefficients, derivative_value_matrix, walsh_reference
 
 
@@ -364,3 +365,50 @@ def test_xor_grid_is_cached_and_read_only():
     assert np.array_equal(grid, idx[:, None] ^ idx[None, :])
     with pytest.raises(ValueError):
         grid[0, 0] = 1
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -0.5])
+def test_heat_refuses_a_time_outside_zero_to_infinity(t):
+    with pytest.raises(ValueError, match="finite t >= 0"):
+        heat(character(3, 0b101), t)
+
+
+def test_character_of_one_coordinate_is_its_sign_column():
+    for n in range(1, 11):
+        idx = np.arange(1 << n)
+        for j in range(n):
+            assert np.array_equal(character(n, 1 << j).values(), 1.0 - 2.0 * ((idx >> j) & 1))
+
+
+# -- properties over random functions (n <= 6) ---------------------------------
+
+_functions = st.builds(lambda n, seed: random_function(n, stream_generator(seed)),
+                       st.integers(1, 6), st.integers(0, 2**32 - 1))
+_times = st.floats(0.0, 5.0)
+
+
+def _close_coeffs(a, b, rel=1e-12):
+    return np.max(np.abs(a.coeffs - b.coeffs)) <= rel * max(1.0, np.abs(b.coeffs).max())
+
+
+@settings(max_examples=30, deadline=None)
+@given(f=_functions, s=_times, t=_times)
+def test_heat_semigroup_law_property(f, s, t):
+    assert _close_coeffs(heat(heat(f, s), t), heat(f, s + t))
+
+
+@settings(max_examples=30, deadline=None)
+@given(f=_functions, data=st.data())
+def test_translation_commutes_with_multipliers_property(f, data):
+    table = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=f.n + 1,
+                                        max_size=f.n + 1)))
+    eta = 1 - 2 * np.array(data.draw(st.lists(st.integers(0, 1), min_size=f.n, max_size=f.n)))
+    assert _close_coeffs(group_translate(apply_multiplier(f, table), eta),
+                         apply_multiplier(group_translate(f, eta), table))
+
+
+@settings(max_examples=30, deadline=None)
+@given(f=_functions)
+def test_parseval_property(f):
+    energy = float(np.sum(f.coeffs**2))
+    assert abs(float(np.mean(f.values()**2)) - energy) <= 1e-12 * energy

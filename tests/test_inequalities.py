@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubeineq.cube import (
     BiCubeFunction,
@@ -27,6 +28,8 @@ from cubeineq.inequalities import (
     search_max_ratio,
     sweep,
     SWEEP_COLUMNS,
+    _build_inputs,
+    _canonical_thetas,
     _input_dim,
 )
 from cubeineq.norms import lp_norm, rademacher_avg
@@ -356,4 +359,48 @@ def test_vector_valued_riesz_lower(rng):
     F = VectorCubeFunction([random_function(4, rng) for _ in range(2)])
     rep = evaluate(inst, F)
     # p = q = 2: Parseval again forces ratio one
+    assert abs(rep.ratio - 1.0) < 1e-12
+
+
+def _point_values(g):
+    """One row of point values per scalar function an operand carries; an L^q
+    operand's rows are its columns in the second cube."""
+    if isinstance(g, CubeFunction):
+        return g.values()[None]
+    if isinstance(g, BiCubeFunction):
+        return g.values.T
+    return g.values()
+
+
+@pytest.mark.parametrize("ineq", list(CATALOG))
+def test_dictator_warm_start_is_the_characters(ineq):
+    # operand i of the dictator start is eps_{i mod n}, up to one positive scale;
+    # F1's one two-variable operand is sum_j delta_j eps_j
+    n = 3
+    chars = [character(n, 1 << j).values() for j in range(n)]
+    for inner in ["scalar"] if CATALOG[ineq].scalar_only else ["scalar", "lq", "Lq"]:
+        inst = _catalog_instance(ineq, inner, R=3)
+        inputs = _build_inputs(inst, _canonical_thetas(inst)[0])
+        if inst.input_kind == "bi":
+            grid = sum(np.outer(c, c) for c in chars)  # rows eps, columns delta
+            assert np.allclose(inputs.values / inputs.values[0, 0], grid / grid[0, 0])
+            continue
+        operands = inputs if inst.input_kind == "family" else [inputs]
+        assert len(operands) == (n if inst.input_kind == "family" else 1)
+        scale = _point_values(operands[0])[0, 0]
+        assert scale > 0
+        for i, g in enumerate(operands):
+            rows = _point_values(g)
+            assert np.allclose(rows, scale * np.broadcast_to(chars[i % n], rows.shape))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       inner=st.sampled_from(["scalar", "lq", "Lq"]))
+def test_p2_riesz_lower_identity_property(n, seed, inner):
+    # E||sum_i delta_i D_i f||_2^2 = sum_A |A| fhat(A)^2 = ||L^{1/2} f||_2^2 in any
+    # Hilbert value space, so the ratio is 1 whenever f is not constant
+    inst = InequalityInstance("RIESZ_LOWER", n=n, p=2.0, q=None if inner == "scalar" else 2.0,
+                              inner=inner)
+    rep = evaluate(inst, random_inputs(inst, stream_generator(seed)))
     assert abs(rep.ratio - 1.0) < 1e-12

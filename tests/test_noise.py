@@ -205,3 +205,16 @@ def test_tail_integral_numeric_agreement():
     ) < 1e-12
     with pytest.raises(ValueError):
         symmetrized_tail_integral(0.5, 0.9)
+
+
+def test_non_finite_times_are_refused():
+    # at t = inf the heat multiplier exp(-t * 0) is nan, so only finite t is a noise time
+    for t in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            NoiseParameter(t)
+    with pytest.raises(ValueError, match="t >= 0"):
+        symmetrized_tail_integral(math.nan, 2.0)
+    # the tail integral's t = inf limit is finite and exact
+    for numeric in (False, True):
+        assert symmetrized_tail_integral(math.inf, 2.0, numeric=numeric) == pytest.approx(
+            2.0 ** 0.5, rel=1e-12)

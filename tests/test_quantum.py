@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cubeineq.quantum as qt
 from cubeineq.cube import (
@@ -14,6 +15,7 @@ from cubeineq.cube import (
     random_function,
 )
 from cubeineq.norms import MixedNormSpec, lp_norm, mixed_norm
+from cubeineq.rng import stream_generator
 
 from conftest import (conjugate_nu, conjugate_nu_inv, kernel_transform_reference,
                       rotate_reference)
@@ -59,6 +61,15 @@ def test_embedding_isometry(rng):
         assert np.allclose(np.sort(sv), np.sort(np.abs(f.values())))
         for p in (1.0, 2.0, 3.0, np.inf):
             assert abs(qt.schatten_norm(T, p) - lp_norm(f, p)) < 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       p=st.one_of(st.floats(1.0, 8.0), st.just(math.inf)))
+def test_embedding_isometry_property(n, seed, p):
+    f = random_function(n, stream_generator(seed))
+    norm = lp_norm(f, p)
+    assert abs(qt.schatten_norm(qt.embed(f), p) - norm) <= 1e-10 * norm
 
 
 def test_embedding_is_algebra_map(rng):
