@@ -6,7 +6,8 @@ the library cannot do.  `ratio` is the one-point `sweep` over --n, --p and
 is deterministic CSV or JSON (same seed and version => byte-identical bytes;
 wall time goes to stderr only).  Exit codes: 0 = all asserted tolerances met,
 1 = usage error, 2 = a verification exceeded its tolerance or its discrepancy
-is not finite, or a ratio, sweep or counterexample result is not finite.
+is not finite, or a row's result (lhs, rhs, ratio, minimum, argmin, bound) is
+not finite, which `_emit` checks for every subcommand.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ class ExperimentRecord:
         }
 
 
-def _emit(record: ExperimentRecord, args, columns=None) -> None:
+def _emit(record: ExperimentRecord, args, what: str, columns=None) -> int:
+    """Write the record, then return `_check_finite`'s exit status for its rows."""
     fmt = getattr(args, "format", "json")
     if fmt == "csv" and columns:
         text = rows_to_csv(record.rows, columns)
@@ -72,6 +74,7 @@ def _emit(record: ExperimentRecord, args, columns=None) -> None:
     # wall time goes to stderr only: identical invocations must emit identical bytes
     print(f"[cubeineq] {record.experiment}: {len(record.rows)} row(s), "
           f"{time.perf_counter() - args._t0:.2f}s", file=sys.stderr)
+    return _check_finite(record.rows, what)
 
 
 def _fail(status: int, message: str) -> int:
@@ -127,11 +130,11 @@ def _cmd_verify(args) -> int:
     record = ExperimentRecord("verify-" + which,
                               {"n": args.n, "t": args.t, "count": args.count, "tol": tol},
                               args.seed, rows)
-    _emit(record, args)
+    status = _emit(record, args, f"verify {which}")
     worst = float(np.max([row["max_discrepancy"] for row in rows]))  # keeps a nan
     if not worst <= tol:
         return _fail(2, f"verify {which}: max discrepancy {worst:.3e} exceeds {tol:.1e}")
-    return 0
+    return status
 
 
 # -- ratio / sweep ----------------------------------------------------------------
@@ -153,8 +156,7 @@ def _cmd_sweep(args) -> int:
                  R=args.r_components, search=search, seed=args.seed)
     ineq = ALIASES.get(args.ineq, args.ineq)
     record = ExperimentRecord(args.command, {"ineq": ineq}, args.seed, rows)
-    _emit(record, args, columns=SWEEP_COLUMNS)
-    return _check_finite(rows, f"{args.command} {ineq}")
+    return _emit(record, args, f"{args.command} {ineq}", columns=SWEEP_COLUMNS)
 
 
 # -- counterexamples ----------------------------------------------------------------
@@ -180,8 +182,7 @@ def _cmd_counterexample(args) -> int:
         extra["lhs_fit"] = cx.GrowthCurve.fit(args.n_list, [r["lhs"] for r in rows]).fit_record()
     record = ExperimentRecord("counterexample-" + name,
                               {"p": args.p, "s": args.s, **extra}, args.seed, rows)
-    _emit(record, args)
-    return _check_finite(rows, f"counterexample {name}")
+    return _emit(record, args, f"counterexample {name}")
 
 
 # -- quantum ----------------------------------------------------------------
@@ -237,10 +238,10 @@ def _cmd_quantum(args) -> int:
                      "ratio": rep.ratio})
     record = ExperimentRecord("quantum-" + check, {"n": args.n, "p": args.p},
                               args.seed, rows)
-    _emit(record, args)
+    status = _emit(record, args, f"quantum {check}")  # 2 on a non-finite epi row
     if not worst <= tol:
         return _fail(2, f"quantum {check}: tolerance exceeded")
-    return 0
+    return status
 
 
 # -- parser ----------------------------------------------------------------

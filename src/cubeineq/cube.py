@@ -5,11 +5,12 @@ A function f on the cube is a multilinear polynomial
     f(eps) = sum_A  fhat(A) * prod_{i in A} eps_i,
 
 indexed by subsets A of {0,..,n-1}.  We store the coefficient vector fhat
-over subset bitmasks (bit i of the mask <-> coordinate i, little-endian)
-and realize every operator of interest as a spectral multiplier acting on
-level |A|:
+over subset bitmasks (bit i of the mask <-> coordinate i, little-endian).
+The coordinate operators act on the halves of that vector split by bit i
+(`_halves`, the one place that knows the layout): D_i keeps the terms with
+i in A, partial_i moves them onto A\\{i}, and a translation flips their
+signs.  Only the level multipliers go through `levels`:
 
-    derivative D_i      keeps exactly the terms with i in A,
     Laplacian  L        multiplies level k by k          (L = sum_i D_i),
     heat       P_t      multiplies level k by exp(-t*k),
     frac_power L^{-a}   multiplies level k by k^{-a}, kills the mean,
@@ -234,22 +235,27 @@ def random_function(n: int, rng: np.random.Generator, mean_zero: bool = False) -
 # -- operators ---------------------------------------------------------------
 
 
+def _halves(a: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the entries of `a` whose last-axis index has bit i clear, and set."""
+    x = a.reshape(*a.shape[:-1], -1, 2, 1 << i)  # splitting one axis never copies
+    return x[..., 0, :], x[..., 1, :]
+
+
 def partial_derivative(f: CubeFunction, i: int) -> CubeFunction:
     """partial_i: moves the coefficient of A onto A\\{i} for every A containing i."""
     _check_coord(f, i)
     out = np.zeros_like(f.coeffs)
-    idx = np.arange(1 << f.n)
-    has = (idx >> i) & 1 == 1
-    out[idx[has] ^ (1 << i)] = f.coeffs[has]
+    _halves(out, i)[0][...] = _halves(f.coeffs, i)[1]
     return CubeFunction(f.n, out)
 
 
 def discrete_derivative(f: CubeFunction, i: int) -> CubeFunction:
     """D_i = eps_i * partial_i: keeps exactly the coefficients of A containing i."""
     _check_coord(f, i)
-    idx = np.arange(1 << f.n)
-    keep = ((idx >> i) & 1).astype(np.float64)
-    return CubeFunction(f.n, f.coeffs * keep)
+    out = f.coeffs.copy()
+    lo, _ = _halves(out, i)
+    lo *= 0.0  # not = 0.0: x * 0.0 keeps the sign of a negative x
+    return CubeFunction(f.n, out)
 
 
 def _check_coord(f: CubeFunction, i: int) -> None:
@@ -320,24 +326,23 @@ def group_translate(f: CubeFunction, eta) -> CubeFunction:
     Commutes with every spectral operator (translation is a cube symmetry).
     """
     h = signs_to_index(eta, f.n)
-    idx = np.arange(1 << f.n)
-    signs = 1.0 - 2.0 * (np.bitwise_count(idx & h) & 1)
-    return CubeFunction(f.n, f.coeffs * signs)
+    out = f.coeffs.copy()
+    for i in range(f.n):
+        if h >> i & 1:
+            _, hi = _halves(out, i)
+            hi *= -1.0
+    return CubeFunction(f.n, out)
 
 
 def permute_coordinates(f: CubeFunction, perm) -> CubeFunction:
     """Relabel coordinate i as perm[i]; fhat(A) moves to the relabeled mask."""
     perm = np.asarray(perm)
-    if sorted(perm.tolist()) != list(range(f.n)):
+    if (perm.dtype.kind not in "iu" or perm.shape != (f.n,)
+            or not np.array_equal(np.sort(perm), np.arange(f.n))):
         raise ValueError("perm must be a permutation of 0..n-1")
-    out = np.zeros_like(f.coeffs)
-    for mask in range(1 << f.n):
-        new = 0
-        for i in range(f.n):
-            if mask >> i & 1:
-                new |= 1 << perm[i]
-        out[new] = f.coeffs[mask]
-    return CubeFunction(f.n, out)
+    # as a (2,)*n array, axis k holds bit n-1-k; output bit perm[i] reads input bit i
+    axes = f.n - 1 - np.argsort(perm)[::-1]
+    return CubeFunction(f.n, f.coeffs.reshape((2,) * f.n).transpose(axes).reshape(-1))
 
 
 # -- vector- and two-variable functions ---------------------------------------

@@ -329,6 +329,9 @@ def _check_operands(operands, instance: InequalityInstance) -> None:
         gn = g.n_eps if inner == "Lq" else g.n
         if gn != instance.n:
             raise ValueError(f"operand dimension {gn} != instance n={instance.n}")
+        if instance.input_kind == "bi" and g.n_delta != instance.n:
+            raise ValueError(f"{instance.ineq_id} needs n_eps = n_delta = n={instance.n}, "
+                             f"got n_eps={g.n_eps}, n_delta={g.n_delta}")
 
 
 # -- input parametrization and search -----------------------------------------

@@ -41,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import (CubeFunction, VectorCubeFunction, _xor_grid, character, frac_power, levels,
-                   partial_derivative, riesz)
+from .cube import (CubeFunction, VectorCubeFunction, _halves, _xor_grid, character, frac_power,
+                   levels, partial_derivative, riesz)
 from .inequalities import InequalityInstance, RatioReport
 from . import inequalities
 
@@ -239,9 +239,11 @@ def rotate(T, theta: float) -> MatrixObservable:
 def apply_p_left(M, j: int) -> np.ndarray:
     """Left-multiply by P_j without forming it: row y picks i(-1)^{y_j} M[y xor e_j]."""
     mat = _as_mat(M)
-    n = mat.shape[0].bit_length() - 1
-    sign = 1j * character(n, 1 << j).values()
-    return sign[:, None] * mat[np.arange(1 << n) ^ (1 << j), :]
+    out = np.empty(mat.shape, dtype=complex)
+    (out_lo, out_hi), (lo, hi) = _halves(out.T, j), _halves(mat.T, j)
+    np.multiply(1j, hi, out=out_lo)
+    np.multiply(-1j, lo, out=out_hi)
+    return out
 
 
 def derivation(f: CubeFunction) -> MatrixObservable:
@@ -361,22 +363,15 @@ def qa_word_defect(n: int, j: int) -> float:
     over every basis word A and the sampled rotation angles; cached, as no
     function enters it."""
     _check_qubits(n, MAX_FORMULA_QUBITS)
-    m = 1 << n
-    idx = np.arange(m)
-    lev = levels(n)
     worst = 0.0
-    for A in range(m):
+    for A in range(1 << n):
         if not (A >> j) & 1:
             continue
-        rest = A ^ (1 << j)
-        q_rest = np.zeros((m, m), dtype=complex)
-        q_rest[idx ^ rest, idx] = 1.0
-        g = apply_p_left(q_rest, j)
-        k = int(lev[A]) - 1
+        g = apply_p_left(embed(character(n, A ^ (1 << j))).mat, j)
+        q_a, k = embed(character(n, A)).mat, int(levels(n)[A]) - 1
         for theta in _QA_THETAS:
             lhs = project_Q(rotate(g, -theta)).mat
-            expect = np.zeros((m, m), dtype=complex)
-            expect[idx ^ A, idx] = math.cos(theta) ** k * math.sin(theta)
+            expect = q_a * (math.cos(theta) ** k * math.sin(theta))
             worst = max(worst, float(np.max(np.abs(lhs - expect))))
     return worst
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -177,3 +178,75 @@ def kernel_transform_reference(G, quad):
     """int K(theta) rotate(G, -theta) dtheta with one full-matrix rotation
     per quadrature node."""
     return quad.integrate(lambda theta: rotate_reference(G, -theta))
+
+
+# -- index-array references for the coordinate operators ------------------------
+
+
+def same_bytes(a, b):
+    """Equal dtype, shape and bytes: stricter than array_equal (signed zeros count)."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def discrete_derivative_reference(coeffs, i):
+    """D_i from an int64 index array and a float keep-mask."""
+    idx = np.arange(len(coeffs))
+    return coeffs * ((idx >> i) & 1).astype(np.float64)
+
+
+def partial_derivative_reference(coeffs, i):
+    """partial_i as a fancy-index scatter of the masks holding bit i."""
+    out = np.zeros_like(coeffs)
+    idx = np.arange(len(coeffs))
+    has = (idx >> i) & 1 == 1
+    out[idx[has] ^ (1 << i)] = coeffs[has]
+    return out
+
+
+def group_translate_reference(coeffs, h):
+    """fhat(A) * (-1)^|A & h| from a popcount per entry."""
+    idx = np.arange(len(coeffs))
+    return coeffs * (1.0 - 2.0 * (np.bitwise_count(idx & h) & 1))
+
+
+def permute_coordinates_reference(coeffs, perm):
+    """Relabel bit i of every mask as bit perm[i], one mask at a time."""
+    out = np.zeros_like(coeffs)
+    for mask in range(len(coeffs)):
+        new = 0
+        for i in range(len(perm)):
+            if mask >> i & 1:
+                new |= 1 << perm[i]
+        out[new] = coeffs[mask]
+    return out
+
+
+def apply_p_left_reference(M, j):
+    """P_j M as a row gather by y xor e_j times the column i(-1)^{y_j}."""
+    from cubeineq.cube import character
+
+    mat = np.asarray(M, dtype=complex)
+    n = mat.shape[0].bit_length() - 1
+    sign = 1j * character(n, 1 << j).values()
+    return sign[:, None] * mat[np.arange(1 << n) ^ (1 << j), :]
+
+
+def qa_word_defect_reference(n, j):
+    """qa_word_defect with Q_{A minus j} and the expected Q_A term scattered by hand."""
+    m = 1 << n
+    idx = np.arange(m)
+    lev = levels(n)
+    worst = 0.0
+    for A in range(m):
+        if not (A >> j) & 1:
+            continue
+        q_rest = np.zeros((m, m), dtype=complex)
+        q_rest[idx ^ (A ^ (1 << j)), idx] = 1.0
+        g = apply_p_left_reference(q_rest, j)
+        k = int(lev[A]) - 1
+        for theta in qt._QA_THETAS:
+            lhs = qt.project_Q(qt.rotate(g, -theta)).mat
+            expect = np.zeros((m, m), dtype=complex)
+            expect[idx ^ A, idx] = math.cos(theta) ** k * math.sin(theta)
+            worst = max(worst, float(np.max(np.abs(lhs - expect))))
+    return worst

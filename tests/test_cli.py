@@ -251,6 +251,16 @@ def test_ratio_and_sweep_non_finite_rows_exit_two(capsys, argv):
     assert "non-finite" in err and "[4]" in err
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_quantum_epi_non_finite_row_exits_two(capsys):
+    # the same overflow at p = 2000 as ratio and sweep, through the one row check in _emit
+    code, out, err = run_cli(capsys, "quantum", "epi", "--n", "4", "--p", "2000")
+    assert code == 2
+    row = json.loads(out)["rows"][0]
+    assert row["lhs"] == math.inf and math.isnan(row["ratio"])
+    assert "quantum epi: non-finite result at n = [4]" in err
+
+
 def test_pt_deriv_at_large_t_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "ratio", "--ineq", "PT_DERIV", "--t", "400", "--n", "3",
                            "--p", "2")

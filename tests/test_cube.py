@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,10 @@ from cubeineq.cube import (
     walsh_transform,
 )
 from cubeineq.rng import stream_generator
-from conftest import brute_walsh_coefficients, derivative_value_matrix, walsh_reference
+from conftest import (brute_walsh_coefficients, derivative_value_matrix,
+                      discrete_derivative_reference, group_translate_reference,
+                      partial_derivative_reference, permute_coordinates_reference,
+                      same_bytes, walsh_reference)
 
 
 def test_two_point_expansion():
@@ -283,6 +287,70 @@ def test_permute_coordinates(rng):
             if (x >> i) & 1:
                 y |= 1 << [2, 0, 1][i]
         assert abs(vals_g[y] - vals_f[x]) < 1e-12
+    for bad in ([2.0, 0.0, 1.0], [0, 1], [[0, 1, 2]], [0, 0, 1], [True, False, True]):
+        with pytest.raises(ValueError, match="permutation of 0..n-1"):
+            permute_coordinates(f, bad)
+
+
+def _signed_zero_coeffs(n, rng):
+    """Standard-normal coefficients with a quarter of them -0.0 and a quarter +0.0."""
+    c = rng.standard_normal(1 << n)
+    pick = rng.integers(0, 4, size=1 << n)
+    c[pick == 0] = -0.0
+    c[pick == 1] = 0.0
+    return c
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_coordinate_operators_match_index_array_references(rng, n):
+    # byte equality keeps the -0.0 that D_i's x * 0.0 and a sign flip of -0.0 give;
+    # the second operand holds a strided view, which the halves read in place
+    c = _signed_zero_coeffs(n + 1, rng)
+    for f in (CubeFunction(n, c[:1 << n]), CubeFunction(n, c[::2])):
+        for i in range(n):
+            assert same_bytes(discrete_derivative(f, i).coeffs,
+                              discrete_derivative_reference(f.coeffs, i))
+            assert same_bytes(partial_derivative(f, i).coeffs,
+                              partial_derivative_reference(f.coeffs, i))
+        for _ in range(4):
+            eta = 1 - 2 * rng.integers(0, 2, size=n)
+            assert same_bytes(group_translate(f, eta).coeffs,
+                              group_translate_reference(f.coeffs, signs_to_index(eta, n)))
+            perm = rng.permutation(n)
+            assert same_bytes(permute_coordinates(f, perm).coeffs,
+                              permute_coordinates_reference(f.coeffs, perm))
+
+
+def test_permutation_round_trip_at_n16(rng):
+    n = 16
+    f = CubeFunction(n, _signed_zero_coeffs(n, rng))
+    perm = rng.permutation(n)
+    g = permute_coordinates(f, perm)
+    assert same_bytes(permute_coordinates(g, np.argsort(perm)).coeffs, f.coeffs)
+    # the character of a mask moves to the character of the relabeled mask
+    mask = 0b1010_0110_0001_1001
+    moved = sum(1 << int(perm[i]) for i in range(n) if mask >> i & 1)
+    assert permute_coordinates(character(n, mask), perm).coeffs[moved] == 1.0
+
+
+@pytest.mark.parametrize("n", [16, 20])
+@pytest.mark.parametrize("op", [
+    lambda f: discrete_derivative(f, 7),
+    lambda f: partial_derivative(f, 7),
+    lambda f: group_translate(f, np.ones(f.n) - 2 * (np.arange(f.n) % 2)),
+])
+def test_coordinate_operators_allocate_only_their_output(rng, op, n):
+    # besides the output, an in-place ufunc on a strided half may take numpy's
+    # iterator buffer, np.getbufsize() doubles for each of two operands (128 KiB)
+    f = random_function(n, rng)
+    op(f)  # warm any first-call caches
+    tracemalloc.start()
+    try:
+        op(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (1 << n) * 8 + 2 * np.getbufsize() * 8 + 4096
 
 
 def test_vector_cube_function(rng):

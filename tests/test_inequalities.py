@@ -293,6 +293,15 @@ def test_operand_of_the_wrong_value_space_refused(rng):
                  BiCubeFunction(4, 3, np.zeros((16, 8))))
 
 
+@pytest.mark.parametrize("n_delta", [1, 4])
+def test_f1_refuses_a_second_cube_of_another_dimension(rng, n_delta):
+    # one marginal (n_delta = 1) gave a finite ratio; four ran D_3 on an n = 3 function
+    F = BiCubeFunction(3, n_delta, rng.standard_normal((8, 1 << n_delta)))
+    with pytest.raises(ValueError, match=f"F1 needs n_eps = n_delta = n=3, "
+                                         f"got n_eps=3, n_delta={n_delta}"):
+        evaluate(InequalityInstance("F1", n=3, p=3.0), F)
+
+
 def test_shape_mismatch_rejected(rng):
     inst = InequalityInstance("R_BELOW", n=4, p=2.0, a=0.5)
     with pytest.raises(ValueError):

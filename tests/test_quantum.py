@@ -17,8 +17,9 @@ from cubeineq.cube import (
 from cubeineq.norms import MixedNormSpec, lp_norm, mixed_norm
 from cubeineq.rng import stream_generator
 
-from conftest import (conjugate_nu, conjugate_nu_inv, kernel_transform_reference,
-                      rotate_reference)
+from conftest import (apply_p_left_reference, conjugate_nu, conjugate_nu_inv,
+                      kernel_transform_reference, qa_word_defect_reference, rotate_reference,
+                      same_bytes)
 
 
 @pytest.fixture(scope="module")
@@ -227,6 +228,21 @@ def test_qa_characters(quad):
     rhs = qt.project_Q(qt.kernel_transform(g, quad).mat).mat / c
     qa_mat = qt.embed(character(n, 0b1010)).mat / math.sqrt(2.0)
     assert np.max(np.abs(rhs - qa_mat)) < 1e-9
+
+
+@pytest.mark.parametrize("n", range(1, qt.MAX_FORMULA_QUBITS + 1))
+def test_apply_p_left_and_qa_word_defect_match_references(rng, n):
+    m = 1 << n
+    M = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    M.real[rng.integers(0, 3, size=(m, m)) == 0] = -0.0
+    M.imag[rng.integers(0, 3, size=(m, m)) == 0] = -0.0
+    strided = (rng.standard_normal((2 * m, 2 * m)) + 0j)[::2, 1::2].T
+    assert not strided.flags.c_contiguous and not strided.flags.f_contiguous
+    for j in range(n):
+        for G in (M, strided, qt.embed(random_function(n, rng)).mat):
+            assert same_bytes(qt.apply_p_left(G, j), apply_p_left_reference(G, j))
+        ref = qa_word_defect_reference(n, j)
+        assert np.float64(qt.qa_word_defect(n, j)).tobytes() == np.float64(ref).tobytes()
 
 
 def test_qa_random(rng, quad):
