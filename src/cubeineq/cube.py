@@ -16,6 +16,11 @@ signs.  Only the level multipliers go through `levels`:
     frac_power L^{-a}   multiplies level k by k^{-a}, kills the mean,
     Riesz      R_i      = D_i L^{-1/2}.
 
+Above `_BLOCK` coefficients a level multiplier gathers its table a block at
+a time into one reused buffer, so no 2^n temporary is made beside the
+result.  `riesz` is one multiply: the product by L^{-1/2}, whose bit-clear
+half is then zeroed in place.
+
 Point values use the index convention eps_i(x) = +1 if bit i of x is 0 and
 -1 otherwise, so the bitmask of -1 coordinates is the point index and the
 Hamming weight of x equals dist(eps, all-ones).
@@ -273,14 +278,27 @@ def _multiplier_table(m, n: int) -> np.ndarray:
     return table
 
 
+def _times_levels(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """coeffs[A] * table[|A|] for every mask A, in a new array."""
+    lev = levels(coeffs.shape[0].bit_length() - 1)
+    if lev.size <= _BLOCK:
+        # take, not table[...]: numpy gathers by a uint8 index array much slower
+        return coeffs * table.take(lev)
+    out = np.empty(lev.size)
+    buf = np.empty(_BLOCK)
+    for lo in range(0, lev.size, _BLOCK):
+        part = slice(lo, lo + _BLOCK)
+        # mode="raise" (the default) would buffer the whole output of take(out=)
+        np.multiply(coeffs[part], table.take(lev[part], out=buf, mode="clip"), out=out[part])
+    return out
+
+
 def apply_multiplier(f: CubeFunction, m) -> CubeFunction:
     """Spectral calculus: fhat(A) -> m(|A|) * fhat(A).
 
     `m` is a callable on levels 0..n or an array of length n+1.
     """
-    table = _multiplier_table(m, f.n)
-    # take, not table[...]: numpy gathers by a uint8 index array much slower
-    return CubeFunction(f.n, f.coeffs * table.take(levels(f.n)),
+    return CubeFunction(f.n, _times_levels(f.coeffs, _multiplier_table(m, f.n)),
                         mean_annihilated=f.mean_annihilated)
 
 
@@ -296,24 +314,38 @@ def heat(f: CubeFunction, t: float) -> CubeFunction:
     return apply_multiplier(f, np.exp(-t * np.arange(f.n + 1)))
 
 
+def _frac_table(n: int, a: float) -> np.ndarray:
+    """The level table of L^{-a}: k^{-a} for k >= 1 and 0 at level 0."""
+    table = np.arange(n + 1, dtype=np.float64)
+    table[1:] = table[1:] ** (-a)
+    table[0] = 0.0
+    return table
+
+
 def frac_power(f: CubeFunction, a: float) -> CubeFunction:
     """L^{-a}: multiplies level k >= 1 by k^{-a} and annihilates the mean.
 
     For a > 0 the operator is only defined on mean-zero functions; a nonzero
     mean is dropped and flagged through `mean_annihilated` on the result.
     """
-    table = np.arange(f.n + 1, dtype=np.float64)
-    table[1:] = table[1:] ** (-a)
-    table[0] = 0.0
     flagged = f.mean_annihilated or (a > 0 and f.coeffs[0] != 0.0)
-    out = apply_multiplier(f, table)
+    out = apply_multiplier(f, _frac_table(f.n, a))
     out.mean_annihilated = flagged
     return out
 
 
 def riesz(f: CubeFunction, i: int) -> CubeFunction:
-    """Riesz transform R_i = D_i L^{-1/2}."""
-    return discrete_derivative(frac_power(f, 0.5), i)
+    """Riesz transform R_i = D_i L^{-1/2}, as one multiply.
+
+    The bit-clear half of the product is zeroed in place by `* 0.0`; since
+    every k^{-1/2} >= 0 this gives the bits of D_i applied first or last,
+    signed zeros included.
+    """
+    _check_coord(f, i)
+    out = _times_levels(f.coeffs, _frac_table(f.n, 0.5))
+    lo, _ = _halves(out, i)
+    lo *= 0.0
+    return CubeFunction(f.n, out)
 
 
 def gradient(f: CubeFunction) -> list[CubeFunction]:

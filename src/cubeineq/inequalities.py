@@ -250,8 +250,7 @@ def _pt_deriv(instance, family, cfg):
 
 def _epi(instance, family, cfg):
     p = instance.p
-    lhs = lp_norm(reduce(operator.add, (discrete_derivative(frac_power(f, 0.5), i)
-                                        for i, f in enumerate(family))), p)
+    lhs = lp_norm(reduce(operator.add, (riesz(f, i) for i, f in enumerate(family))), p)
     square = VectorCubeFunction([discrete_derivative(f, i) for i, f in enumerate(family)])
     return lhs, mixed_norm(square, MixedNormSpec.lq(p, 2))
 

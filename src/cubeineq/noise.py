@@ -15,7 +15,9 @@ together with the symmetrized tail integral
 
 Enumeration over the 2^n noise outcomes is exact and is refused above n = 14;
 the Monte-Carlo estimator covers larger instances with a reported standard
-error and (seed, stream)-deterministic sampling.
+error and (seed, stream)-deterministic sampling.  It draws its uniforms
+`_BLOCK` at a time into one reused buffer and keeps only the int64 outcome
+mask of each sample, so beside the point values it holds O(count) memory.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cube import (CubeFunction, _xor_grid, character, discrete_derivative, heat, levels,
-                   signs_to_index)
+from .cube import (_BLOCK, CubeFunction, _xor_grid, character, discrete_derivative, heat,
+                   levels, signs_to_index)
 from .radial import RadialProfile
 from .rng import stream_generator
 
@@ -180,9 +182,17 @@ def mc_noise_expectation(f, t, batch: SampleBatch, at=None) -> MCEstimate:
         n = f.n
         vals = f.values()
         base = 0 if at is None else signs_to_index(at, n)
-        flip_bits = rng.random((batch.count, n)) < (1.0 - noise.p_plus)
-        masks = flip_bits @ (1 << np.arange(n))
-        samples = vals[np.bitwise_xor(masks.astype(np.int64), base)]
+        flip_p, bits = 1.0 - noise.p_plus, 1 << np.arange(n)
+        masks = np.empty(batch.count, dtype=np.int64)
+        rows = max(1, _BLOCK // n)
+        # the doubles are drawn in the order of one (count, n) draw
+        draws = np.empty((min(rows, batch.count), n))
+        for lo in range(0, batch.count, rows):
+            part = masks[lo:lo + rows]
+            block = draws[:part.size]
+            rng.random(out=block)
+            np.matmul(block < flip_p, bits, out=part)
+        samples = vals[np.bitwise_xor(masks, base, out=masks)]
     else:
         raise TypeError(f"unsupported operand {type(f).__name__}")
     value = float(samples.mean())

@@ -9,7 +9,13 @@ R components or L^q / L^infty over a second cube variable.
 from ||x||^p per sign pattern (no root before the average), over the 2^{k-1}
 patterns with delta_{k-1} = +1 (k <= 20; ||-x|| = ||x||) or over seeded
 Monte-Carlo samples with a standard error, in blocks of about `_BLOCK` values
-computed into one reused buffer and reduced in place.
+computed into one reused buffer and reduced in place.  Powers are taken in
+place (`_pow` overwrites its input; a cube without scratch goes a `_BLOCK`
+at a time through one buffer), so `lp_norm` holds no 2^n array beside the
+point values.  `lp_norm`, `mixed_norm` and `rademacher_avg` scale those
+values once per call by a power of two when the largest |value|^p would
+leave the normal range (`_rescale`), and scale the root back; otherwise
+nothing is scaled and no bit changes.
 
 `radial_sup_rademacher_moment` is the O(n log n + W^2) reduction, with W
 the sign-total window below, that makes the quantity
@@ -74,15 +80,50 @@ class MixedNormSpec:
 
 
 def _pow(a: np.ndarray, e: float, scratch: np.ndarray | None = None) -> np.ndarray:
-    """a**e for a >= 0; e = 1, 2, 3 by multiplication, written over `a`
-    (e = 3 squares into `scratch`, shaped like `a`, when one is given)."""
+    """a**e for a >= 0, written over `a` (C-contiguous) and returned.  e = 1, 2
+    and 3 go by multiplication; e = 3 squares into `scratch`, shaped like `a`,
+    when one is given, and otherwise a `_BLOCK` of `a` at a time into one buffer."""
     if e == 1:
         return a
     if e == 2:
         return np.multiply(a, a, out=a)
     if e == 3:
-        return np.multiply(np.multiply(a, a, out=scratch), a, out=a)
-    return a**e
+        if scratch is not None or a.size <= _BLOCK:
+            return np.multiply(np.multiply(a, a, out=scratch), a, out=a)
+        flat = a.reshape(-1)
+        square = np.empty(_BLOCK)
+        for lo in range(0, flat.size, _BLOCK):
+            part = flat[lo:lo + _BLOCK]
+            np.multiply(np.multiply(part, part, out=square[:part.size]), part, out=part)
+        return a
+    return np.power(a, e, out=a)
+
+
+def _rescale(vals: np.ndarray, spec: MixedNormSpec, terms: int = 1, moments: int = 1) -> int:
+    """Scale `vals` in place by 2^-k so that the powers `_pattern_powers` takes
+    of them stay normal, and return k.
+
+    With e the largest finite exponent of `spec` times `moments` (2 when the
+    variance of the powers is taken too) and M = max|vals|, k = 0 (no bit
+    changes) while M^e is normal and (amp M)^e leaves 2^64 of room for sums
+    below the overflow threshold; amp bounds a pattern's inner norm over M:
+    `terms` signed operands, times the R components of an lq value.
+    Otherwise k = round(log2 M), which puts M within a factor sqrt(2) of 1.
+    """
+    exponents = [x for x in (spec.p, spec.q) if x is not None and x < math.inf]
+    if not exponents or vals.size == 0:
+        return 0
+    e = max(exponents) * moments
+    top = max(float(vals.max()), -float(vals.min()))  # no |vals| temporary
+    if not 0.0 < top < math.inf:
+        return 0
+    lg = math.log2(top)
+    amp = terms * (vals.shape[-2] if spec.inner == "lq" else 1)
+    if e * lg > -1022 and e * (lg + math.log2(amp)) < 1024 - 64:
+        return 0
+    k = round(lg)
+    np.ldexp(vals, -k, out=vals)
+    return k
 
 
 def _pattern_powers(block: np.ndarray, spec: MixedNormSpec,
@@ -111,6 +152,11 @@ def _root(power_mean, p: float) -> float:
     return float(power_mean if np.isinf(p) else power_mean ** (1.0 / p))
 
 
+def _unscale(x, k: int) -> float:
+    """x * 2^k: a norm of values that `_rescale` scaled by 2^-k, scaled back."""
+    return float(np.ldexp(x, k) if k else x)
+
+
 def lp_norm(f, p: float) -> float:
     """((1/2^n) sum |f|^p)^{1/p}; p = inf gives the maximum.
 
@@ -120,7 +166,9 @@ def lp_norm(f, p: float) -> float:
     if not p >= 1:
         raise ValueError(f"exponent must be in [1, inf], got {p}")
     if isinstance(f, CubeFunction):
-        return _root(_pattern_powers(f.values(), MixedNormSpec.scalar(p)), p)
+        vals, spec = f.values(), MixedNormSpec.scalar(p)
+        k = _rescale(vals, spec)
+        return _unscale(_root(_pattern_powers(vals, spec), p), k)
     if isinstance(f, RadialProfile):
         a = np.abs(f.v)
         if np.isinf(p):
@@ -151,7 +199,9 @@ def mixed_norm(F, spec: MixedNormSpec) -> float:
     """Outer L^p over the cube of the inner norm declared by `spec`."""
     if inner_kind(F) != spec.inner:
         raise ValueError(f"norm spec {spec} does not match operand {type(F).__name__}")
-    return _root(_pattern_powers(_operand_values([F])[0], spec), spec.p)
+    vals = _operand_values([F])[0]
+    k = _rescale(vals, spec)
+    return _unscale(_root(_pattern_powers(vals, spec), spec.p), k)
 
 
 @dataclass(frozen=True)
@@ -219,6 +269,7 @@ def rademacher_avg(operands, p: float, spec: MixedNormSpec | None = None,
             raise ValueError(f"operand {type(g).__name__} does not match spec {spec}")
     k = len(operands)
     vals = _operand_values(operands)  # (k, ...)
+    scale = _rescale(vals, spec, terms=k, moments=1 if cfg.mode == "exact" else 2)
 
     if cfg.mode == "exact":
         if k > MAX_EXACT_SIGNS:
@@ -232,14 +283,14 @@ def rademacher_avg(operands, p: float, spec: MixedNormSpec | None = None,
                   for lo in range(0, cfg.samples, _CHUNK))
     powers = np.concatenate([_sign_powers(signs, vals, spec) for signs in chunks])
     if np.isinf(p):
-        return RademacherResult(float(powers.max()))
+        return RademacherResult(_unscale(powers.max(), scale))
     mean = powers.mean()
     value = _root(mean, p)
     if cfg.mode == "exact":
-        return RademacherResult(value)
+        return RademacherResult(_unscale(value, scale))
     se_mean = powers.std(ddof=1) / math.sqrt(cfg.samples) if cfg.samples > 1 else 0.0
     stderr = se_mean * value / (p * mean) if mean > 0 else se_mean
-    return RademacherResult(value, float(stderr))
+    return RademacherResult(_unscale(value, scale), _unscale(stderr, scale))
 
 
 # -- radial sup-Rademacher reduction ------------------------------------------

@@ -250,3 +250,50 @@ def qa_word_defect_reference(n, j):
             expect[idx ^ A, idx] = math.cos(theta) ** k * math.sin(theta)
             worst = max(worst, float(np.max(np.abs(lhs - expect))))
     return worst
+
+
+# -- whole-array references for the streamed kernels ------------------------------
+
+
+def apply_multiplier_reference(coeffs, table):
+    """coeffs * table[|A|] through one gathered 2^n table."""
+    return coeffs * table.take(levels(len(coeffs).bit_length() - 1))
+
+
+def riesz_reference(coeffs, i):
+    """R_i as two operators: the L^{-1/2} product, then D_i by its keep-mask."""
+    n = len(coeffs).bit_length() - 1
+    table = np.arange(n + 1, dtype=np.float64)
+    table[1:] = table[1:] ** (-0.5)
+    table[0] = 0.0
+    return discrete_derivative_reference(apply_multiplier_reference(coeffs, table), i)
+
+
+def pow_reference(a, e, scratch=None):
+    """a**e for a >= 0 with e = 3 squared into `scratch` or a full-size temporary,
+    and any other e not in {1, 2} into a new array."""
+    if e == 1:
+        return a
+    if e == 2:
+        return np.multiply(a, a, out=a)
+    if e == 3:
+        return np.multiply(np.multiply(a, a, out=scratch), a, out=a)
+    return a**e
+
+
+def mc_noise_reference(f, t, batch, at=None):
+    """(value, stderr, count) of mc_noise_expectation from one (count, n) draw."""
+    from cubeineq.cube import signs_to_index
+    from cubeineq.noise import NoiseParameter
+
+    p_plus = NoiseParameter(t).p_plus
+    rng = batch.generator()
+    n = f.n
+    vals = f.values()
+    base = 0 if at is None else signs_to_index(at, n)
+    flip_bits = rng.random((batch.count, n)) < (1.0 - p_plus)
+    masks = flip_bits @ (1 << np.arange(n))
+    samples = vals[np.bitwise_xor(masks.astype(np.int64), base)]
+    value = float(samples.mean())
+    stderr = float(samples.std(ddof=1) / math.sqrt(batch.count)) if batch.count > 1 else 0.0
+    return value, stderr, batch.count

@@ -245,7 +245,8 @@ def test_counterexample_non_finite_row_exits_two(capsys):
     ("sweep", "--ineq", "PISIER", "--n-list", "4", "--p-list", "2,2000"),
 ])
 def test_ratio_and_sweep_non_finite_rows_exit_two(capsys, argv):
-    # |f|^p overflows at p = 2000: lhs = rhs = inf and the ratio is nan
+    # at p = 2000 the norm side is rescaled and finite, but the Rademacher
+    # average of 4 signed terms still overflows: rhs = inf
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "non-finite" in err and "[4]" in err
@@ -253,11 +254,12 @@ def test_ratio_and_sweep_non_finite_rows_exit_two(capsys, argv):
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_quantum_epi_non_finite_row_exits_two(capsys):
-    # the same overflow at p = 2000 as ratio and sweep, through the one row check in _emit
+    # the same overflow at p = 2000 as ratio and sweep, through the one row check in
+    # _emit: the rescaled lhs is finite, the square function of 4 components is not
     code, out, err = run_cli(capsys, "quantum", "epi", "--n", "4", "--p", "2000")
     assert code == 2
     row = json.loads(out)["rows"][0]
-    assert row["lhs"] == math.inf and math.isnan(row["ratio"])
+    assert math.isfinite(row["lhs"]) and row["rhs"] == math.inf and row["ratio"] == 0.0
     assert "quantum epi: non-finite result at n = [4]" in err
 
 

@@ -26,11 +26,13 @@ from cubeineq.cube import (
     signs_to_index,
     walsh_transform,
 )
+from cubeineq.cube import _BLOCK
 from cubeineq.rng import stream_generator
-from conftest import (brute_walsh_coefficients, derivative_value_matrix,
-                      discrete_derivative_reference, group_translate_reference,
-                      partial_derivative_reference, permute_coordinates_reference,
-                      same_bytes, walsh_reference)
+from conftest import (apply_multiplier_reference, brute_walsh_coefficients,
+                      derivative_value_matrix, discrete_derivative_reference,
+                      group_translate_reference, partial_derivative_reference,
+                      permute_coordinates_reference, riesz_reference, same_bytes,
+                      walsh_reference)
 
 
 def test_two_point_expansion():
@@ -480,3 +482,36 @@ def test_translation_commutes_with_multipliers_property(f, data):
 def test_parseval_property(f):
     energy = float(np.sum(f.coeffs**2))
     assert abs(float(np.mean(f.values()**2)) - energy) <= 1e-12 * energy
+
+
+@pytest.mark.parametrize("n", range(1, 18))
+def test_streamed_kernels_match_whole_array_references(rng, n):
+    # n = 16 and 17 take two and four blocks of _BLOCK values; the second operand
+    # is a strided view, and a quarter of the coefficients are -0.0
+    assert 1 << 16 == 2 * _BLOCK
+    c = _signed_zero_coeffs(n + 1, rng)
+    table = rng.standard_normal(n + 1)
+    for f in (CubeFunction(n, c[:1 << n]), CubeFunction(n, c[::2])):
+        assert same_bytes(apply_multiplier(f, table).coeffs,
+                          apply_multiplier_reference(f.coeffs, table))
+        for i in sorted({0, n // 2, n - 1}):
+            assert same_bytes(riesz(f, i).coeffs, riesz_reference(f.coeffs, i))
+
+
+@pytest.mark.parametrize("n", [16, 20])
+@pytest.mark.parametrize("op", [
+    lambda f: heat(f, 0.5),
+    lambda f: frac_power(f, 0.5),
+    lambda f: riesz(f, 7),
+])
+def test_level_multipliers_allocate_their_output_and_two_blocks(rng, op, n):
+    # one block of gathered table entries, and the intp copy of its levels that take makes
+    f = random_function(n, rng)
+    op(f)  # warm the cached levels table
+    tracemalloc.start()
+    try:
+        op(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (1 << n) * 8 + 2 * _BLOCK * 8 + 4096

@@ -413,3 +413,14 @@ def test_p2_riesz_lower_identity_property(n, seed, inner):
                               inner=inner)
     rep = evaluate(inst, random_inputs(inst, stream_generator(seed)))
     assert abs(rep.ratio - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("shift", [-400, 400])
+def test_r_above_ratio_is_scale_free_far_from_unit_scale(shift):
+    # the powers of 2^-400 inputs underflowed (ratio 0.0) and of 2^400 ones overflowed (nan)
+    inst = InequalityInstance("R_ABOVE", n=4, p=3.0)
+    f = random_inputs(inst, stream_generator(0))
+    base = evaluate(inst, f)
+    moved = evaluate(inst, CubeFunction(4, np.ldexp(f.coeffs, shift)))
+    assert moved.ratio == pytest.approx(base.ratio, rel=1e-14)
+    assert moved.lhs == pytest.approx(np.ldexp(base.lhs, shift), rel=1e-14)

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cubeineq.cube import CubeFunction, character, random_function
+from cubeineq.cube import _BLOCK, CubeFunction, character, random_function
 from cubeineq.noise import (
     _enumerated_noise_values,
     _outcome_weights,
@@ -18,7 +19,7 @@ from cubeineq.noise import (
 )
 from cubeineq.radial import RadialProfile
 from cubeineq.rng import stream_generator
-from conftest import enumerated_noise_reference
+from conftest import enumerated_noise_reference, mc_noise_reference
 
 
 def test_noise_parameter_invariants():
@@ -218,3 +219,37 @@ def test_non_finite_times_are_refused():
     for numeric in (False, True):
         assert symmetrized_tail_integral(math.inf, 2.0, numeric=numeric) == pytest.approx(
             2.0 ** 0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 3, 7, 13, 17])
+def test_mc_blocked_draws_match_one_whole_draw(n):
+    # blocks hold _BLOCK // n samples; the counts straddle one or more block ends
+    rows = _BLOCK // n
+    f = random_function(n, stream_generator(n))
+    f.coeffs[::3] = -0.0
+    at = 1 - 2 * (np.arange(n) % 2)
+    for count in (1, 5, rows - 1, rows, rows + 1, 2 * rows + 3, 30_000):
+        for base in (None, at):
+            batch = SampleBatch(seed=11, count=count, stream=n)
+            est = mc_noise_expectation(f, 0.3, batch, at=base)
+            assert tuple(est) == mc_noise_reference(f, 0.3, batch, at=base)
+
+
+@pytest.mark.parametrize("n", [16, 20])
+def test_mc_allocates_its_values_and_order_count(n):
+    # beside the point values: the int64 masks, the samples and the variance's
+    # temporaries (O(count)), and a block of uniforms with its comparisons
+    f = random_function(n, stream_generator(n))
+    count = 100_000
+    batch = SampleBatch(seed=1, count=count)
+    mc_noise_expectation(f, 0.5, batch)  # warm any first-call caches
+    peaks = []
+    for op in (f.values, lambda: mc_noise_expectation(f, 0.5, batch)):
+        tracemalloc.start()
+        try:
+            op()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    values_peak, peak = peaks
+    assert peak < max(values_peak, (1 << n) * 8 + 3 * count * 8 + 3 * _BLOCK * 8) + 4096

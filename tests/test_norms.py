@@ -29,9 +29,9 @@ from cubeineq.norms import (
 from cubeineq.counterexamples import lamberton_point_mass, talagrand_profile
 from cubeineq.radial import RadialProfile
 from cubeineq import norms
-from cubeineq.norms import _envelope_weights, _pattern_powers, _upper_chain
-from conftest import (brute_sup_rademacher_moment, brute_upper_chain, rademacher_reference,
-                      windowed_sup_reference)
+from cubeineq.norms import _BLOCK, _envelope_weights, _pattern_powers, _pow, _upper_chain
+from conftest import (brute_sup_rademacher_moment, brute_upper_chain, pow_reference,
+                      rademacher_reference, same_bytes, windowed_sup_reference)
 
 
 def test_dictator_has_unit_norm_for_every_p():
@@ -361,3 +361,74 @@ def test_rademacher_avg_makes_one_batched_transform(rng, monkeypatch, spec):
     rademacher_avg(ops, 3.0, spec)
     # a BiCubeFunction keeps its stored grid
     assert calls == ([] if spec.inner == "Lq" else [per_operand.shape])
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 0.5, 1.5, 2.25, 2000.0])
+@pytest.mark.parametrize("shape", [(5,), (16, 2048), (3, _BLOCK + 17), (2, 2, _BLOCK)])
+def test_pow_overwrites_its_input_with_the_reference_bits(rng, e, shape):
+    a = np.abs(rng.standard_normal(shape))
+    a.reshape(-1)[::7] = 0.0
+    with np.errstate(over="ignore"):
+        expected = pow_reference(a.copy(), e)
+        for scratch in (None, np.empty_like(a)) if e == 3 else (None,):
+            got = a.copy()
+            assert _pow(got, e, scratch) is got
+            assert same_bytes(got, expected)
+
+
+@pytest.mark.parametrize("n", [16, 20])
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_lp_norm_allocates_its_values_and_one_block(rng, n, p):
+    # the powers go over the point values in place, a block at a time; the
+    # transform that makes the values may itself take a few blocks of slabs
+    f = random_function(n, rng)
+    lp_norm(f, p)  # warm any first-call caches
+    peaks = []
+    for op in (f.values, lambda: lp_norm(f, p)):
+        tracemalloc.start()
+        try:
+            op()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    values_peak, peak = peaks
+    assert peak < max(values_peak, (1 << n) * 8 + _BLOCK * 8) + 4096
+
+
+@pytest.mark.parametrize("value, p", [(1e-155, 2.0), (1e-162, 2.0), (1e-110, 3.0), (1e200, 2.0),
+                                      (1e-300, 1.0), (1e300, 1.5), (3.0, 2000.0)])
+def test_lp_norm_of_a_constant_outside_the_power_range(value, p):
+    # |value|^p underflows or overflows: the values are scaled once by a power of two
+    c = np.zeros(8)
+    c[0] = -value
+    assert lp_norm(CubeFunction(3, c), p) == pytest.approx(value, rel=1e-14)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 7.5, 2000.0])
+@pytest.mark.parametrize("shift", [-1000, -400, 400, 1000])
+def test_norms_scale_exactly_by_powers_of_two_at_every_p(rng, p, shift):
+    f = random_function(5, rng)
+    F = VectorCubeFunction([random_function(5, rng) for _ in range(3)])
+    G = BiCubeFunction(3, 2, rng.standard_normal((8, 4)))
+
+    def scaled(g):
+        if isinstance(g, CubeFunction):
+            return CubeFunction(g.n, np.ldexp(g.coeffs, shift))
+        if isinstance(g, VectorCubeFunction):
+            return g.map(scaled)
+        return BiCubeFunction(g.n_eps, g.n_delta, np.ldexp(g.values, shift))
+
+    pairs = [(lp_norm(f, p), lp_norm(scaled(f), p))]
+    for g, spec in ((F, MixedNormSpec.lq(p, 2.0)), (F, MixedNormSpec.lq(p, np.inf)),
+                    (G, MixedNormSpec.cube(p, 3.0))):
+        pairs.append((mixed_norm(g, spec), mixed_norm(scaled(g), spec)))
+    if p < 100:  # a sum of signed terms leaves the range at p = 2000 whatever the scale
+        ops = [random_function(4, rng) for _ in range(3)]
+        cfg = RademacherConfig(mode="monte-carlo", samples=64, seed=5)
+        for c in (None, cfg):
+            base = rademacher_avg(ops, p, cfg=c)
+            moved = rademacher_avg([scaled(g) for g in ops], p, cfg=c)
+            pairs += [(base.value, moved.value), (base.stderr, moved.stderr)]
+    for base, moved in pairs:
+        assert np.isfinite(base) and base > 0 or base == 0.0
+        assert moved == pytest.approx(np.ldexp(base, shift), rel=1e-13)
