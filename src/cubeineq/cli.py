@@ -59,10 +59,8 @@ class ExperimentRecord:
 def _emit(record: ExperimentRecord, args, what: str, columns=None) -> int:
     """Write the record, then return `_check_finite`'s exit status for its rows."""
     fmt = getattr(args, "format", "json")
-    if fmt == "csv" and columns:
-        text = rows_to_csv(record.rows, columns)
-    elif fmt == "csv":
-        text = rows_to_csv(record.rows, list(record.rows[0].keys()) if record.rows else [])
+    if fmt == "csv":
+        text = rows_to_csv(record.rows, columns or list(record.rows[0] if record.rows else []))
     else:
         text = json.dumps(record.payload(), indent=2) + "\n"
     out = getattr(args, "out", None)

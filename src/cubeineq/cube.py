@@ -6,20 +6,21 @@ A function f on the cube is a multilinear polynomial
 
 indexed by subsets A of {0,..,n-1}.  We store the coefficient vector fhat
 over subset bitmasks (bit i of the mask <-> coordinate i, little-endian).
-The coordinate operators act on the halves of that vector split by bit i
-(`_halves`, the one place that knows the layout): D_i keeps the terms with
-i in A, partial_i moves them onto A\\{i}, and a translation flips their
-signs.  Only the level multipliers go through `levels`:
+Every operator below acts on the last axis of `coeffs`: of a CubeFunction, or
+of the (R, 2^n) array of a VectorCubeFunction's R components, and returns the
+same class; a BiCubeFunction's columns reach it in one `map_eps` call.  The
+coordinate operators act on the halves of that axis split by bit i (`_halves`,
+the one place that knows the layout): D_i keeps the terms with i in A,
+partial_i moves them onto A\\{i}, and a translation flips their signs.  Only
+the level multipliers go through `levels`:
 
     Laplacian  L        multiplies level k by k          (L = sum_i D_i),
     heat       P_t      multiplies level k by exp(-t*k),
     frac_power L^{-a}   multiplies level k by k^{-a}, kills the mean,
     Riesz      R_i      = D_i L^{-1/2}.
 
-Above `_BLOCK` coefficients a level multiplier gathers its table a block at
-a time into one reused buffer, so no 2^n temporary is made beside the
-result.  `riesz` is one multiply: the product by L^{-1/2}, whose bit-clear
-half is then zeroed in place.
+Above `_BLOCK` coefficients a level multiplier gathers its table a block at a
+time into one reused buffer, so it makes no 2^n temporary beside its result.
 
 Point values use the index convention eps_i(x) = +1 if bit i of x is 0 and
 -1 otherwise, so the bitmask of -1 coordinates is the point index and the
@@ -195,6 +196,9 @@ class CubeFunction:
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
 
+    def _with(self, coeffs, mean_annihilated: bool = False) -> "CubeFunction":
+        return CubeFunction(self.n, coeffs, mean_annihilated)
+
     # -- file format ---------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -251,7 +255,7 @@ def partial_derivative(f: CubeFunction, i: int) -> CubeFunction:
     _check_coord(f, i)
     out = np.zeros_like(f.coeffs)
     _halves(out, i)[0][...] = _halves(f.coeffs, i)[1]
-    return CubeFunction(f.n, out)
+    return f._with(out)
 
 
 def discrete_derivative(f: CubeFunction, i: int) -> CubeFunction:
@@ -260,7 +264,7 @@ def discrete_derivative(f: CubeFunction, i: int) -> CubeFunction:
     out = f.coeffs.copy()
     lo, _ = _halves(out, i)
     lo *= 0.0  # not = 0.0: x * 0.0 keeps the sign of a negative x
-    return CubeFunction(f.n, out)
+    return f._with(out)
 
 
 def _check_coord(f: CubeFunction, i: int) -> None:
@@ -279,17 +283,18 @@ def _multiplier_table(m, n: int) -> np.ndarray:
 
 
 def _times_levels(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """coeffs[A] * table[|A|] for every mask A, in a new array."""
-    lev = levels(coeffs.shape[0].bit_length() - 1)
+    """coeffs[..., A] * table[|A|] for every mask A, in a new array."""
+    lev = levels(coeffs.shape[-1].bit_length() - 1)
     if lev.size <= _BLOCK:
         # take, not table[...]: numpy gathers by a uint8 index array much slower
         return coeffs * table.take(lev)
-    out = np.empty(lev.size)
+    out = np.empty(coeffs.shape)
     buf = np.empty(_BLOCK)
     for lo in range(0, lev.size, _BLOCK):
         part = slice(lo, lo + _BLOCK)
         # mode="raise" (the default) would buffer the whole output of take(out=)
-        np.multiply(coeffs[part], table.take(lev[part], out=buf, mode="clip"), out=out[part])
+        np.multiply(coeffs[..., part], table.take(lev[part], out=buf, mode="clip"),
+                    out=out[..., part])
     return out
 
 
@@ -298,8 +303,7 @@ def apply_multiplier(f: CubeFunction, m) -> CubeFunction:
 
     `m` is a callable on levels 0..n or an array of length n+1.
     """
-    return CubeFunction(f.n, _times_levels(f.coeffs, _multiplier_table(m, f.n)),
-                        mean_annihilated=f.mean_annihilated)
+    return f._with(_times_levels(f.coeffs, _multiplier_table(m, f.n)), f.mean_annihilated)
 
 
 def laplacian(f: CubeFunction) -> CubeFunction:
@@ -328,9 +332,8 @@ def frac_power(f: CubeFunction, a: float) -> CubeFunction:
     For a > 0 the operator is only defined on mean-zero functions; a nonzero
     mean is dropped and flagged through `mean_annihilated` on the result.
     """
-    flagged = f.mean_annihilated or (a > 0 and f.coeffs[0] != 0.0)
     out = apply_multiplier(f, _frac_table(f.n, a))
-    out.mean_annihilated = flagged
+    out.mean_annihilated = f.mean_annihilated or (a > 0 and bool((f.coeffs[..., 0] != 0).any()))
     return out
 
 
@@ -345,7 +348,7 @@ def riesz(f: CubeFunction, i: int) -> CubeFunction:
     out = _times_levels(f.coeffs, _frac_table(f.n, 0.5))
     lo, _ = _halves(out, i)
     lo *= 0.0
-    return CubeFunction(f.n, out)
+    return f._with(out)
 
 
 def gradient(f: CubeFunction) -> list[CubeFunction]:
@@ -363,7 +366,7 @@ def group_translate(f: CubeFunction, eta) -> CubeFunction:
         if h >> i & 1:
             _, hi = _halves(out, i)
             hi *= -1.0
-    return CubeFunction(f.n, out)
+    return f._with(out)
 
 
 def permute_coordinates(f: CubeFunction, perm) -> CubeFunction:
@@ -373,50 +376,63 @@ def permute_coordinates(f: CubeFunction, perm) -> CubeFunction:
             or not np.array_equal(np.sort(perm), np.arange(f.n))):
         raise ValueError("perm must be a permutation of 0..n-1")
     # as a (2,)*n array, axis k holds bit n-1-k; output bit perm[i] reads input bit i
-    axes = f.n - 1 - np.argsort(perm)[::-1]
-    return CubeFunction(f.n, f.coeffs.reshape((2,) * f.n).transpose(axes).reshape(-1))
+    lead = f.coeffs.shape[:-1]
+    axes = (*range(len(lead)), *(len(lead) + f.n - 1 - np.argsort(perm)[::-1]))
+    return f._with(f.coeffs.reshape(*lead, *(2,) * f.n).transpose(axes).reshape(f.coeffs.shape))
 
 
 # -- vector- and two-variable functions ---------------------------------------
 
 
 class VectorCubeFunction:
-    """An R-tuple of cube functions sharing n; models ell^q_R-valued data."""
+    """An ell^q_R-valued function on {-1,1}^n: R cube functions sharing n, stored
+    as one (R, 2^n) array `coeffs` whose row r holds the Walsh coefficients of
+    component r.  The coefficient operators act on every row in one call."""
 
-    __slots__ = ("components",)
+    __slots__ = ("n", "coeffs", "mean_annihilated")
 
     def __init__(self, components):
         components = list(components)
-        if not components:
-            raise ValueError("need at least one component")
-        n = components[0].n
-        if any(c.n != n for c in components):
-            raise ValueError("all components must share the same n")
-        self.components = components
+        if not components or any(c.n != components[0].n for c in components):
+            raise ValueError("need one or more components, all with the same n")
+        self.n = components[0].n
+        self.coeffs = np.stack([c.coeffs for c in components])
+        self.mean_annihilated = any(c.mean_annihilated for c in components)
 
-    @property
-    def n(self) -> int:
-        return self.components[0].n
+    @classmethod
+    def from_coeffs(cls, n: int, coeffs, mean_annihilated: bool = False) -> "VectorCubeFunction":
+        """The function whose component r has the Walsh coefficients coeffs[r]."""
+        _check_dense_n(n)
+        coeffs = np.asarray(coeffs, dtype=np.float64)
+        if coeffs.ndim != 2 or coeffs.shape[0] == 0 or coeffs.shape[1] != 1 << n:
+            raise ValueError(f"expected (R, {1 << n}) coefficients for n={n}, got {coeffs.shape}")
+        F = cls.__new__(cls)
+        F.n, F.coeffs, F.mean_annihilated = n, coeffs, mean_annihilated
+        return F
+
+    def _with(self, coeffs, mean_annihilated: bool = False) -> "VectorCubeFunction":
+        return VectorCubeFunction.from_coeffs(self.n, coeffs, mean_annihilated)
 
     @property
     def R(self) -> int:
-        return len(self.components)
+        return self.coeffs.shape[0]
+
+    @property
+    def components(self) -> list[CubeFunction]:
+        """The R components, each viewing one row of `coeffs`."""
+        return [CubeFunction(self.n, row) for row in self.coeffs]
 
     def values(self) -> np.ndarray:
         """(R, 2^n) array of point values."""
-        return walsh_transform(np.stack([c.coeffs for c in self.components]))
-
-    def map(self, op) -> "VectorCubeFunction":
-        """Apply a CubeFunction -> CubeFunction operator componentwise."""
-        return VectorCubeFunction([op(c) for c in self.components])
+        return walsh_transform(self.coeffs)
 
     def __add__(self, other):
-        if self.R != other.R:
-            raise ValueError("component count mismatch")
-        return VectorCubeFunction([a + b for a, b in zip(self.components, other.components)])
+        if self.coeffs.shape != other.coeffs.shape:
+            raise ValueError(f"(R, 2^n) mismatch: {self.coeffs.shape} vs {other.coeffs.shape}")
+        return self._with(self.coeffs + other.coeffs)
 
     def __mul__(self, scalar):
-        return VectorCubeFunction([c * float(scalar) for c in self.components])
+        return self._with(self.coeffs * float(scalar))
 
     __rmul__ = __mul__
 
@@ -442,8 +458,7 @@ class BiCubeFunction:
     def from_sign_family(cls, family) -> "BiCubeFunction":
         """F(eps, delta) = sum_j delta_j f_j(eps) from cube functions f_j."""
         family = list(family)
-        n_eps = family[0].n
-        n_delta = len(family)
+        n_eps, n_delta = family[0].n, len(family)
         cols = np.zeros((1 << n_eps, 1 << n_delta))
         for j, fj in enumerate(family):
             cols += np.outer(fj.values(), character(n_delta, 1 << j).values())
@@ -470,7 +485,7 @@ class BiCubeFunction:
         return [self.marginal(j) for j in range(self.n_delta)]
 
     def map_eps(self, op) -> "BiCubeFunction":
-        """Apply a CubeFunction operator in the eps variable, columnwise in delta."""
+        """Apply a cube operator in eps: one call on the delta columns as R components."""
         coeffs = walsh_transform(self.values.T) / (1 << self.n_eps)  # one row per column
-        out = np.stack([op(CubeFunction(self.n_eps, row)).coeffs for row in coeffs])
+        out = op(VectorCubeFunction.from_coeffs(self.n_eps, coeffs)).coeffs
         return BiCubeFunction(self.n_eps, self.n_delta, walsh_transform(out).T)

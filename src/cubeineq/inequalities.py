@@ -18,10 +18,10 @@ unknown, so nothing here pins one).  The 11 catalog entries:
     GRAD_L1P          || |grad f|_{ell^2} ||_p             vs  || L^{1/p} f ||_p   (probe, 1<p<2)
 
 rad{...} is the Rademacher average (E_delta ||sum_i delta_i . ||^p)^{1/p}.
-A side only composes `cube` operators (lifted to vector and two-variable
-operands, summed with `+`); every norm, square function and Rademacher average
-comes from `norms`, which also decides which operand class carries which value
-space.
+A side only composes `cube` operators and sums them with `+`: an operator takes
+a scalar or lq operand itself and a two-variable one through one `map_eps`
+call; every norm, square function and Rademacher average comes from `norms`,
+which also decides which operand class carries which value space.
 Three ids are aliases that repeat an entry's display: R_ABOVE_DUAL of F1 (the
 dual display carries no extra normalization of its own), DELTA_FI of
 R_BELOW_NOD and RIESZ_FULL_BELOW of RIESZ_LOWER; an alias is reported under
@@ -32,7 +32,7 @@ coefficient vector, cut into n operands for a family entry and one otherwise,
 each laid out by its value space (`_LAYOUTS`, m = 2^n points):
 
     scalar  CubeFunction        (m,)    Walsh coefficients
-    lq      VectorCubeFunction  (R, m)  coefficients of the R components
+    lq      VectorCubeFunction  (R, m)  its `coeffs`, one row per component
     Lq      BiCubeFunction      (m, m)  values F(eps, delta); F1 reads one
 
 Its warm start puts the character eps_{i mod n} in operand i, and
@@ -141,6 +141,8 @@ class SearchConfig:
 
 
 def _ratio(lhs: float, rhs: float) -> float:
+    if math.isnan(lhs) or math.isnan(rhs):
+        return math.nan
     if rhs > 0:
         return lhs / rhs
     return math.inf if lhs > 0 else 0.0
@@ -148,31 +150,28 @@ def _ratio(lhs: float, rhs: float) -> float:
 
 @dataclass(frozen=True)
 class _Layout:
-    """One value space's operand: its place in the search's coefficient vector
-    and how a CubeFunction operator reaches it.  A layout holds classes and
-    call-time lambdas only, so a wrapper installed on a module function or a
-    method sees every call."""
+    """One value space's operand and its place in the search's coefficient
+    vector.  A layout holds classes and call-time lambdas only, so a wrapper
+    installed on a module function or a method sees every call."""
 
     shape: Callable  # (m, R) -> the operand's array shape, m = 2^n points
     build: Callable  # (n, array of that shape) -> the operand
     lift: Callable  # CubeFunction f -> the operand array carrying f (by broadcasting)
-    apply: Callable  # (op, operand) -> op applied to every function the operand carries
 
 
 _LAYOUTS = {
-    "scalar": _Layout(lambda m, R: (m,), CubeFunction, lambda f: f.coeffs, lambda op, g: op(g)),
-    "lq": _Layout(lambda m, R: (R, m),
-                  lambda n, a: VectorCubeFunction([CubeFunction(n, c) for c in a]),
-                  lambda f: f.coeffs, lambda op, g: g.map(op)),
+    "scalar": _Layout(lambda m, R: (m,), CubeFunction, lambda f: f.coeffs),
+    "lq": _Layout(lambda m, R: (R, m), lambda n, a: VectorCubeFunction.from_coeffs(n, a),
+                  lambda f: f.coeffs),
     # value grids F(eps, delta): a lifted f is constant in the second cube
     "Lq": _Layout(lambda m, R: (m, m), lambda n, a: BiCubeFunction(n, n, a),
-                  lambda f: f.values()[:, None], lambda op, g: g.map_eps(op)),
+                  lambda f: f.values()[:, None]),
 }
 
 
 def _apply(op, g):
-    """Lift a CubeFunction operator to vector or two-variable operands."""
-    return _LAYOUTS[inner_kind(g)].apply(op, g)
+    """Apply a cube operator to an operand, through `map_eps` if it is two-variable."""
+    return g.map_eps(op) if isinstance(g, BiCubeFunction) else op(g)
 
 
 def _norm(instance: InequalityInstance, g) -> float:
@@ -197,8 +196,7 @@ def _rad_derivatives(instance, operands, cfg) -> float:
 
 
 def _r_above(instance, f, cfg):
-    n = instance.n
-    lhs = _rad(instance, [_apply(lambda h, i=i: riesz(h, i), f) for i in range(n)], cfg)
+    lhs = _rad(instance, [_apply(lambda h, i=i: riesz(h, i), f) for i in range(instance.n)], cfg)
     return lhs, _norm(instance, f)
 
 
@@ -218,7 +216,7 @@ def _r_below(instance, family, cfg, with_derivative=True):
 
 
 def _pisier(instance, f, cfg):
-    return (_norm(instance, _apply(lambda h: h - h.mean, f)),
+    return (_norm(instance, _apply(lambda h: frac_power(h, 0.0), f)),  # L^0 h = h - E h
             _rad_derivatives(instance, [f] * instance.n, cfg))
 
 
@@ -402,17 +400,13 @@ def search_max_ratio(instance: InequalityInstance, cfg: SearchConfig | None = No
     def ratio_of(theta):
         return evaluate(instance, _build_inputs(instance, theta), rademacher_cfg).ratio
 
-    probes = []
-    for theta in _canonical_thetas(instance):
-        r = ratio_of(theta)
-        if math.isfinite(r):
-            probes.append((r, theta))
-    for _ in range(max(1, cfg.trials)):
-        theta = rng.standard_normal(dim)
-        theta /= np.linalg.norm(theta)
-        r = ratio_of(theta)
-        if math.isfinite(r):
-            probes.append((r, theta))
+    def probe_thetas():
+        yield from _canonical_thetas(instance)
+        for _ in range(max(1, cfg.trials)):
+            theta = rng.standard_normal(dim)
+            yield theta / np.linalg.norm(theta)
+
+    probes = [(r, theta) for theta in probe_thetas() if math.isfinite(r := ratio_of(theta))]
     if not probes:
         raise RuntimeError("no probe produced a finite ratio")
     probes.sort(key=lambda pair: pair[0], reverse=True)

@@ -165,29 +165,24 @@ def lp_norm(f, p: float) -> float:
     """
     if not p >= 1:
         raise ValueError(f"exponent must be in [1, inf], got {p}")
+    spec = MixedNormSpec.scalar(p)
     if isinstance(f, CubeFunction):
-        vals, spec = f.values(), MixedNormSpec.scalar(p)
+        vals = f.values()
         k = _rescale(vals, spec)
         return _unscale(_root(_pattern_powers(vals, spec), p), k)
     if isinstance(f, RadialProfile):
         a = np.abs(f.v)
-        if np.isinf(p):
-            return float(a.max())
-        return float((binomial_weights(f.n) @ a**p) ** (1.0 / p))
+        k = _rescale(a, spec)  # k = 0 at p = inf, which has no finite exponent
+        return _unscale(_root(a.max() if np.isinf(p) else binomial_weights(f.n) @ a**p, p), k)
     raise TypeError(f"unsupported operand {type(f).__name__}")
 
 
 def _operand_values(operands) -> np.ndarray:
-    """Point values of same-kind operands stacked on a leading axis, from one
-    batched transform; BiCubeFunction operands keep their stored grid."""
-    g = operands[0]
-    if isinstance(g, BiCubeFunction):
+    """Point values of operands of one `inner_kind` stacked on a leading axis,
+    from one batched transform; BiCubeFunction operands keep their stored grid."""
+    if isinstance(operands[0], BiCubeFunction):
         return np.stack([h.values for h in operands])
-    if isinstance(g, CubeFunction):
-        return walsh_transform(np.stack([h.coeffs for h in operands]))
-    if isinstance(g, VectorCubeFunction):
-        return walsh_transform(np.array([[c.coeffs for c in h.components] for h in operands]))
-    raise TypeError(f"unsupported operand {type(g).__name__}")
+    return walsh_transform(np.stack([h.coeffs for h in operands]))
 
 
 def inner_kind(g) -> str | None:

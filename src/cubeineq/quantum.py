@@ -418,12 +418,10 @@ def block_diag(F: VectorCubeFunction) -> np.ndarray:
     """D_F: the T_{f^r} on the diagonal; sigma_p of it (cube-normalized)
     is the L^p(ell^p) norm."""
     _check_block(F)
-    mats = [embed(c).mat for c in F.components]
-    m = 1 << F.n
-    out = np.zeros((m * F.R, m * F.R), dtype=complex)
-    for r, Tr in enumerate(mats):
-        out[r * m:(r + 1) * m, r * m:(r + 1) * m] = Tr
-    return out
+    m, r = 1 << F.n, np.arange(F.R)
+    out = np.zeros((F.R, m, F.R, m), dtype=complex)
+    out[r, :, r, :] = [embed(c).mat for c in F.components]  # block (r, r) is T_{f^r}
+    return out.reshape(F.R * m, F.R * m)
 
 
 def block_column_norm(F: VectorCubeFunction, p: float) -> float:

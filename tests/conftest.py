@@ -188,6 +188,13 @@ def same_bytes(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def per_component_reference(op, F):
+    """op applied to the components of a VectorCubeFunction one at a time: the
+    coefficient rows of the R results, and whether any of them lost its mean."""
+    parts = [op(c) for c in F.components]
+    return np.stack([g.coeffs for g in parts]), any(g.mean_annihilated for g in parts)
+
+
 def discrete_derivative_reference(coeffs, i):
     """D_i from an int64 index array and a float keep-mask."""
     idx = np.arange(len(coeffs))

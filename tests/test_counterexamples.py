@@ -11,6 +11,15 @@ from cubeineq.radial import binomial_weights
 from conftest import brute_sup_rademacher_moment
 
 
+@pytest.mark.parametrize("report", [lambda: cx.riesz_above_vector_check(1024, 2.0, 1.5),
+                                    lambda: cx.lamberton_ratio(1024, 1.5)])
+def test_a_nan_side_gives_a_nan_ratio(report):
+    # past the Krawtchouk table's precision the rhs is nan (ROADMAP item 1); the
+    # ratio used to read 0.0 and inf here, a finite-looking answer from no answer
+    rep = report()
+    assert math.isnan(rep.rhs) and math.isnan(rep.ratio)
+
+
 def test_profile_vanishes_inside_root_n_ball():
     n = 100
     prof = cx.talagrand_profile(n)

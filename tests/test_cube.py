@@ -31,8 +31,8 @@ from cubeineq.rng import stream_generator
 from conftest import (apply_multiplier_reference, brute_walsh_coefficients,
                       derivative_value_matrix, discrete_derivative_reference,
                       group_translate_reference, partial_derivative_reference,
-                      permute_coordinates_reference, riesz_reference, same_bytes,
-                      walsh_reference)
+                      per_component_reference, permute_coordinates_reference,
+                      riesz_reference, same_bytes, walsh_reference)
 
 
 def test_two_point_expansion():
@@ -294,10 +294,10 @@ def test_permute_coordinates(rng):
             permute_coordinates(f, bad)
 
 
-def _signed_zero_coeffs(n, rng):
+def _signed_zero_coeffs(n, rng, *lead):
     """Standard-normal coefficients with a quarter of them -0.0 and a quarter +0.0."""
-    c = rng.standard_normal(1 << n)
-    pick = rng.integers(0, 4, size=1 << n)
+    c = rng.standard_normal((*lead, 1 << n))
+    pick = rng.integers(0, 4, size=c.shape)
     c[pick == 0] = -0.0
     c[pick == 1] = 0.0
     return c
@@ -357,11 +357,63 @@ def test_coordinate_operators_allocate_only_their_output(rng, op, n):
 
 def test_vector_cube_function(rng):
     F = VectorCubeFunction([random_function(4, rng) for _ in range(3)])
-    assert F.R == 3 and F.n == 4
-    mapped = F.map(lambda g: heat(g, 0.5))
-    assert np.allclose(mapped.components[1].coeffs, heat(F.components[1], 0.5).coeffs)
+    assert F.R == 3 and F.n == 4 and F.coeffs.shape == (3, 16)
+    smoothed = heat(F, 0.5)
+    assert type(smoothed) is VectorCubeFunction
+    assert np.allclose(smoothed.components[1].coeffs, heat(F.components[1], 0.5).coeffs)
+    assert np.shares_memory(F.components[1].coeffs, F.coeffs[1])  # a view of the row
     with pytest.raises(ValueError):
         VectorCubeFunction([random_function(3, rng), random_function(4, rng)])
+    with pytest.raises(ValueError):
+        VectorCubeFunction([])
+    for bad in (np.zeros(16), np.zeros((0, 16)), np.zeros((2, 8))):
+        with pytest.raises(ValueError):
+            VectorCubeFunction.from_coeffs(4, bad)
+
+
+@pytest.mark.parametrize("left, right", [((1, 3), (3, 3)), ((3, 3), (1, 3)), ((2, 3), (2, 4))])
+def test_vector_sum_refuses_a_component_count_or_dimension_mismatch(rng, left, right):
+    # (1, m) + (3, m) would broadcast silently if the coefficient arrays were added unchecked
+    F, G = (VectorCubeFunction.from_coeffs(n, rng.standard_normal((R, 1 << n)))
+            for R, n in (left, right))
+    with pytest.raises(ValueError, match="mismatch"):
+        F + G
+
+
+def test_vector_sum_and_scaling_are_per_component(rng):
+    F, G = (VectorCubeFunction([random_function(3, rng) for _ in range(3)]) for _ in range(2))
+    assert same_bytes((F + G).coeffs, np.stack([(a + b).coeffs for a, b in
+                                                zip(F.components, G.components)]))
+    assert same_bytes((2.5 * F).coeffs, np.stack([(2.5 * a).coeffs for a in F.components]))
+    with pytest.raises(ValueError, match="mismatch"):
+        F + F.components[0]
+
+
+_BATCHED_OPERATORS = {
+    "discrete_derivative": lambda f: discrete_derivative(f, f.n - 1),
+    "partial_derivative": lambda f: partial_derivative(f, f.n // 2),
+    "apply_multiplier": lambda f: apply_multiplier(f, np.linspace(-1.0, 2.0, f.n + 1)),
+    "laplacian": laplacian,
+    "heat": lambda f: heat(f, 0.3),
+    "frac_power": lambda f: frac_power(f, 0.5),
+    "riesz": lambda f: riesz(f, f.n // 2),
+    "group_translate": lambda f: group_translate(f, 1 - 2 * (np.arange(f.n) % 2)),
+    "permute_coordinates": lambda f: permute_coordinates(f, np.roll(np.arange(f.n), 1)),
+}
+
+
+@pytest.mark.parametrize("R", [1, 3])
+@pytest.mark.parametrize("n", range(1, 18))
+def test_batched_operators_equal_per_component_calls(rng, n, R):
+    # n = 16 and 17 take the level multipliers past one _BLOCK of values; a quarter
+    # of the coefficients are -0.0, and D_i turns negative ones into -0.0 too
+    F = VectorCubeFunction.from_coeffs(n, _signed_zero_coeffs(n, rng, R))
+    for name, op in _BATCHED_OPERATORS.items():
+        out = op(F)
+        rows, flagged = per_component_reference(op, F)
+        assert type(out) is VectorCubeFunction and out.n == n, name
+        assert same_bytes(out.coeffs, rows), name
+        assert out.mean_annihilated == flagged, name
 
 
 def test_bicube_marginals_and_reembedding(rng):
@@ -401,7 +453,15 @@ def test_map_eps_matches_per_column_loop(rng, n_eps, n_delta):
         loop = np.empty_like(F.values)
         for col in range(F.values.shape[1]):
             loop[:, col] = op(CubeFunction.from_values(F.values[:, col])).values()
-        assert np.array_equal(F.map_eps(op).values, loop)
+        calls = []
+
+        def counted(h, op=op):
+            calls.append(h.coeffs.shape)
+            return op(h)
+
+        assert same_bytes(F.map_eps(counted).values, loop)
+        # one operator call, on all 2^n_delta columns as the components of one operand
+        assert calls == [(1 << n_delta, 1 << n_eps)]
 
 
 def _spread(rng, shape):

@@ -31,6 +31,7 @@ from cubeineq.inequalities import (
     _build_inputs,
     _canonical_thetas,
     _input_dim,
+    _ratio,
 )
 from cubeineq.norms import lp_norm, rademacher_avg
 from cubeineq.rng import stream_generator
@@ -320,6 +321,12 @@ def test_inputs_over_budget_refused(rng):
             random_inputs(inst, rng)
         with pytest.raises(ValueError, match="budget"):
             search_max_ratio(inst, SearchConfig(trials=1))
+
+
+@pytest.mark.parametrize("lhs, rhs", [(math.nan, 1.0), (1.0, math.nan), (math.nan, 0.0),
+                                      (0.0, math.nan), (math.nan, math.nan)])
+def test_a_nan_side_gives_a_nan_ratio(lhs, rhs):
+    assert math.isnan(_ratio(lhs, rhs))
 
 
 def test_infinite_ratio_reported_not_raised():

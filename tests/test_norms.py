@@ -27,7 +27,7 @@ from cubeineq.norms import (
     sup_gradient_sum_by_sign_total,
 )
 from cubeineq.counterexamples import lamberton_point_mass, talagrand_profile
-from cubeineq.radial import RadialProfile
+from cubeineq.radial import RadialProfile, binomial_weights
 from cubeineq import norms
 from cubeineq.norms import _BLOCK, _envelope_weights, _pattern_powers, _pow, _upper_chain
 from conftest import (brute_sup_rademacher_moment, brute_upper_chain, pow_reference,
@@ -404,6 +404,23 @@ def test_lp_norm_of_a_constant_outside_the_power_range(value, p):
     assert lp_norm(CubeFunction(3, c), p) == pytest.approx(value, rel=1e-14)
 
 
+@pytest.mark.parametrize("value", [1e-162, 1e200])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_radial_lp_norm_of_a_constant_outside_the_power_range(value, p):
+    # binomial weights sum to one, so the norm of a constant profile is the constant;
+    # unscaled, value^p underflowed to 0.0 or overflowed to inf with a warning
+    with np.errstate(all="raise"):
+        assert lp_norm(RadialProfile(3, np.full(4, value)), p) == pytest.approx(value, rel=1e-14)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, np.inf])
+def test_radial_lp_norm_at_unit_scale_is_the_unscaled_binomial_mean(rng, p):
+    prof = RadialProfile(40, rng.standard_normal(41))
+    a = np.abs(prof.v)
+    raw = a.max() if np.isinf(p) else (binomial_weights(40) @ a**p) ** (1.0 / p)
+    assert lp_norm(prof, p) == float(raw)  # no rescale at unit scale: the same bits
+
+
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 7.5, 2000.0])
 @pytest.mark.parametrize("shift", [-1000, -400, 400, 1000])
 def test_norms_scale_exactly_by_powers_of_two_at_every_p(rng, p, shift):
@@ -415,7 +432,7 @@ def test_norms_scale_exactly_by_powers_of_two_at_every_p(rng, p, shift):
         if isinstance(g, CubeFunction):
             return CubeFunction(g.n, np.ldexp(g.coeffs, shift))
         if isinstance(g, VectorCubeFunction):
-            return g.map(scaled)
+            return VectorCubeFunction.from_coeffs(g.n, np.ldexp(g.coeffs, shift))
         return BiCubeFunction(g.n_eps, g.n_delta, np.ldexp(g.values, shift))
 
     pairs = [(lp_norm(f, p), lp_norm(scaled(f), p))]
