@@ -6,13 +6,14 @@ A function f on the cube is a multilinear polynomial
 
 indexed by subsets A of {0,..,n-1}.  We store the coefficient vector fhat
 over subset bitmasks (bit i of the mask <-> coordinate i, little-endian).
-Every operator below acts on the last axis of `coeffs`: of a CubeFunction, or
-of the (R, 2^n) array of a VectorCubeFunction's R components, and returns the
-same class; a BiCubeFunction's columns reach it in one `map_eps` call.  The
-coordinate operators act on the halves of that axis split by bit i (`_halves`,
-the one place that knows the layout): D_i keeps the terms with i in A,
-partial_i moves them onto A\\{i}, and a translation flips their signs.  Only
-the level multipliers go through `levels`:
+Every operator below acts on the last axis of `coeffs` and returns the same
+class: of a CubeFunction, of the (R, 2^n) rows of a VectorCubeFunction's R
+components, or of the (2^n_delta, 2^n) rows of a BiCubeFunction F(eps, delta),
+one eps-coefficient row per point delta.  The coordinate operators act on the
+halves of that axis split by bit i (`_halves`, the one place that knows the
+layout): D_i keeps the terms with i in A, partial_i moves them onto A\\{i},
+and a translation flips their signs.  Only the level multipliers go through
+`levels`:
 
     Laplacian  L        multiplies level k by k          (L = sum_i D_i),
     heat       P_t      multiplies level k by exp(-t*k),
@@ -384,12 +385,48 @@ def permute_coordinates(f: CubeFunction, perm) -> CubeFunction:
 # -- vector- and two-variable functions ---------------------------------------
 
 
-class VectorCubeFunction:
-    """An ell^q_R-valued function on {-1,1}^n: R cube functions sharing n, stored
-    as one (R, 2^n) array `coeffs` whose row r holds the Walsh coefficients of
-    component r.  The coefficient operators act on every row in one call."""
+class _CoeffRows:
+    """Cube functions sharing n, as the rows of one (R, 2^n) array `coeffs`."""
 
     __slots__ = ("n", "coeffs", "mean_annihilated")
+    _ROWS = "R"  # the name of the row count; a power of two unless "R"
+
+    @classmethod
+    def from_coeffs(cls, n: int, coeffs, mean_annihilated: bool = False):
+        """The function whose row r has the Walsh coefficients coeffs[r]."""
+        _check_dense_n(n)
+        coeffs = np.asarray(coeffs, dtype=np.float64)
+        rows = len(coeffs) if coeffs.ndim == 2 else 0
+        if not rows or coeffs.shape[1] != 1 << n or cls._ROWS != "R" and rows & (rows - 1):
+            raise ValueError(f"expected ({cls._ROWS}, {1 << n}) coefficients, got {coeffs.shape}")
+        F = cls.__new__(cls)
+        F.n, F.coeffs, F.mean_annihilated = n, coeffs, mean_annihilated
+        return F
+
+    def _with(self, coeffs, mean_annihilated: bool = False):
+        return self.from_coeffs(self.n, coeffs, mean_annihilated)
+
+    @property
+    def R(self) -> int:
+        return self.coeffs.shape[0]
+
+    def __add__(self, other):
+        if type(other) is not type(self) or self.coeffs.shape != other.coeffs.shape:
+            raise ValueError(f"shape mismatch: {type(self).__name__} {self.coeffs.shape} + "
+                             f"{type(other).__name__} {np.shape(getattr(other, 'coeffs', None))}")
+        return self._with(self.coeffs + other.coeffs)
+
+    def __mul__(self, scalar):
+        return self._with(self.coeffs * float(scalar))
+
+    __rmul__ = __mul__
+
+
+class VectorCubeFunction(_CoeffRows):
+    """An ell^q_R-valued function on {-1,1}^n: row r of `coeffs` holds the Walsh
+    coefficients of component r."""
+
+    __slots__ = ()
 
     def __init__(self, components):
         components = list(components)
@@ -398,24 +435,6 @@ class VectorCubeFunction:
         self.n = components[0].n
         self.coeffs = np.stack([c.coeffs for c in components])
         self.mean_annihilated = any(c.mean_annihilated for c in components)
-
-    @classmethod
-    def from_coeffs(cls, n: int, coeffs, mean_annihilated: bool = False) -> "VectorCubeFunction":
-        """The function whose component r has the Walsh coefficients coeffs[r]."""
-        _check_dense_n(n)
-        coeffs = np.asarray(coeffs, dtype=np.float64)
-        if coeffs.ndim != 2 or coeffs.shape[0] == 0 or coeffs.shape[1] != 1 << n:
-            raise ValueError(f"expected (R, {1 << n}) coefficients for n={n}, got {coeffs.shape}")
-        F = cls.__new__(cls)
-        F.n, F.coeffs, F.mean_annihilated = n, coeffs, mean_annihilated
-        return F
-
-    def _with(self, coeffs, mean_annihilated: bool = False) -> "VectorCubeFunction":
-        return VectorCubeFunction.from_coeffs(self.n, coeffs, mean_annihilated)
-
-    @property
-    def R(self) -> int:
-        return self.coeffs.shape[0]
 
     @property
     def components(self) -> list[CubeFunction]:
@@ -426,66 +445,53 @@ class VectorCubeFunction:
         """(R, 2^n) array of point values."""
         return walsh_transform(self.coeffs)
 
-    def __add__(self, other):
-        if self.coeffs.shape != other.coeffs.shape:
-            raise ValueError(f"(R, 2^n) mismatch: {self.coeffs.shape} vs {other.coeffs.shape}")
-        return self._with(self.coeffs + other.coeffs)
 
-    def __mul__(self, scalar):
-        return self._with(self.coeffs * float(scalar))
+class BiCubeFunction(_CoeffRows):
+    """Real function F(eps, delta) on a product cube, whose row delta of `coeffs`
+    holds the eps-Walsh coefficients of F(., delta); so `n` is n_eps.  The
+    constructor takes, and `values` gives, the (eps, delta) value grid."""
 
-    __rmul__ = __mul__
-
-
-class BiCubeFunction:
-    """Real function F(eps, delta) on a product cube, stored as a value grid.
-
-    Row index runs over the first (eps) cube, column index over the second
-    (delta) cube, both in the standard point-index convention.
-    """
-
-    __slots__ = ("n_eps", "n_delta", "values")
+    __slots__ = ()
+    _ROWS = "2^n_delta"
 
     def __init__(self, n_eps: int, n_delta: int, values):
+        _check_dense_n(n_eps)
         values = np.asarray(values, dtype=np.float64)
         if values.shape != (1 << n_eps, 1 << n_delta):
             raise ValueError(f"value grid must be 2^{n_eps} x 2^{n_delta}")
-        self.n_eps = n_eps
-        self.n_delta = n_delta
-        self.values = values
+        self.n, self.mean_annihilated = n_eps, False
+        self.coeffs = walsh_transform(values.T) / (1 << n_eps)
+
+    n_eps = property(lambda self: self.n)
+    n_delta = property(lambda self: self.R.bit_length() - 1)
+
+    @property
+    def values(self) -> np.ndarray:
+        """The (2^n_eps, 2^n_delta) grid of values F(eps, delta)."""
+        return walsh_transform(self.coeffs).T
 
     @classmethod
     def from_sign_family(cls, family) -> "BiCubeFunction":
         """F(eps, delta) = sum_j delta_j f_j(eps) from cube functions f_j."""
-        family = list(family)
-        n_eps, n_delta = family[0].n, len(family)
-        cols = np.zeros((1 << n_eps, 1 << n_delta))
-        for j, fj in enumerate(family):
-            cols += np.outer(fj.values(), character(n_delta, 1 << j).values())
-        return cls(n_eps, n_delta, cols)
+        rows = np.stack([fj.coeffs for fj in family])
+        signs = 1.0 - 2.0 * (np.arange(1 << len(rows))[:, None] >> np.arange(len(rows)) & 1)
+        return cls.from_coeffs(rows.shape[1].bit_length() - 1, signs @ rows)
 
     @classmethod
     def from_translate(cls, f: CubeFunction) -> "BiCubeFunction":
-        """F(eps, eta) = f(eps * eta), the group-shifted two-variable lift."""
-        return cls(f.n, f.n, f.values()[_xor_grid(f.n)])
-
-    def __add__(self, other: "BiCubeFunction") -> "BiCubeFunction":
-        if (self.n_eps, self.n_delta) != (other.n_eps, other.n_delta):
-            raise ValueError("value grid shape mismatch")
-        return BiCubeFunction(self.n_eps, self.n_delta, self.values + other.values)
+        """F(eps, eta) = f(eps * eta): row eta holds fhat(A) eta^A, a Walsh matrix entry."""
+        return cls.from_coeffs(f.n, walsh_transform(np.eye(1 << f.n)) * f.coeffs)
 
     def marginal(self, j: int) -> CubeFunction:
         """F_j(eps) = E_delta[ delta_j F(eps, delta) ]."""
         if not 0 <= j < self.n_delta:
             raise ValueError(f"coordinate {j} out of range for n_delta={self.n_delta}")
-        dsign = character(self.n_delta, 1 << j).values()
-        return CubeFunction.from_values(self.values @ dsign / (1 << self.n_delta))
+        delta_j = 1.0 - 2.0 * (np.arange(self.R) >> j & 1)
+        return CubeFunction(self.n, delta_j @ self.coeffs / self.R)
 
     def marginals(self) -> list[CubeFunction]:
         return [self.marginal(j) for j in range(self.n_delta)]
 
     def map_eps(self, op) -> "BiCubeFunction":
-        """Apply a cube operator in eps: one call on the delta columns as R components."""
-        coeffs = walsh_transform(self.values.T) / (1 << self.n_eps)  # one row per column
-        out = op(VectorCubeFunction.from_coeffs(self.n_eps, coeffs)).coeffs
-        return BiCubeFunction(self.n_eps, self.n_delta, walsh_transform(out).T)
+        """op(self): kept as the L^q layer's name in `perfbench`; the package never calls it."""
+        return op(self)

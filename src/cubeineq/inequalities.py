@@ -18,10 +18,11 @@ unknown, so nothing here pins one).  The 11 catalog entries:
     GRAD_L1P          || |grad f|_{ell^2} ||_p             vs  || L^{1/p} f ||_p   (probe, 1<p<2)
 
 rad{...} is the Rademacher average (E_delta ||sum_i delta_i . ||^p)^{1/p}.
-A side only composes `cube` operators and sums them with `+`: an operator takes
-a scalar or lq operand itself and a two-variable one through one `map_eps`
-call; every norm, square function and Rademacher average comes from `norms`,
-which also decides which operand class carries which value space.
+A side only composes `cube` operators and sums them with `+`: every operand
+class stores Walsh coefficients in eps on its last axis, so an operator takes a
+scalar, lq or Lq operand alike; every norm, square function and Rademacher
+average comes from `norms`, which also decides which operand class carries
+which value space.
 Three ids are aliases that repeat an entry's display: R_ABOVE_DUAL of F1 (the
 dual display carries no extra normalization of its own), DELTA_FI of
 R_BELOW_NOD and RIESZ_FULL_BELOW of RIESZ_LOWER; an alias is reported under
@@ -108,6 +109,8 @@ class InequalityInstance:
             raise ValueError(f"GRAD_L1P probes 1 < p < 2, got p={self.p}")
         if self.inner not in ("scalar", "lq", "Lq"):
             raise ValueError(f"unknown inner kind {self.inner!r}")
+        if self.R < 1:
+            raise ValueError(f"R (the lq component count) must be >= 1, got {self.R}")
         if entry.scalar_only and self.inner != "scalar":
             raise ValueError(f"{ineq} is implemented for scalar values only")
 
@@ -169,11 +172,6 @@ _LAYOUTS = {
 }
 
 
-def _apply(op, g):
-    """Apply a cube operator to an operand, through `map_eps` if it is two-variable."""
-    return g.map_eps(op) if isinstance(g, BiCubeFunction) else op(g)
-
-
 def _norm(instance: InequalityInstance, g) -> float:
     return mixed_norm(g, instance.norm_spec())
 
@@ -191,32 +189,29 @@ def _rad(instance, operands, cfg) -> float:
 
 def _rad_derivatives(instance, operands, cfg) -> float:
     """rad{D_i g_i} over the operands g_0..g_{n-1}."""
-    return _rad(instance, [_apply(lambda h, i=i: discrete_derivative(h, i), g)
-                           for i, g in enumerate(operands)], cfg)
+    return _rad(instance, [discrete_derivative(g, i) for i, g in enumerate(operands)], cfg)
 
 
 def _r_above(instance, f, cfg):
-    lhs = _rad(instance, [_apply(lambda h, i=i: riesz(h, i), f) for i in range(instance.n)], cfg)
+    lhs = _rad(instance, [riesz(f, i) for i in range(instance.n)], cfg)
     return lhs, _norm(instance, f)
 
 
 def _riesz_lower(instance, f, cfg, gamma=0.0):
-    lhs = _norm(instance, _apply(lambda h: frac_power(h, gamma - 0.5), f))
+    lhs = _norm(instance, frac_power(f, gamma - 0.5))
     return lhs, _rad_derivatives(instance, [f] * instance.n, cfg)
 
 
 def _r_below(instance, family, cfg, with_derivative=True):
-    a = instance.a
-    lhs = _norm(instance, reduce(operator.add, (
-        _apply(lambda h, i=i: frac_power(discrete_derivative(h, i), a), g)
-        for i, g in enumerate(family))))
+    lhs = _norm(instance, reduce(operator.add, (frac_power(discrete_derivative(g, i), instance.a)
+                                                for i, g in enumerate(family))))
     if with_derivative:
         return lhs, _rad_derivatives(instance, family, cfg)
     return lhs, _rad(instance, family, cfg)
 
 
 def _pisier(instance, f, cfg):
-    return (_norm(instance, _apply(lambda h: frac_power(h, 0.0), f)),  # L^0 h = h - E h
+    return (_norm(instance, frac_power(f, 0.0)),  # L^0 f = f - E f
             _rad_derivatives(instance, [f] * instance.n, cfg))
 
 
@@ -228,7 +223,7 @@ def _f1(instance, F, cfg):
 
 
 def _df(instance, g, cfg):
-    lhs = _rad(instance, [_apply(lambda h, j=j: frac_power(discrete_derivative(h, j), 1.0), g)
+    lhs = _rad(instance, [frac_power(discrete_derivative(g, j), 1.0)
                           for j in range(instance.n)], cfg)
     return lhs, _norm(instance, g)
 
@@ -239,9 +234,8 @@ def _pt_deriv(instance, family, cfg):
     t = instance.t
     shifted = np.zeros(instance.n + 1)
     shifted[1:] = np.exp(-t * np.arange(instance.n))
-    lhs = _norm(instance, reduce(operator.add, (
-        _apply(lambda h, i=i: apply_multiplier(discrete_derivative(h, i), shifted), g)
-        for i, g in enumerate(family))))
+    lhs = _norm(instance, reduce(operator.add, (apply_multiplier(discrete_derivative(g, i), shifted)
+                                                for i, g in enumerate(family))))
     rhs = _rad_derivatives(instance, family, cfg)
     return lhs, rhs / math.sqrt(-math.expm1(-2.0 * t))
 
@@ -323,9 +317,8 @@ def _check_operands(operands, instance: InequalityInstance) -> None:
         if inner_kind(g) != inner:
             raise ValueError(f"{instance.ineq_id} expects {inner} operands, "
                              f"got {type(g).__name__}")
-        gn = g.n_eps if inner == "Lq" else g.n
-        if gn != instance.n:
-            raise ValueError(f"operand dimension {gn} != instance n={instance.n}")
+        if g.n != instance.n:
+            raise ValueError(f"operand dimension {g.n} != instance n={instance.n}")
         if instance.input_kind == "bi" and g.n_delta != instance.n:
             raise ValueError(f"{instance.ineq_id} needs n_eps = n_delta = n={instance.n}, "
                              f"got n_eps={g.n_eps}, n_delta={g.n_delta}")

@@ -3,7 +3,9 @@
 Everything is taken with respect to the uniform probability measure on the
 cube, so `lp_norm` is a p-th power *mean* and norms are nondecreasing in p.
 Inner norms for vector-valued work are either the counting norm ell^q over
-R components or L^q / L^infty over a second cube variable.
+R components or L^q / L^infty over a second cube variable.  Operands carry
+Walsh coefficients on their last axis, so one batched transform gives all their
+values, and an inner norm reduces axis -2: R components or 2^n_delta points.
 
 `rademacher_avg` computes (E_delta || sum_i delta_i g_i ||_{L^p(X)}^p)^{1/p}
 from ||x||^p per sign pattern (no root before the average), over the 2^{k-1}
@@ -138,11 +140,11 @@ def _pattern_powers(block: np.ndarray, spec: MixedNormSpec,
     if spec.inner == "scalar":
         s = a
     elif np.isinf(spec.q):
-        s = a.max(axis=-2 if spec.inner == "lq" else -1)
+        s = a.max(axis=-2)
     else:
         q = spec.q  # lq: counting sum over R; Lq: mean over the second cube
         s = _pow(a, q, scratch)
-        s = s.sum(axis=-2) if spec.inner == "lq" else s.mean(axis=-1)
+        s = s.sum(axis=-2) if spec.inner == "lq" else s.mean(axis=-2)
     if np.isinf(spec.p):
         return s.max(axis=-1) ** (1.0 / q)
     return _pow(s, spec.p / q, scratch if s is a else None).mean(axis=-1)
@@ -178,10 +180,7 @@ def lp_norm(f, p: float) -> float:
 
 
 def _operand_values(operands) -> np.ndarray:
-    """Point values of operands of one `inner_kind` stacked on a leading axis,
-    from one batched transform; BiCubeFunction operands keep their stored grid."""
-    if isinstance(operands[0], BiCubeFunction):
-        return np.stack([h.values for h in operands])
+    """Point values of same-shape operands on a leading axis, from one batched transform."""
     return walsh_transform(np.stack([h.coeffs for h in operands]))
 
 
@@ -262,6 +261,8 @@ def rademacher_avg(operands, p: float, spec: MixedNormSpec | None = None,
     for g in operands:
         if inner_kind(g) != spec.inner:
             raise ValueError(f"operand {type(g).__name__} does not match spec {spec}")
+        if g.coeffs.shape != operands[0].coeffs.shape:
+            raise ValueError(f"operand shape {g.coeffs.shape} != {operands[0].coeffs.shape}")
     k = len(operands)
     vals = _operand_values(operands)  # (k, ...)
     scale = _rescale(vals, spec, terms=k, moments=1 if cfg.mode == "exact" else 2)

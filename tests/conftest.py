@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import cubeineq.quantum as qt
-from cubeineq.cube import levels
+from cubeineq.cube import CubeFunction, levels
 from cubeineq.rng import stream_generator
 
 
@@ -193,6 +193,14 @@ def per_component_reference(op, F):
     coefficient rows of the R results, and whether any of them lost its mean."""
     parts = [op(c) for c in F.components]
     return np.stack([g.coeffs for g in parts]), any(g.mean_annihilated for g in parts)
+
+
+def per_column_reference(op, grid):
+    """op applied in eps to the (eps, delta) value grid of a two-variable function,
+    one delta column at a time through a CubeFunction: the value grid of the
+    result, and whether any column lost its mean."""
+    parts = [op(CubeFunction.from_values(col)) for col in np.asarray(grid).T]
+    return np.stack([g.values() for g in parts], axis=1), any(g.mean_annihilated for g in parts)
 
 
 def discrete_derivative_reference(coeffs, i):

@@ -76,6 +76,15 @@ def test_out_of_range_parameter_names_range(capsys):
     assert "(0, 1]" in err
 
 
+@pytest.mark.parametrize("r", ["0", "-1"])
+def test_component_count_below_one_is_refused(capsys, r):
+    # unchecked, 0 failed on an (R, 8) shape and -1 on numpy's negative dimensions
+    code, out, err = run_cli(capsys, "ratio", "--ineq", "PISIER", "--n", "3", "--p", "3",
+                             "--q", "2", "--inner", "lq", "--r-components", r)
+    assert code == 1 and out == ""
+    assert f"R (the lq component count) must be >= 1, got {r}" in err
+
+
 def test_usage_error_exit_one(capsys):
     code, _, _ = run_cli(capsys, "verify", "formula", "--which", "nonsense")
     assert code == 1

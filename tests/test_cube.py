@@ -31,8 +31,9 @@ from cubeineq.rng import stream_generator
 from conftest import (apply_multiplier_reference, brute_walsh_coefficients,
                       derivative_value_matrix, discrete_derivative_reference,
                       group_translate_reference, partial_derivative_reference,
-                      per_component_reference, permute_coordinates_reference,
-                      riesz_reference, same_bytes, walsh_reference)
+                      per_column_reference, per_component_reference,
+                      permute_coordinates_reference, riesz_reference, same_bytes,
+                      walsh_reference)
 
 
 def test_two_point_expansion():
@@ -197,11 +198,29 @@ def test_frac_power_composes_and_flags(rng):
 
 
 def test_bicube_sum_is_the_value_sum(rng):
-    a = BiCubeFunction(2, 3, rng.standard_normal((4, 8)))
-    b = BiCubeFunction(2, 3, rng.standard_normal((4, 8)))
-    assert np.array_equal((a + b).values, a.values + b.values)
+    ga, gb = rng.standard_normal((2, 4, 8))
+    a, b = BiCubeFunction(2, 3, ga), BiCubeFunction(2, 3, gb)
+    # the sum adds the stored eps-coefficient rows, which are linear in the values
+    assert same_bytes((a + b).coeffs, a.coeffs + b.coeffs)
+    assert np.max(np.abs((a + b).values - (ga + gb))) < 1e-14
     with pytest.raises(ValueError, match="shape mismatch"):
         a + BiCubeFunction(2, 0, rng.standard_normal((4, 1)))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        a + VectorCubeFunction.from_coeffs(2, a.coeffs)  # another value space
+
+
+def test_bicube_stores_eps_coefficient_rows(rng):
+    grid = rng.standard_normal((8, 4))
+    F = BiCubeFunction(3, 2, grid)
+    assert (F.n, F.n_eps, F.n_delta, F.R) == (3, 3, 2, 4)
+    for delta in range(4):
+        assert np.max(np.abs(F.coeffs[delta] - fwht(grid[:, delta]).coeffs)) < 1e-15
+    assert np.max(np.abs(F.values - grid)) < 1e-14
+    again = BiCubeFunction.from_coeffs(3, F.coeffs)
+    assert type(again) is BiCubeFunction and again.values.shape == (8, 4)
+    for bad in (np.zeros((3, 8)), np.zeros(8), np.zeros((4, 4))):
+        with pytest.raises(ValueError, match="2\\^n_delta"):
+            BiCubeFunction.from_coeffs(3, bad)
 
 
 def test_apply_multiplier_table_and_callable(rng):
@@ -447,21 +466,36 @@ def test_batched_walsh_transform_matches_rows(rng):
 
 @pytest.mark.parametrize("n_eps,n_delta", [(1, 1), (3, 2), (5, 4)])
 def test_map_eps_matches_per_column_loop(rng, n_eps, n_delta):
-    F = BiCubeFunction(n_eps, n_delta, rng.standard_normal((1 << n_eps, 1 << n_delta)))
+    grid = rng.standard_normal((1 << n_eps, 1 << n_delta))
+    F = BiCubeFunction(n_eps, n_delta, grid)
     for op in (lambda h: frac_power(discrete_derivative(h, 0), 0.5),
                lambda h: heat(h, 0.3), lambda h: riesz(h, n_eps - 1)):
-        loop = np.empty_like(F.values)
-        for col in range(F.values.shape[1]):
-            loop[:, col] = op(CubeFunction.from_values(F.values[:, col])).values()
+        loop, _ = per_column_reference(op, grid)
         calls = []
 
         def counted(h, op=op):
-            calls.append(h.coeffs.shape)
+            calls.append(h)
             return op(h)
 
-        assert same_bytes(F.map_eps(counted).values, loop)
-        # one operator call, on all 2^n_delta columns as the components of one operand
-        assert calls == [(1 << n_delta, 1 << n_eps)]
+        out = F.map_eps(counted)
+        assert np.max(np.abs(out.values - loop)) < 1e-12
+        # map_eps is one call of the operator on the function itself
+        assert len(calls) == 1 and calls[0] is F
+        assert same_bytes(out.coeffs, op(F).coeffs)
+
+
+@pytest.mark.parametrize("n_eps,n_delta", [(1, 1), (3, 2), (5, 4)])
+def test_operators_act_in_eps_on_a_bicube_function(rng, n_eps, n_delta):
+    grid = rng.standard_normal((1 << n_eps, 1 << n_delta))
+    grid[:, 0] += 1.0  # a column with a mean, for frac_power to flag
+    F = BiCubeFunction(n_eps, n_delta, grid)
+    for name, op in _BATCHED_OPERATORS.items():
+        out = op(F)
+        loop, flagged = per_column_reference(op, grid)
+        assert type(out) is BiCubeFunction, name
+        assert (out.n_eps, out.n_delta) == (n_eps, n_delta), name
+        assert np.max(np.abs(out.values - loop)) < 1e-12, name
+        assert out.mean_annihilated == flagged, name
 
 
 def _spread(rng, shape):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -347,7 +348,8 @@ def test_monte_carlo_rademacher_matches_reference_on_same_signs(rng, p):
                                   MixedNormSpec.cube(3.0, 2.0)])
 def test_rademacher_avg_makes_one_batched_transform(rng, monkeypatch, spec):
     ops = rademacher_operands(rng, spec.inner, 5)
-    per_operand = np.stack([g.values if isinstance(g, BiCubeFunction) else g.values()
+    # a BiCubeFunction's values as its (delta, eps) rows of eps-point values
+    per_operand = np.stack([g.values.T if isinstance(g, BiCubeFunction) else g.values()
                             for g in ops])
     calls = []
 
@@ -359,8 +361,21 @@ def test_rademacher_avg_makes_one_batched_transform(rng, monkeypatch, spec):
     assert np.array_equal(norms._operand_values(ops), per_operand)
     calls.clear()
     rademacher_avg(ops, 3.0, spec)
-    # a BiCubeFunction keeps its stored grid
-    assert calls == ([] if spec.inner == "Lq" else [per_operand.shape])
+    assert calls == [per_operand.shape]
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng, n: random_function(n, rng),
+    lambda rng, n: VectorCubeFunction([random_function(3, rng)] * n),
+    lambda rng, n: BiCubeFunction(3, n, rng.standard_normal((8, 1 << n))),
+])
+def test_rademacher_avg_refuses_operands_of_different_shapes(rng, make):
+    # unchecked, np.stack failed with "all input arrays must have the same shape"
+    ops = [make(rng, 1), make(rng, 2)]
+    spec = MixedNormSpec(3.0, inner_kind(ops[0]), None if isinstance(ops[0], CubeFunction) else 2.0)
+    first, second = (g.coeffs.shape for g in ops)
+    with pytest.raises(ValueError, match=re.escape(f"operand shape {second} != {first}")):
+        rademacher_avg(ops, 3.0, spec)
 
 
 @pytest.mark.parametrize("e", [1, 2, 3, 0.5, 1.5, 2.25, 2000.0])
