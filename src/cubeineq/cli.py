@@ -30,7 +30,7 @@ from .noise import (
     verify_derivative_representation,
     verify_heat_representation,
 )
-from .norms import MixedNormSpec, lp_norm, mixed_norm
+from .norms import OPERANDS, MixedNormSpec, lp_norm, mixed_norm
 from .rng import stream_generator
 from . import counterexamples as cx
 from . import quantum as qt
@@ -279,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
         one.add_argument("--a", type=float, default=None)
         one.add_argument("--gamma", type=float, default=None)
         sp.add_argument("--t", type=float, default=None)
-        sp.add_argument("--inner", choices=("scalar", "lq", "Lq"), default="scalar")
+        sp.add_argument("--inner", choices=tuple(OPERANDS), default="scalar")
         sp.add_argument("--r-components", type=int, default=2)
         sp.add_argument("--search", choices=("none", "random", "ascent"), default="none")
 

@@ -120,6 +120,11 @@ def levels(n: int) -> np.ndarray:
     return lev
 
 
+def sign_table(masks, k: int) -> np.ndarray:
+    """(len(masks), k) table of +-1: entry [r, i] is +1 if bit i of masks[r] is clear, -1 if set."""
+    return 1.0 - 2.0 * (np.asarray(masks)[:, None] >> np.arange(k) & 1)
+
+
 def signs_to_index(eta, n: int) -> int:
     """Bitmask of the -1 coordinates of a sign vector of length n with entries +-1."""
     eta = np.asarray(eta)
@@ -151,13 +156,15 @@ class CubeFunction:
     # -- construction / evaluation ------------------------------------------
 
     @classmethod
+    def from_coeffs(cls, n: int, coeffs, mean_annihilated: bool = False) -> "CubeFunction":
+        """The function with Walsh coefficients `coeffs`, as `_CoeffRows.from_coeffs`."""
+        return cls(n, coeffs, mean_annihilated)
+
+    @classmethod
     def from_values(cls, values) -> "CubeFunction":
-        values = np.asarray(values, dtype=np.float64)
-        m = values.shape[0]
-        if m == 0 or m & (m - 1):
-            raise ValueError(f"length must be a power of two, got {m}")
-        n = m.bit_length() - 1
-        return cls(n, walsh_transform(values) / m)
+        coeffs = walsh_transform(values)
+        m = coeffs.shape[-1]
+        return cls(m.bit_length() - 1, coeffs / m)
 
     def values(self) -> np.ndarray:
         """Synthesize point values; exact inverse of `from_values`."""
@@ -474,7 +481,7 @@ class BiCubeFunction(_CoeffRows):
     def from_sign_family(cls, family) -> "BiCubeFunction":
         """F(eps, delta) = sum_j delta_j f_j(eps) from cube functions f_j."""
         rows = np.stack([fj.coeffs for fj in family])
-        signs = 1.0 - 2.0 * (np.arange(1 << len(rows))[:, None] >> np.arange(len(rows)) & 1)
+        signs = sign_table(np.arange(1 << len(rows)), len(rows))
         return cls.from_coeffs(rows.shape[1].bit_length() - 1, signs @ rows)
 
     @classmethod
@@ -486,7 +493,7 @@ class BiCubeFunction(_CoeffRows):
         """F_j(eps) = E_delta[ delta_j F(eps, delta) ]."""
         if not 0 <= j < self.n_delta:
             raise ValueError(f"coordinate {j} out of range for n_delta={self.n_delta}")
-        delta_j = 1.0 - 2.0 * (np.arange(self.R) >> j & 1)
+        delta_j = sign_table(np.arange(self.R), self.n_delta)[:, j]
         return CubeFunction(self.n, delta_j @ self.coeffs / self.R)
 
     def marginals(self) -> list[CubeFunction]:

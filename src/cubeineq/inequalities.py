@@ -21,22 +21,23 @@ rad{...} is the Rademacher average (E_delta ||sum_i delta_i . ||^p)^{1/p}.
 A side only composes `cube` operators and sums them with `+`: every operand
 class stores Walsh coefficients in eps on its last axis, so an operator takes a
 scalar, lq or Lq operand alike; every norm, square function and Rademacher
-average comes from `norms`, which also decides which operand class carries
-which value space.
+average comes from `norms`, whose `OPERANDS` names the operand class that
+carries each value space.
 Three ids are aliases that repeat an entry's display: R_ABOVE_DUAL of F1 (the
 dual display carries no extra normalization of its own), DELTA_FI of
 R_BELOW_NOD and RIESZ_FULL_BELOW of RIESZ_LOWER; an alias is reported under
 the entry's id.  The ratio search is a seeded heuristic -- random restarts on
 the coefficient sphere plus greedy coordinate ascent -- and is reported as an
 observed lower bound on the constant, never a certified maximum.  It moves one
-coefficient vector, cut into n operands for a family entry and one otherwise,
-each laid out by its value space (`_LAYOUTS`, m = 2^n points):
+coefficient vector, cut into n operands for a family entry and one otherwise;
+each piece is the `coeffs` of the operand class of its value space
+(m = 2^n points):
 
     scalar  CubeFunction        (m,)    Walsh coefficients
-    lq      VectorCubeFunction  (R, m)  its `coeffs`, one row per component
-    Lq      BiCubeFunction      (m, m)  values F(eps, delta); F1 reads one
+    lq      VectorCubeFunction  (R, m)  one row per component
+    Lq      BiCubeFunction      (m, m)  eps-coefficients, one row per delta; F1 reads one
 
-Its warm start puts the character eps_{i mod n} in operand i, and
+Its warm start puts the character eps_{i mod n} in every row of operand i, and
 sum_j delta_j eps_j in F1's operand.
 """
 
@@ -54,7 +55,6 @@ import numpy as np
 
 from .cube import (
     BiCubeFunction,
-    CubeFunction,
     VectorCubeFunction,
     apply_multiplier,
     character,
@@ -63,7 +63,7 @@ from .cube import (
     gradient,
     riesz,
 )
-from .norms import (MixedNormSpec, RademacherConfig, inner_kind, lp_norm, mixed_norm,
+from .norms import (OPERANDS, MixedNormSpec, RademacherConfig, inner_kind, lp_norm, mixed_norm,
                     rademacher_avg)
 from .rng import stream_generator
 
@@ -75,8 +75,9 @@ ASCENT_STEP = 0.25  # first coordinate step of the ratio search's ascent
 class InequalityInstance:
     """One catalog entry pinned to concrete parameters.
 
-    `inner` picks the value space: "scalar", "lq" (ell^q over R components)
-    or "Lq" (L^q over a second cube variable carried by the operands).
+    `inner` picks the value space, a key of `norms.OPERANDS`: "scalar", "lq"
+    (ell^q over R components) or "Lq" (L^q over a second cube variable carried
+    by the operands); `q` is given exactly when the space has an inner norm.
     """
 
     ineq_id: str
@@ -98,8 +99,7 @@ class InequalityInstance:
                              f"catalog: {', '.join(INEQUALITY_IDS)}")
         if not (1 <= self.p < math.inf):
             raise ValueError(f"p must be in [1, inf), got {self.p}")
-        if self.q is not None and not self.q >= 1:
-            raise ValueError(f"q must be in [1, inf], got {self.q}")
+        self.norm_spec()  # refuses an unknown inner, and a q the inner does not read
         if entry.needs is not None:
             value = getattr(self, entry.needs)
             allowed, what = _PARAMETER_RANGES[entry.needs]
@@ -107,8 +107,6 @@ class InequalityInstance:
                 raise ValueError(f"{ineq} needs {what}, got {value}")
         if ineq == "GRAD_L1P" and not 1 < self.p < 2:
             raise ValueError(f"GRAD_L1P probes 1 < p < 2, got p={self.p}")
-        if self.inner not in ("scalar", "lq", "Lq"):
-            raise ValueError(f"unknown inner kind {self.inner!r}")
         if self.R < 1:
             raise ValueError(f"R (the lq component count) must be >= 1, got {self.R}")
         if entry.scalar_only and self.inner != "scalar":
@@ -119,8 +117,6 @@ class InequalityInstance:
         return CATALOG[self.ineq_id].kind
 
     def norm_spec(self) -> MixedNormSpec:
-        if self.inner == "scalar":
-            return MixedNormSpec.scalar(self.p)
         return MixedNormSpec(p=self.p, inner=self.inner, q=self.q)
 
 
@@ -149,27 +145,6 @@ def _ratio(lhs: float, rhs: float) -> float:
     if rhs > 0:
         return lhs / rhs
     return math.inf if lhs > 0 else 0.0
-
-
-@dataclass(frozen=True)
-class _Layout:
-    """One value space's operand and its place in the search's coefficient
-    vector.  A layout holds classes and call-time lambdas only, so a wrapper
-    installed on a module function or a method sees every call."""
-
-    shape: Callable  # (m, R) -> the operand's array shape, m = 2^n points
-    build: Callable  # (n, array of that shape) -> the operand
-    lift: Callable  # CubeFunction f -> the operand array carrying f (by broadcasting)
-
-
-_LAYOUTS = {
-    "scalar": _Layout(lambda m, R: (m,), CubeFunction, lambda f: f.coeffs),
-    "lq": _Layout(lambda m, R: (R, m), lambda n, a: VectorCubeFunction.from_coeffs(n, a),
-                  lambda f: f.coeffs),
-    # value grids F(eps, delta): a lifted f is constant in the second cube
-    "Lq": _Layout(lambda m, R: (m, m), lambda n, a: BiCubeFunction(n, n, a),
-                  lambda f: f.values()[:, None]),
-}
 
 
 def _norm(instance: InequalityInstance, g) -> float:
@@ -334,9 +309,12 @@ def check_input_budget(coeffs: int) -> None:
 
 
 def _input_dim(instance: InequalityInstance) -> tuple[tuple[int, ...], int]:
-    """(operand count, *operand shape) and the size of the coefficient vector."""
+    """The shape (k, *rows, m) of the coefficient vector cut into k operands, and its
+    size; rows is () for a scalar operand, (R,) for lq and (m,) for Lq, m = 2^n."""
     k = instance.n if instance.input_kind == "family" else 1
-    shape = (k, *_LAYOUTS[_operand_inner(instance)].shape(1 << instance.n, instance.R))
+    m, inner = 1 << instance.n, _operand_inner(instance)
+    rows = () if inner == "scalar" else (instance.R if inner == "lq" else m,)
+    shape = (k, *rows, m)
     dim = math.prod(shape)
     check_input_budget(dim)
     return shape, dim
@@ -344,8 +322,8 @@ def _input_dim(instance: InequalityInstance) -> tuple[tuple[int, ...], int]:
 
 def _build_inputs(instance: InequalityInstance, theta: np.ndarray):
     shape, _ = _input_dim(instance)
-    build = _LAYOUTS[_operand_inner(instance)].build
-    ops = [build(instance.n, a) for a in theta.reshape(shape)]
+    operand = OPERANDS[_operand_inner(instance)]
+    ops = [operand.from_coeffs(instance.n, a) for a in theta.reshape(shape)]
     return ops if instance.input_kind == "family" else ops[0]
 
 
@@ -367,11 +345,10 @@ def _canonical_thetas(instance: InequalityInstance) -> list[np.ndarray]:
     dictator = np.zeros(shape)
     if instance.input_kind == "bi":
         dictator[0] = BiCubeFunction.from_sign_family(
-            [character(n, 1 << j) for j in range(n)]).values
+            [character(n, 1 << j) for j in range(n)]).coeffs
     else:
-        lift = _LAYOUTS[_operand_inner(instance)].lift
-        for i in range(shape[0]):
-            dictator[i] = lift(character(n, 1 << (i % n)))
+        for i in range(shape[0]):  # broadcast into every row of an lq or Lq operand
+            dictator[i] = character(n, 1 << (i % n)).coeffs
     flat = np.ones(dim)
     return [dictator.reshape(dim) / np.linalg.norm(dictator),
             flat / np.linalg.norm(flat)]

@@ -28,8 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cube import (_BLOCK, CubeFunction, _xor_grid, character, discrete_derivative, heat,
-                   levels, signs_to_index)
+from .cube import (_BLOCK, CubeFunction, _check_coord, _xor_grid, character, discrete_derivative,
+                   heat, levels, signs_to_index)
 from .radial import RadialProfile
 from .rng import stream_generator
 
@@ -143,8 +143,7 @@ def verify_derivative_representation(f: CubeFunction, j: int, t) -> float:
         raise ValueError("derivative representation needs t > 0")
     if f.n > MAX_ENUM_N:
         raise ValueError(f"enumerative path refused for n > {MAX_ENUM_N}")
-    if not 0 <= j < f.n:
-        raise ValueError(f"coordinate {j} out of range")
+    _check_coord(f, j)
     lhs = heat(discrete_derivative(f, j), noise.t).values()
 
     e = noise.mean

@@ -3,7 +3,8 @@
 Everything is taken with respect to the uniform probability measure on the
 cube, so `lp_norm` is a p-th power *mean* and norms are nondecreasing in p.
 Inner norms for vector-valued work are either the counting norm ell^q over
-R components or L^q / L^infty over a second cube variable.  Operands carry
+R components or L^q / L^infty over a second cube variable; `OPERANDS` names
+the operand class of each value space.  Operands carry
 Walsh coefficients on their last axis, so one batched transform gives all their
 values, and an inner norm reduces axis -2: R components or 2^n_delta points.
 
@@ -43,7 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import _BLOCK, BiCubeFunction, CubeFunction, VectorCubeFunction, walsh_transform
+from .cube import (_BLOCK, BiCubeFunction, CubeFunction, VectorCubeFunction, sign_table,
+                   walsh_transform)
 from .radial import RadialProfile, binomial_pmf, binomial_weights
 from .rng import stream_generator
 
@@ -51,10 +53,15 @@ MAX_EXACT_SIGNS = 20
 _CHUNK = 1 << 12
 
 
+# the value spaces, each with the operand class that carries it; `inner_kind` inverts it
+OPERANDS = {"scalar": CubeFunction, "lq": VectorCubeFunction, "Lq": BiCubeFunction}
+_KINDS = {cls: kind for kind, cls in OPERANDS.items()}
+
+
 @dataclass(frozen=True)
 class MixedNormSpec:
-    """Outer exponent p with an inner norm: scalar, ell^q over components,
-    or L^q over a second cube variable (q may be inf)."""
+    """Outer exponent p with an inner norm, one of `OPERANDS`: scalar (no q),
+    ell^q over components, or L^q over a second cube variable (q may be inf)."""
 
     p: float
     inner: str = "scalar"
@@ -63,10 +70,13 @@ class MixedNormSpec:
     def __post_init__(self):
         if not self.p >= 1:
             raise ValueError(f"outer exponent must be >= 1, got {self.p}")
-        if self.inner not in ("scalar", "lq", "Lq"):
-            raise ValueError(f"unknown inner norm kind {self.inner!r}")
+        if self.inner not in OPERANDS:
+            raise ValueError(f"unknown inner norm kind {self.inner!r}; "
+                             f"value spaces: {', '.join(OPERANDS)}")
+        if self.inner == "scalar" and self.q is not None:
+            raise ValueError(f"the scalar space has no inner norm to read q={self.q}")
         if self.inner != "scalar" and not (self.q is not None and self.q >= 1):
-            raise ValueError("inner norm needs an exponent q >= 1")
+            raise ValueError(f"inner norm {self.inner} needs an exponent q >= 1, got {self.q}")
 
     @classmethod
     def scalar(cls, p: float) -> "MixedNormSpec":
@@ -185,8 +195,8 @@ def _operand_values(operands) -> np.ndarray:
 
 
 def inner_kind(g) -> str | None:
-    """The inner norm an operand carries ("scalar", "lq" or "Lq"); None for a non-operand."""
-    return {CubeFunction: "scalar", VectorCubeFunction: "lq", BiCubeFunction: "Lq"}.get(type(g))
+    """The value space whose `OPERANDS` class `g` is; None for a non-operand."""
+    return _KINDS.get(type(g))
 
 
 def mixed_norm(F, spec: MixedNormSpec) -> float:
@@ -271,8 +281,8 @@ def rademacher_avg(operands, p: float, spec: MixedNormSpec | None = None,
         if k > MAX_EXACT_SIGNS:
             raise ValueError(f"exact mode capped at {MAX_EXACT_SIGNS} sign variables, got {k}")
         half = 1 << (k - 1)
-        chunks = (1.0 - 2.0 * ((np.arange(lo, min(lo + _CHUNK, half))[:, None]
-                                >> np.arange(k)) & 1) for lo in range(0, half, _CHUNK))
+        chunks = (sign_table(np.arange(lo, min(lo + _CHUNK, half)), k)
+                  for lo in range(0, half, _CHUNK))
     else:
         rng = stream_generator(cfg.seed, cfg.stream)
         chunks = (1.0 - 2.0 * rng.integers(0, 2, size=(min(_CHUNK, cfg.samples - lo), k))

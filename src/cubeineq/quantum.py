@@ -41,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import (CubeFunction, VectorCubeFunction, _halves, _xor_grid, character, frac_power,
-                   levels, partial_derivative, riesz)
+from .cube import (CubeFunction, VectorCubeFunction, _check_coord, _halves, _xor_grid, character,
+                   frac_power, levels, partial_derivative, riesz)
 from .inequalities import InequalityInstance, RatioReport
 from . import inequalities
 
@@ -383,8 +383,7 @@ def verify_qa_formula(f: CubeFunction, j: int, quad: QuadratureRule) -> float:
     and folds in the per-word rotation identity defect.
     """
     _check_qubits(f.n, MAX_FORMULA_QUBITS)
-    if not 0 <= j < f.n:
-        raise ValueError(f"coordinate {j} out of range")
+    _check_coord(f, j)
     c = quad.normalizing_constant()
     lhs = embed(riesz(f, j)).mat
     g = apply_p_left(embed(partial_derivative(f, j)).mat, j)

@@ -11,6 +11,7 @@ import pytest
 import cubeineq
 from cubeineq import cli
 from cubeineq import counterexamples as cx
+from cubeineq import inequalities
 from cubeineq import quantum as qt
 from cubeineq.cli import main
 from cubeineq.norms import sign_total_window
@@ -83,6 +84,26 @@ def test_component_count_below_one_is_refused(capsys, r):
                              "--q", "2", "--inner", "lq", "--r-components", r)
     assert code == 1 and out == ""
     assert f"R (the lq component count) must be >= 1, got {r}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("ratio", "--ineq", "PISIER", "--n", "3", "--p", "3", "--q", "2"),
+    ("sweep", "--ineq", "PISIER", "--n-list", "3", "--p-list", "3", "--q-list", "2,3"),
+])
+def test_q_on_the_scalar_space_exits_one(capsys, argv):
+    # accepted, a scalar row printed q = 2.0 that no norm read
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "the scalar space has no inner norm to read q=2.0" in err
+
+
+@pytest.mark.parametrize("inner", ["lq", "Lq"])
+def test_missing_q_exits_one_before_the_input_is_drawn(capsys, monkeypatch, inner):
+    monkeypatch.setattr(inequalities, "random_inputs", lambda *a: pytest.fail("input drawn"))
+    code, out, err = run_cli(capsys, "ratio", "--ineq", "PISIER", "--n", "3", "--p", "3",
+                             "--inner", inner)
+    assert code == 1 and out == ""
+    assert f"inner norm {inner} needs an exponent q >= 1, got None" in err
 
 
 def test_usage_error_exit_one(capsys):

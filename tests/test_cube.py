@@ -23,6 +23,7 @@ from cubeineq.cube import (
     permute_coordinates,
     random_function,
     riesz,
+    sign_table,
     signs_to_index,
     walsh_transform,
 )
@@ -243,6 +244,14 @@ def test_signs_to_index_matches_bit_sum():
     for n in (1, 7, 64, 200):
         eta = 1 - 2 * rng.integers(0, 2, size=n)
         assert signs_to_index(eta, n) == sum(1 << i for i in range(n) if eta[i] == -1)
+
+
+@pytest.mark.parametrize("masks, k", [(np.arange(16), 4), (np.arange(5, 37), 6),
+                                      ([0, 1023, 512], 10), (np.arange(8), 1)])
+def test_sign_table_matches_a_per_bit_loop(masks, k):
+    table = sign_table(masks, k)
+    expected = [[-1.0 if x >> i & 1 else 1.0 for i in range(k)] for x in masks]
+    assert table.dtype == np.float64 and table.tolist() == expected
 
 
 @pytest.mark.parametrize("eta", [[1, 1], [1, 1, 1, 1], [1, 0, 7], [1, -1, 0.5], [[1, 1, 1]]])

@@ -33,7 +33,8 @@ from cubeineq.inequalities import (
     _input_dim,
     _ratio,
 )
-from cubeineq.norms import lp_norm, rademacher_avg
+from cubeineq import cube
+from cubeineq.norms import OPERANDS, lp_norm, rademacher_avg
 from cubeineq.rng import stream_generator
 
 
@@ -408,6 +409,46 @@ def test_dictator_warm_start_is_the_characters(ineq):
         for i, g in enumerate(operands):
             rows = _point_values(g)
             assert np.allclose(rows, scale * np.broadcast_to(chars[i % n], rows.shape))
+
+
+@pytest.mark.parametrize("ineq, inner", [("R_BELOW", inner) for inner in OPERANDS]
+                         + [("PISIER", "Lq"), ("F1", "scalar")])
+def test_search_vector_holds_the_operands_coeffs(ineq, inner):
+    inst = _catalog_instance(ineq, inner, R=3)
+    shape, dim = _input_dim(inst)
+    assert shape[1:] == {"scalar": (8,), "lq": (3, 8), "Lq": (8, 8)}[
+        "Lq" if inst.input_kind == "bi" else inner]
+    theta = stream_generator(9).standard_normal(dim)
+    inputs = _build_inputs(inst, theta)
+    operands = inputs if inst.input_kind == "family" else [inputs]
+    assert len(operands) == shape[0]
+    for g, a in zip(operands, theta.reshape(shape)):
+        assert g.coeffs.tobytes() == a.tobytes()
+
+
+@pytest.mark.parametrize("ineq", ["R_BELOW", "F1"])
+def test_lq_search_inputs_make_no_walsh_transform(ineq, monkeypatch):
+    # the search vector holds coefficients, so building L^q operands transforms nothing
+    calls = []
+    transform = cube.walsh_transform
+    monkeypatch.setattr(cube, "walsh_transform", lambda a: calls.append(1) or transform(a))
+    inst = _catalog_instance(ineq, "scalar" if ineq == "F1" else "Lq")
+    for theta in _canonical_thetas(inst):
+        _build_inputs(inst, theta)
+    random_inputs(inst, stream_generator(2))
+    assert calls == []
+
+
+@pytest.mark.parametrize("ineq, inner, q, message", [
+    ("PISIER", "scalar", 2.0, "the scalar space has no inner norm to read q=2.0"),
+    ("F1", "scalar", 3.0, "the scalar space has no inner norm"),  # its L^q norm takes q = p
+    ("PISIER", "lq", None, "inner norm lq needs an exponent q >= 1, got None"),
+    ("PISIER", "Lq", None, "inner norm Lq needs an exponent q >= 1, got None"),
+    ("PISIER", "ell2", 2.0, "unknown inner norm kind 'ell2'"),
+])
+def test_instance_takes_q_exactly_when_its_value_space_reads_it(ineq, inner, q, message):
+    with pytest.raises(ValueError, match=message):
+        InequalityInstance(ineq, n=3, p=3.0, q=q, inner=inner)
 
 
 @settings(max_examples=30, deadline=None)

@@ -16,6 +16,7 @@ from cubeineq.cube import (
     walsh_transform,
 )
 from cubeineq.norms import (
+    OPERANDS,
     MixedNormSpec,
     RademacherConfig,
     inner_kind,
@@ -89,6 +90,26 @@ def test_mixed_norm_shape_mismatch(rng):
     F = VectorCubeFunction([random_function(3, rng)])
     with pytest.raises(ValueError):
         mixed_norm(F, MixedNormSpec.cube(2.0, 2.0))
+
+
+@pytest.mark.parametrize("kind", list(OPERANDS))
+def test_inner_kind_inverts_the_operand_table(kind):
+    coeffs = np.arange(8.0) if kind == "scalar" else np.arange(16.0).reshape(2, 8)
+    g = OPERANDS[kind].from_coeffs(3, coeffs, mean_annihilated=True)
+    assert inner_kind(g) == kind and g.n == 3 and g.mean_annihilated
+    assert g.coeffs is coeffs  # the coefficients are taken as they are, not transformed
+
+
+@pytest.mark.parametrize("inner, q, message", [
+    ("scalar", 2.0, "the scalar space has no inner norm to read q=2.0"),
+    ("lq", None, "inner norm lq needs an exponent q >= 1, got None"),
+    ("Lq", 0.5, "inner norm Lq needs an exponent q >= 1, got 0.5"),
+    ("Lq", float("nan"), "inner norm Lq needs an exponent q >= 1, got nan"),
+    ("lp", 2.0, "unknown inner norm kind 'lp'; value spaces: scalar, lq, Lq"),
+])
+def test_spec_takes_q_exactly_when_its_inner_norm_reads_it(inner, q, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        MixedNormSpec(3.0, inner, q)
 
 
 def test_scalar_mixed_norm_is_lp_norm(rng):
