@@ -15,10 +15,10 @@ Monte-Carlo samples with a standard error, in blocks of about `_BLOCK` values
 computed into one reused buffer and reduced in place.  Powers are taken in
 place (`_pow` overwrites its input; a cube without scratch goes a `_BLOCK`
 at a time through one buffer), so `lp_norm` holds no 2^n array beside the
-point values.  `lp_norm`, `mixed_norm` and `rademacher_avg` scale those
-values once per call by a power of two when the largest |value|^p would
-leave the normal range (`_rescale`), and scale the root back; otherwise
-nothing is scaled and no bit changes.
+point values.  `lp_norm`, `mixed_norm`, `rademacher_avg` and
+`radial_sup_rademacher_moment` scale those values once per call by a power
+of two when the largest |value|^p would leave the normal range (`_rescale`),
+and scale the root back; otherwise nothing is scaled and no bit changes.
 
 `radial_sup_rademacher_moment` is the O(n log n + W^2) reduction, with W
 the sign-total window below, that makes the quantity
@@ -445,5 +445,5 @@ def radial_sup_rademacher_moment(profile: RadialProfile, p: float,
     sups = sup_gradient_sum_by_sign_total(profile, svals)
     if np.isinf(p):
         return float(sups.max())
-    pmf = binomial_pmf(n, (svals + n) // 2)
-    return float((pmf @ sups**p) ** (1.0 / p))
+    k = _rescale(sups, MixedNormSpec.scalar(p))
+    return _unscale(_root(binomial_pmf(n, (svals + n) // 2) @ sups**p, p), k)

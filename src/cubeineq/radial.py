@@ -1,4 +1,4 @@
-"""Radial (permutation-invariant) cube functions and Krawtchouk synthesis.
+"""Radial (permutation-invariant) cube functions and the Krawtchouk calculus.
 
 A radial function depends only on the Hamming distance d from the all-ones
 point; storing the n+1 profile values makes dimensions up to about 10^6
@@ -6,15 +6,16 @@ workable.  Its Walsh coefficients are constant on levels, and the bridge
 between profile and level coefficients is the Krawtchouk polynomial
 
     K_k(d) = value at any weight-d point of  sum_{|A|=k} eps^A
-           = sum_j (-1)^j C(d,j) C(n-d,k-j),
+           = sum_j (-1)^j C(d,j) C(n-d,k-j).
 
-computed here by the three-term recurrence in k.  Entries grow like central
-binomial coefficients, so for n beyond ~1000 the float64 table loses relative
-precision and can overflow to inf near k = n/2; analysis/synthesis through
-the table is therefore capped, and a level-coefficient or multiplier result
-that is not finite (from n = 1024, where 1/pmf(0) = 2^n overflows) is refused
-with ValueError; large-n workflows use profile-side formulas that never touch
-the table.
+`krawtchouk_table` gives the raw values by the three-term recurrence in k, a
+small-n reference only: they grow like central binomial coefficients and
+cancel in sums.  The calculus (level coefficients, synthesis, multipliers)
+goes through the orthonormal Phi[k, d] = sqrt(pmf(d) / C(n, k)) K_k(d),
+built by `np.linalg.eigh` in O(n^3) on the first call for each n and cached.
+It is exact to rounding in the binomial-weighted l^2 norm (pointwise, see
+`radial_apply_multiplier`), and refuses n > 1022, where pmf(0) = 2^-n is
+subnormal, with ValueError before it allocates.
 
 Binomial weights are Loader's saddle-point form of the pmf at p = 1/2 (C.
 Loader, "Fast and accurate computation of binomial probabilities", 2000), in
@@ -26,6 +27,7 @@ keeps about 6e-13, so 1e-14 is not reached there.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
@@ -35,18 +37,6 @@ from .cube import CubeFunction, _multiplier_table, levels
 
 MAX_RADIAL_N = 1 << 21  # "up to ~10^6"; 2^20 workflows need a power of two
 MAX_TABLE_N = 2048
-
-
-def krawtchouk(k: int, d: int, n: int) -> float:
-    """K_k(d) for one pair, by the recurrence (j+1)K_{j+1} = (n-2d)K_j - (n-j+1)K_{j-1}."""
-    if not (0 <= k <= n and 0 <= d <= n):
-        raise ValueError(f"need 0 <= k,d <= n, got k={k}, d={d}, n={n}")
-    prev, cur = 1.0, float(n - 2 * d)
-    if k == 0:
-        return prev
-    for j in range(1, k):
-        prev, cur = cur, ((n - 2 * d) * cur - (n - j + 1) * prev) / (j + 1)
-    return cur
 
 
 def krawtchouk_table(n: int) -> np.ndarray:
@@ -159,13 +149,21 @@ class RadialProfile:
         return CubeFunction.from_values(self.v[levels(self.n)])
 
     def level_coefficients(self) -> np.ndarray:
-        """w[k] such that v(d) = sum_k w[k] K_k(d); needs the Krawtchouk table."""
-        return _level_coefficients(krawtchouk_table(self.n), self.v)
+        """w[k] such that v(d) = sum_k w[k] K_k(d): Phi (sqrt(pmf) v) / sqrt(C(n, k))."""
+        phi, pmf = _basis(self.n), binomial_weights(self.n)
+        w = phi @ (np.sqrt(pmf) * self.v) / np.sqrt(np.ldexp(pmf, self.n))
+        if not np.isfinite(w).all():
+            raise ValueError(f"level coefficients at n={self.n} are not finite in float64")
+        return w
 
     @classmethod
     def from_level_coefficients(cls, n: int, w) -> "RadialProfile":
-        """v(d) = sum_k w[k] K_k(d); refused if not finite."""
-        return cls(n, _level_synthesis(krawtchouk_table(n), np.asarray(w, dtype=np.float64)))
+        """v(d) = sum_k w[k] K_k(d): Phi^T (sqrt(C(n, k)) w) / sqrt(pmf); refused if not finite."""
+        phi, pmf = _basis(n), binomial_weights(n)
+        v = np.sqrt(np.ldexp(pmf, n)) * np.asarray(w, dtype=np.float64) @ phi / np.sqrt(pmf)
+        if not np.isfinite(v).all():
+            raise ValueError(f"radial profile at n={n} is not finite in float64")
+        return cls(n, v)
 
     @property
     def mean(self) -> float:
@@ -189,33 +187,35 @@ class RadialProfile:
         return f"RadialProfile(n={self.n})"
 
 
-def _level_coefficients(K: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """w[k] = 2^{-n} sum_d K[k, d] pmf(d) v(d) / pmf(k); refused if not finite."""
-    n = K.shape[0] - 1
-    pmf = binomial_weights(n)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        w = np.ldexp((K @ (pmf * v)) / pmf, -n)
-    if not np.isfinite(w).all():
-        raise ValueError(f"level coefficients at n={n} are not finite in float64")
-    return w
+@functools.lru_cache(maxsize=4)
+def _basis(n: int) -> np.ndarray:
+    """Read-only orthonormal, symmetric Phi[k, d] = sqrt(pmf(d) / C(n, k)) K_k(d).
 
-
-def _level_synthesis(K: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """v(d) = sum_k w[k] K[k, d]; refused if not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = w @ K
-    if not np.isfinite(v).all():
-        raise ValueError(f"radial profile at n={K.shape[0] - 1} is not finite in float64")
-    return v
+    Column d is the eigenvector of eigenvalue n - 2d of the Kac matrix (zero
+    diagonal, off-diagonal sqrt(k (n - k + 1))).  Column 0, sqrt(pmf), is made
+    positive; column d+1 takes the sign that makes the dual recurrence in d
+    hold, a positive product with (n - 2k) Phi[:, d] (the Phi[:, d-1] term is
+    orthogonal to it).  Row 0 cannot set signs: it underflows at large n.
+    """
+    if n > 1022:
+        raise ValueError(f"the radial calculus at n={n} > 1022 is not finite in float64")
+    off = np.sqrt(np.arange(1.0, n + 1) * np.arange(n, 0.0, -1))  # sqrt(k (n - k + 1))
+    phi = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))[1][:, ::-1]
+    dual = np.einsum("kd,k,kd->d", phi[:, 1:], n - 2.0 * np.arange(n + 1), phi[:, :-1])
+    phi = phi * np.sign(np.concatenate(([phi[:, 0].sum()], dual))).cumprod()
+    phi.setflags(write=False)
+    return phi
 
 
 def radial_apply_multiplier(p: RadialProfile, m) -> RadialProfile:
     """Radial counterpart of the spectral calculus: level k scaled by m(k).
 
-    Analysis uses the orthogonality  sum_d C(n,d) K_k(d) K_l(d) = 2^n C(n,k)
-    delta_{kl}, so the whole round trip is O(n^2) and agrees with the dense
-    path wherever both exist.
+    v' = Phi^T (m Phi (sqrt(pmf) v)) / sqrt(pmf), O(n^2) once the basis is
+    cached; it equals the dense path wherever both exist, with an error of
+    about eps max|m| ||v||_{2,pmf} in the binomial-weighted l^2 norm.  The
+    value at weight d carries about that error over sqrt(pmf(d)), which at
+    large n swamps the values near d = 0 or n: `lp_norm(., p > 2)` of a
+    synthesised large-n profile inherits it.
     """
     table = _multiplier_table(m, p.n)
-    K = krawtchouk_table(p.n)
-    return RadialProfile(p.n, _level_synthesis(K, table * _level_coefficients(K, p.v)))
+    return RadialProfile.from_level_coefficients(p.n, table * p.level_coefficients())

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -153,6 +154,41 @@ def rademacher_reference(operands, p, spec=None, cfg=None):
         return float(value), 0.0
     se_mean = powers.std(ddof=1) / np.sqrt(cfg.samples) if cfg.samples > 1 else 0.0
     return float(value), float(se_mean * value / (p * mean) if mean > 0 else se_mean)
+
+
+def exact_krawtchouk(n):
+    """Integer K[k][d] by the recurrence (k+1) K_{k+1} = (n-2d) K_k - (n-k+1) K_{k-1},
+    every division exact."""
+    K = [[1] * (n + 1), [n - 2 * d for d in range(n + 1)]]
+    for k in range(1, n):
+        K.append([((n - 2 * d) * K[k][d] - (n - k + 1) * K[k - 1][d]) // (k + 1)
+                  for d in range(n + 1)])
+    return K[:n + 1]
+
+
+def exact_basis(n):
+    """Phi[k, d] = sqrt(C(n,d) / (2^n C(n,k))) K_k(d) from the integer values, at 50 digits."""
+    K = exact_krawtchouk(n)
+    with mpmath.workdps(50):
+        root = [mpmath.sqrt(math.comb(n, d)) for d in range(n + 1)]
+        scale = mpmath.mpf(2) ** (-mpmath.mpf(n) / 2)
+        return np.array([[float(K[k][d] * root[d] / root[k] * scale) for d in range(n + 1)]
+                         for k in range(n + 1)])
+
+
+def exact_level_coefficients(n, v):
+    """Fractions w[k] = 2^-n sum_d C(n,d) K_k(d) v(d) / C(n,k), each v(d) read exactly."""
+    K = exact_krawtchouk(n)
+    terms = [math.comb(n, d) * Fraction(x) for d, x in enumerate(v)]
+    return [sum(t * K[k][d] for d, t in enumerate(terms)) / (2**n * math.comb(n, k))
+            for k in range(n + 1)]
+
+
+def exact_radial_multiplier(n, v, m):
+    """sum_k m[k] w[k] K_k(d) for every d, in exact rationals, rounded to floats."""
+    K = exact_krawtchouk(n)
+    mw = [Fraction(x) * w for x, w in zip(m, exact_level_coefficients(n, v))]
+    return np.array([float(sum(c * K[k][d] for k, c in enumerate(mw))) for d in range(n + 1)])
 
 
 def conjugate_nu(T):

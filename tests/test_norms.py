@@ -296,6 +296,17 @@ def test_window_refuses_tail_mass_outside_unit_interval(tail_mass):
         radial_sup_rademacher_moment(talagrand_profile(64), 2.0, tail_mass)
 
 
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("shift", [600, -600])
+def test_sup_moment_scales_exactly_by_powers_of_two(p, shift):
+    # sups**p leaves the float64 range at 2^{+-600}: inf or 0.0 without a rescale
+    prof = talagrand_profile(4096)
+    base = radial_sup_rademacher_moment(prof, p)
+    moved = radial_sup_rademacher_moment(RadialProfile(prof.n, np.ldexp(prof.v, shift)), p)
+    assert 0.0 < base < np.inf
+    assert moved == np.ldexp(base, shift)
+
+
 def test_sup_moment_refuses_non_finite_profile():
     v = np.arange(33, dtype=np.float64)
     v[5] = np.nan

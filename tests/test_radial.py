@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -5,19 +7,23 @@ import pytest
 from cubeineq.cube import apply_multiplier
 from cubeineq.radial import (
     RadialProfile,
+    _basis,
     binomial_pmf,
     binomial_weights,
-    krawtchouk,
     krawtchouk_table,
     radial_apply_multiplier,
 )
+from conftest import exact_basis, exact_krawtchouk, exact_level_coefficients, exact_radial_multiplier
+
+# an overflow or invalid value in the calculus fails the test instead of passing silently
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def test_first_two_levels():
     n = 9
-    for d in range(n + 1):
-        assert krawtchouk(0, d, n) == 1.0
-        assert krawtchouk(1, d, n) == n - 2 * d
+    K = krawtchouk_table(n)
+    assert np.array_equal(K[0], np.ones(n + 1))
+    assert np.array_equal(K[1], n - 2 * np.arange(n + 1.0))
 
 
 def test_level_sum_detects_the_origin():
@@ -32,7 +38,7 @@ def test_level_sum_detects_the_origin():
 
 def test_brute_force_enumeration_n4():
     n = 4
-    K = krawtchouk_table(n)
+    K, exact = krawtchouk_table(n), exact_krawtchouk(n)
     for k in range(n + 1):
         for d in range(n + 1):
             point = (1 << d) - 1  # any weight-d point; radial so pick the first
@@ -42,20 +48,13 @@ def test_brute_force_enumeration_n4():
                 if bin(A).count("1") == k
             )
             assert abs(K[k, d] - s) < 1e-12
-            assert abs(krawtchouk(k, d, n) - s) < 1e-12
-
-
-def test_out_of_range_rejected():
-    with pytest.raises(ValueError):
-        krawtchouk(5, 0, 4)
-    with pytest.raises(ValueError):
-        krawtchouk(0, -1, 4)
+            assert exact[k][d] == s
 
 
 def test_identity_multiplier_is_identity(rng):
     prof = RadialProfile(8, rng.standard_normal(9))
     out = radial_apply_multiplier(prof, lambda k: 1.0)
-    assert np.max(np.abs(out.v - prof.v)) < 1e-10
+    assert np.max(np.abs(out.v - prof.v)) < 1e-12
 
 
 def test_constant_profile_fixed_by_heat():
@@ -73,7 +72,7 @@ def test_matches_dense_path(rng):
     dvals = dense.values()
     w = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
     for d in range(n + 1):
-        assert abs(dvals[w == d][0] - radial.v[d]) < 1e-9
+        assert abs(dvals[w == d][0] - radial.v[d]) < 1e-12
 
 
 def test_level_coefficients_roundtrip(rng):
@@ -81,7 +80,7 @@ def test_level_coefficients_roundtrip(rng):
     prof = RadialProfile(n, rng.standard_normal(n + 1))
     w = prof.level_coefficients()
     back = RadialProfile.from_level_coefficients(n, w)
-    assert np.max(np.abs(back.v - prof.v)) < 1e-9
+    assert np.max(np.abs(back.v - prof.v)) < 1e-12
 
 
 def test_radial_projection_of_dense(rng):
@@ -137,13 +136,53 @@ def test_binomial_pmf_refuses_outside_support():
             binomial_pmf(5, [0, k])
 
 
-def test_level_coefficients_scale_by_power_of_two():
-    # the 2^{-n} scaling after the division is bit-identical to dividing by C(n, k)
+@pytest.mark.parametrize("n", [60, 100])
+def test_basis_matches_exact(n):
+    assert np.max(np.abs(_basis(n) - exact_basis(n))) < 1e-14
+
+
+def test_level_coefficients_match_exact():
+    # the error in the weighted norm sum_k C(n,k) w_k^2, against exact rationals
     n = 60
     v = np.random.default_rng(3).standard_normal(n + 1)
+    exact = np.array([float(x) for x in exact_level_coefficients(n, v)])
+    comb = np.array([float(math.comb(n, k)) for k in range(n + 1)])
+    err = RadialProfile(n, v).level_coefficients() - exact
+    assert math.sqrt(comb @ err**2 / (comb @ exact**2)) < 1e-14
+
+
+@pytest.mark.parametrize("n", [60, 100, 500, 1000, 1022])
+def test_identity_multiplier_roundtrip_in_weighted_norm(n):
+    v = np.random.default_rng(0).standard_normal(n + 1)
     pmf = binomial_weights(n)
-    expect = (krawtchouk_table(n) @ (pmf * v)) / (pmf * 2.0**n)
-    assert np.array_equal(RadialProfile(n, v).level_coefficients(), expect)
+    out = radial_apply_multiplier(RadialProfile(n, v), np.ones(n + 1)).v
+    assert math.sqrt(pmf @ (out - v) ** 2 / (pmf @ v**2)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [100, 200])
+def test_pointwise_error_within_declared_bound(n):
+    # |v'(d) - exact(d)| <= C eps max|m| ||v||_{2,pmf} / sqrt(pmf(d)); C = 32 leaves
+    # room over the measured 4.2; a raw Krawtchouk table sum exceeds C = 1 by 1e12 at n = 100
+    v = np.random.default_rng(0).standard_normal(n + 1)
+    pmf = binomial_weights(n)
+    bound = 32 * np.finfo(float).eps * math.sqrt(pmf @ v**2) / np.sqrt(pmf)
+    for m in (np.ones(n + 1), np.exp(-0.3 * np.arange(n + 1))):
+        out = radial_apply_multiplier(RadialProfile(n, v), m).v
+        assert (np.abs(out - exact_radial_multiplier(n, v, m)) <= bound).all()
+
+
+def test_calculus_refused_before_the_basis_is_built(monkeypatch):
+    # pmf(0) = 2^-1023 is subnormal: refused before the (n+1)^2 eigenproblem
+    def no_eigh(a):
+        raise AssertionError("basis built")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    n = 1023
+    prof = RadialProfile(n, np.ones(n + 1))
+    for call in (prof.level_coefficients, lambda: radial_apply_multiplier(prof, np.ones(n + 1)),
+                 lambda: RadialProfile.from_level_coefficients(n, np.ones(n + 1))):
+        with pytest.raises(ValueError, match="not finite"):
+            call()
 
 
 @pytest.mark.parametrize("n", [1024, 1100])
