@@ -30,6 +30,8 @@ from .norms import lp_norm, radial_derivative_profiles, radial_sup_rademacher_mo
 from .radial import RadialProfile, binomial_weights, krawtchouk_table
 from .rng import stream_generator
 
+MAX_HALFLAP_N = 256  # largest n whose point-mass Krawtchouk sum is verified (2e-6 at s >= 1.5)
+
 
 @dataclass(frozen=True)
 class GrowthCurve:
@@ -52,11 +54,6 @@ class GrowthCurve:
         slope, intercept = np.polyfit(np.log(ns), values, 1)
         resid = float(np.max(np.abs(np.array(values) - (slope * np.log(ns) + intercept))))
         return cls(tuple(ns), tuple(values), float(slope), float(intercept), resid)
-
-    def to_csv(self) -> str:
-        lines = ["n,value"]
-        lines += [f"{n},{v!r}" for n, v in zip(self.ns, self.values)]
-        return "\n".join(lines) + "\n"
 
     def fit_record(self) -> dict:
         return {"slope": self.slope, "intercept": self.intercept, "residual": self.residual}
@@ -139,7 +136,19 @@ def lamberton_gradient_norm(n: int, s: float) -> float:
 
 
 def lamberton_halflap_profile(n: int) -> RadialProfile:
-    """L^{1/2} f as a radial profile: value(d) = 2^{-n} sum_k sqrt(k) K_k(d)."""
+    """L^{1/2} f as a radial profile: value(d) = 2^{-n} sum_k sqrt(k) K_k(d).
+
+    The sum runs over the raw Krawtchouk table, whose terms cancel, so it is
+    refused with ValueError for n > `MAX_HALFLAP_N`.  Against an exact
+    integer-Krawtchouk oracle, the L^s norm of the profile at s >= 1.5 is
+    within 2e-6 relative up to n = 256 (at s = 1.5: 1.1e-13 at n = 160,
+    1.4e-10 at 200 and 1.6e-6 at 256).  Below s = 1.5 the rounding of the
+    mid-weight values weighs more in the norm, and no range is verified: at
+    n = 160 the error is 1.6e-3 at s = 1.25.
+    """
+    if n > MAX_HALFLAP_N:
+        raise ValueError(f"the point mass's Krawtchouk sum is verified up to "
+                         f"n={MAX_HALFLAP_N}, got n={n}")
     K = krawtchouk_table(n)
     w = np.sqrt(np.arange(n + 1, dtype=np.float64)) * 2.0 ** (-n)
     return RadialProfile(n, w @ K)

@@ -6,14 +6,15 @@ A function f on the cube is a multilinear polynomial
 
 indexed by subsets A of {0,..,n-1}.  We store the coefficient vector fhat
 over subset bitmasks (bit i of the mask <-> coordinate i, little-endian).
-Every operator below acts on the last axis of `coeffs` and returns the same
-class: of a CubeFunction, of the (R, 2^n) rows of a VectorCubeFunction's R
-components, or of the (2^n_delta, 2^n) rows of a BiCubeFunction F(eps, delta),
-one eps-coefficient row per point delta.  The coordinate operators act on the
-halves of that axis split by bit i (`_halves`, the one place that knows the
-layout): D_i keeps the terms with i in A, partial_i moves them onto A\\{i},
-and a translation flips their signs.  Only the level multipliers go through
-`levels`:
+The three operand classes share one base, `_CoeffArray`: one validated array
+`coeffs` with fhat on its last axis, shaped (2^n,) for a CubeFunction, (R, 2^n)
+for the R components of a VectorCubeFunction, and (2^n_delta, 2^n) for a
+BiCubeFunction F(eps, delta), one eps-coefficient row per point delta.  Every
+operator below acts on that last axis and returns the same class.  The
+coordinate operators act on the halves of that axis split by bit i (`_halves`,
+the one place that knows the layout): D_i keeps the terms with i in A,
+partial_i moves them onto A\\{i}, and a translation flips their signs.
+Only the level multipliers go through `levels`:
 
     Laplacian  L        multiplies level k by k          (L = sum_i D_i),
     heat       P_t      multiplies level k by exp(-t*k),
@@ -134,41 +135,72 @@ def signs_to_index(eta, n: int) -> int:
     return int.from_bytes(np.packbits(down, bitorder="little").tobytes(), "little")
 
 
-class CubeFunction:
+class _CoeffArray:
+    """The one coefficient array of every operand class: Walsh coefficients on
+    the last axis of `coeffs`, shaped (2^n,) for a CubeFunction and (rows, 2^n)
+    for the rows of a VectorCubeFunction or a BiCubeFunction.  `mean_annihilated`
+    flags that a negative fractional power of L silently dropped a nonzero mean
+    component."""
+
+    __slots__ = ("n", "coeffs", "mean_annihilated")
+    _ROWS = None  # no row axis; else the name of the row count, a power of two unless "R"
+
+    def _set(self, n: int, coeffs, mean_annihilated: bool) -> None:
+        """Check the coefficient shape and store the fields: the one shape check."""
+        _check_dense_n(n)
+        coeffs = np.asarray(coeffs, dtype=np.float64)
+        rows = coeffs.shape[:-1]  # () or (count,)
+        if (coeffs.shape[-1:] != (1 << n,) or len(rows) != (self._ROWS is not None)
+                or rows and (rows[0] < 1 or self._ROWS != "R" and rows[0] & (rows[0] - 1))):
+            want = 1 << n if self._ROWS is None else f"({self._ROWS}, {1 << n})"
+            raise ValueError(f"expected {want} coefficients for n={n}, got {coeffs.shape}")
+        self.n, self.coeffs, self.mean_annihilated = n, coeffs, mean_annihilated
+
+    @classmethod
+    def from_coeffs(cls, n: int, coeffs, mean_annihilated: bool = False):
+        """The operand with Walsh coefficients `coeffs` (row r: coeffs[r]), taken as they are."""
+        F = cls.__new__(cls)
+        F._set(n, coeffs, mean_annihilated)
+        return F
+
+    def _with(self, coeffs, mean_annihilated: bool = False):
+        return self.from_coeffs(self.n, coeffs, mean_annihilated)
+
+    def values(self) -> np.ndarray:
+        """Point values, the Walsh synthesis of each row of `coeffs`."""
+        return walsh_transform(self.coeffs)
+
+    def __add__(self, other):
+        if type(other) is not type(self) or self.coeffs.shape != other.coeffs.shape:
+            raise ValueError(f"shape mismatch: {type(self).__name__} {self.coeffs.shape} + "
+                             f"{type(other).__name__} {np.shape(getattr(other, 'coeffs', None))}")
+        return self._with(self.coeffs + other.coeffs)
+
+    def __mul__(self, scalar):
+        return self._with(self.coeffs * float(scalar))
+
+    __rmul__ = __mul__
+
+
+class CubeFunction(_CoeffArray):
     """Real-valued function on {-1,1}^n stored by Walsh coefficients.
 
     `coeffs[A]` is the coefficient of prod_{i in A} eps_i for the subset
-    bitmask A.  `mean_annihilated` flags that a negative fractional power
-    of L silently dropped a nonzero mean component.
+    bitmask A.
     """
 
-    __slots__ = ("n", "coeffs", "mean_annihilated")
+    __slots__ = ()
 
     def __init__(self, n: int, coeffs, mean_annihilated: bool = False):
-        _check_dense_n(n)
-        coeffs = np.asarray(coeffs, dtype=np.float64)
-        if coeffs.shape != (1 << n,):
-            raise ValueError(f"expected {1 << n} coefficients for n={n}, got {coeffs.shape}")
-        self.n = n
-        self.coeffs = coeffs
-        self.mean_annihilated = mean_annihilated
+        self._set(n, coeffs, mean_annihilated)
 
     # -- construction / evaluation ------------------------------------------
-
-    @classmethod
-    def from_coeffs(cls, n: int, coeffs, mean_annihilated: bool = False) -> "CubeFunction":
-        """The function with Walsh coefficients `coeffs`, as `_CoeffRows.from_coeffs`."""
-        return cls(n, coeffs, mean_annihilated)
 
     @classmethod
     def from_values(cls, values) -> "CubeFunction":
         coeffs = walsh_transform(values)
         m = coeffs.shape[-1]
         return cls(m.bit_length() - 1, coeffs / m)
-
-    def values(self) -> np.ndarray:
-        """Synthesize point values; exact inverse of `from_values`."""
-        return walsh_transform(self.coeffs)
 
     def __call__(self, eps) -> float:
         return float(self.values()[signs_to_index(eps, self.n)])
@@ -177,15 +209,14 @@ class CubeFunction:
     def mean(self) -> float:
         return float(self.coeffs[0])
 
-    # -- arithmetic (coefficientwise linear, pointwise product) -------------
+    # -- arithmetic: a scalar adds to the mean, a product is pointwise ------
 
     def __add__(self, other):
         if isinstance(other, CubeFunction):
-            self._check_same(other)
-            return CubeFunction(self.n, self.coeffs + other.coeffs)
+            return super().__add__(other)
         out = self.coeffs.copy()
         out[0] += float(other)
-        return CubeFunction(self.n, out)
+        return self._with(out)
 
     __radd__ = __add__
 
@@ -193,19 +224,13 @@ class CubeFunction:
         return self + (-1.0) * other
 
     def __mul__(self, other):
-        if isinstance(other, CubeFunction):
-            self._check_same(other)
-            return CubeFunction.from_values(self.values() * other.values())
-        return CubeFunction(self.n, self.coeffs * float(other))
-
-    __rmul__ = __mul__
-
-    def _check_same(self, other: "CubeFunction") -> None:
+        if not isinstance(other, CubeFunction):
+            return super().__mul__(other)
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
+        return CubeFunction.from_values(self.values() * other.values())
 
-    def _with(self, coeffs, mean_annihilated: bool = False) -> "CubeFunction":
-        return CubeFunction(self.n, coeffs, mean_annihilated)
+    __rmul__ = __mul__
 
     # -- file format ---------------------------------------------------------
 
@@ -392,68 +417,29 @@ def permute_coordinates(f: CubeFunction, perm) -> CubeFunction:
 # -- vector- and two-variable functions ---------------------------------------
 
 
-class _CoeffRows:
-    """Cube functions sharing n, as the rows of one (R, 2^n) array `coeffs`."""
-
-    __slots__ = ("n", "coeffs", "mean_annihilated")
-    _ROWS = "R"  # the name of the row count; a power of two unless "R"
-
-    @classmethod
-    def from_coeffs(cls, n: int, coeffs, mean_annihilated: bool = False):
-        """The function whose row r has the Walsh coefficients coeffs[r]."""
-        _check_dense_n(n)
-        coeffs = np.asarray(coeffs, dtype=np.float64)
-        rows = len(coeffs) if coeffs.ndim == 2 else 0
-        if not rows or coeffs.shape[1] != 1 << n or cls._ROWS != "R" and rows & (rows - 1):
-            raise ValueError(f"expected ({cls._ROWS}, {1 << n}) coefficients, got {coeffs.shape}")
-        F = cls.__new__(cls)
-        F.n, F.coeffs, F.mean_annihilated = n, coeffs, mean_annihilated
-        return F
-
-    def _with(self, coeffs, mean_annihilated: bool = False):
-        return self.from_coeffs(self.n, coeffs, mean_annihilated)
-
-    @property
-    def R(self) -> int:
-        return self.coeffs.shape[0]
-
-    def __add__(self, other):
-        if type(other) is not type(self) or self.coeffs.shape != other.coeffs.shape:
-            raise ValueError(f"shape mismatch: {type(self).__name__} {self.coeffs.shape} + "
-                             f"{type(other).__name__} {np.shape(getattr(other, 'coeffs', None))}")
-        return self._with(self.coeffs + other.coeffs)
-
-    def __mul__(self, scalar):
-        return self._with(self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
-
-
-class VectorCubeFunction(_CoeffRows):
+class VectorCubeFunction(_CoeffArray):
     """An ell^q_R-valued function on {-1,1}^n: row r of `coeffs` holds the Walsh
     coefficients of component r."""
 
     __slots__ = ()
+    _ROWS = "R"
 
     def __init__(self, components):
         components = list(components)
         if not components or any(c.n != components[0].n for c in components):
             raise ValueError("need one or more components, all with the same n")
-        self.n = components[0].n
-        self.coeffs = np.stack([c.coeffs for c in components])
-        self.mean_annihilated = any(c.mean_annihilated for c in components)
+        self._set(components[0].n, np.stack([c.coeffs for c in components]),
+                  any(c.mean_annihilated for c in components))
+
+    R = property(lambda self: self.coeffs.shape[0])
 
     @property
     def components(self) -> list[CubeFunction]:
         """The R components, each viewing one row of `coeffs`."""
         return [CubeFunction(self.n, row) for row in self.coeffs]
 
-    def values(self) -> np.ndarray:
-        """(R, 2^n) array of point values."""
-        return walsh_transform(self.coeffs)
 
-
-class BiCubeFunction(_CoeffRows):
+class BiCubeFunction(_CoeffArray):
     """Real function F(eps, delta) on a product cube, whose row delta of `coeffs`
     holds the eps-Walsh coefficients of F(., delta); so `n` is n_eps.  The
     constructor takes, and `values` gives, the (eps, delta) value grid."""
@@ -466,9 +452,9 @@ class BiCubeFunction(_CoeffRows):
         values = np.asarray(values, dtype=np.float64)
         if values.shape != (1 << n_eps, 1 << n_delta):
             raise ValueError(f"value grid must be 2^{n_eps} x 2^{n_delta}")
-        self.n, self.mean_annihilated = n_eps, False
-        self.coeffs = walsh_transform(values.T) / (1 << n_eps)
+        self._set(n_eps, walsh_transform(values.T) / (1 << n_eps), False)
 
+    R = property(lambda self: self.coeffs.shape[0])
     n_eps = property(lambda self: self.n)
     n_delta = property(lambda self: self.R.bit_length() - 1)
 

@@ -14,11 +14,12 @@ patterns with delta_{k-1} = +1 (k <= 20; ||-x|| = ||x||) or over seeded
 Monte-Carlo samples with a standard error, in blocks of about `_BLOCK` values
 computed into one reused buffer and reduced in place.  Powers are taken in
 place (`_pow` overwrites its input; a cube without scratch goes a `_BLOCK`
-at a time through one buffer), so `lp_norm` holds no 2^n array beside the
-point values.  `lp_norm`, `mixed_norm`, `rademacher_avg` and
-`radial_sup_rademacher_moment` scale those values once per call by a power
-of two when the largest |value|^p would leave the normal range (`_rescale`),
-and scale the root back; otherwise nothing is scaled and no bit changes.
+at a time through one buffer), so a scalar `mixed_norm`, which is `lp_norm`
+of a cube function, holds no 2^n array beside the point values.  `lp_norm`,
+`mixed_norm`, `rademacher_avg` and `radial_sup_rademacher_moment` scale
+those values once per call by a power of two when the largest |value|^p
+would leave the normal range (`_rescale`), and scale the root back;
+otherwise nothing is scaled and no bit changes.
 
 `radial_sup_rademacher_moment` is the O(n log n + W^2) reduction, with W
 the sign-total window below, that makes the quantity
@@ -177,21 +178,19 @@ def lp_norm(f, p: float) -> float:
     """
     if not p >= 1:
         raise ValueError(f"exponent must be in [1, inf], got {p}")
-    spec = MixedNormSpec.scalar(p)
     if isinstance(f, CubeFunction):
-        vals = f.values()
-        k = _rescale(vals, spec)
-        return _unscale(_root(_pattern_powers(vals, spec), p), k)
+        return mixed_norm(f, MixedNormSpec.scalar(p))
     if isinstance(f, RadialProfile):
         a = np.abs(f.v)
-        k = _rescale(a, spec)  # k = 0 at p = inf, which has no finite exponent
+        k = _rescale(a, MixedNormSpec.scalar(p))  # k = 0 at p = inf, which has no finite exponent
         return _unscale(_root(a.max() if np.isinf(p) else binomial_weights(f.n) @ a**p, p), k)
     raise TypeError(f"unsupported operand {type(f).__name__}")
 
 
 def _operand_values(operands) -> np.ndarray:
-    """Point values of same-shape operands on a leading axis, from one batched transform."""
-    return walsh_transform(np.stack([h.coeffs for h in operands]))
+    """Point values of same-shape operands on a leading axis, from one batched
+    transform, whose copy of the coefficients is the only array made."""
+    return walsh_transform([h.coeffs for h in operands])
 
 
 def inner_kind(g) -> str | None:

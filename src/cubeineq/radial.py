@@ -10,7 +10,9 @@ between profile and level coefficients is the Krawtchouk polynomial
 
 `krawtchouk_table` gives the raw values by the three-term recurrence in k, a
 small-n reference only: they grow like central binomial coefficients and
-cancel in sums.  The calculus (level coefficients, synthesis, multipliers)
+cancel in sums.  Its one sum in the package, the point mass's L^{1/2} in
+`counterexamples`, is verified against an exact oracle up to n = 256 and
+refuses larger n.  The calculus (level coefficients, synthesis, multipliers)
 goes through the orthonormal Phi[k, d] = sqrt(pmf(d) / C(n, k)) K_k(d),
 built by `np.linalg.eigh` in O(n^3) on the first call for each n and cached.
 It is exact to rounding in the binomial-weighted l^2 norm (pointwise, see

@@ -260,13 +260,23 @@ def test_a_with_gamma_is_refused(capsys, cmd):
     assert out == "" and "not allowed" in err
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_counterexample_non_finite_row_exits_two(capsys):
-    # the Krawtchouk-table rhs of the point mass is nan at this size
-    code, _, err = run_cli(capsys, "counterexample", "lamberton", "--n-list", "1100",
-                           "--s", "1.5")
+def test_counterexample_non_finite_row_exits_two(capsys, monkeypatch):
+    # a row with a nan rhs is written, and the run is a verification failure
+    monkeypatch.setattr(cx, "lamberton_ratio",
+                        lambda n, s: inequalities.RatioReport(1.0, math.nan, math.nan))
+    code, out, err = run_cli(capsys, "counterexample", "lamberton", "--n-list", "64",
+                             "--s", "1.5")
     assert code == 2
-    assert "non-finite" in err and "1100" in err
+    assert json.loads(out)["rows"][0]["n"] == 64
+    assert "non-finite" in err and "64" in err
+
+
+def test_counterexample_past_the_verified_range_exits_one(capsys):
+    # the point mass's Krawtchouk sum, nan at this size, is refused before it is taken
+    code, out, err = run_cli(capsys, "counterexample", "lamberton", "--n-list", "1100",
+                             "--s", "1.5")
+    assert code == 1
+    assert out == "" and "verified up to n=256, got n=1100" in err
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

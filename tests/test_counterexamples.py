@@ -6,18 +6,36 @@ import pytest
 
 import cubeineq.counterexamples as cx
 from cubeineq.cube import BiCubeFunction, discrete_derivative, gradient
-from cubeineq.norms import MixedNormSpec, rademacher_avg
+from cubeineq.norms import MixedNormSpec, lp_norm, rademacher_avg
 from cubeineq.radial import binomial_weights
-from conftest import brute_sup_rademacher_moment
+from conftest import brute_sup_rademacher_moment, exact_krawtchouk
 
 
-@pytest.mark.parametrize("report", [lambda: cx.riesz_above_vector_check(1024, 2.0, 1.5),
-                                    lambda: cx.lamberton_ratio(1024, 1.5)])
-def test_a_nan_side_gives_a_nan_ratio(report):
-    # past the Krawtchouk table's precision the rhs is nan (ROADMAP item 1); the
-    # ratio used to read 0.0 and inf here, a finite-looking answer from no answer
-    rep = report()
-    assert math.isnan(rep.rhs) and math.isnan(rep.ratio)
+@pytest.mark.parametrize("report", [lambda n: cx.riesz_above_vector_check(n, 2.0, 1.5),
+                                    lambda n: cx.lamberton_ratio(n, 1.5)])
+def test_the_point_mass_past_the_verified_range_is_refused(report):
+    # the raw Krawtchouk sum gave a wrong ratio at n = 512 and a nan rhs at 1024
+    report(cx.MAX_HALFLAP_N)
+    for n in (cx.MAX_HALFLAP_N + 1, 512, 1024):
+        with pytest.raises(ValueError, match=f"verified up to n=256, got n={n}"):
+            report(n)
+
+
+def _exact_halflap_norm(n: int, s: float) -> mpmath.mpf:
+    """|| L^{1/2} f ||_{L^s} of the point mass from integer Krawtchouk values."""
+    K = exact_krawtchouk(n)
+    with mpmath.workdps(120):  # integer terms up to 6e75 at n = 256, cancelling
+        roots = [mpmath.sqrt(k) for k in range(n + 1)]
+        sums = [mpmath.fsum(roots[k] * K[k][d] for k in range(n + 1)) for d in range(n + 1)]
+        power_mean = mpmath.fsum(mpmath.binomial(n, d) * abs(v) ** s for d, v in enumerate(sums))
+        return (power_mean / mpmath.mpf(2) ** (n + n * s)) ** (1 / mpmath.mpf(s))
+
+
+@pytest.mark.parametrize("n, tol", [(200, 1e-9), (256, 2e-6)])
+def test_halflap_norm_meets_its_declared_accuracy(n, tol):
+    exact = _exact_halflap_norm(n, 1.5)
+    got = lp_norm(cx.lamberton_halflap_profile(n), 1.5)
+    assert abs(got - exact) / exact < tol
 
 
 def test_profile_vanishes_inside_root_n_ball():
@@ -95,7 +113,6 @@ def test_growth_curve_validation():
             cx.GrowthCurve.fit(ns, [1.0] * len(ns))
     curve = cx.GrowthCurve.fit([4, 8, 16], [1.0, 2.0, 3.0])
     assert set(curve.fit_record()) == {"slope", "intercept", "residual"}
-    assert curve.to_csv().splitlines()[0] == "n,value"
 
 
 def test_lamberton_closed_form_vs_dense():

@@ -98,6 +98,21 @@ def test_inner_kind_inverts_the_operand_table(kind):
     g = OPERANDS[kind].from_coeffs(3, coeffs, mean_annihilated=True)
     assert inner_kind(g) == kind and g.n == 3 and g.mean_annihilated
     assert g.coeffs is coeffs  # the coefficients are taken as they are, not transformed
+    # the one shape check of the operand base refuses every other layout
+    cls = OPERANDS[kind]
+    bad = [coeffs[..., :4], coeffs[None]]  # a wrong trailing length; an extra row axis
+    if kind != "scalar":
+        bad += [coeffs[0], coeffs[:0]]  # a missing row axis; zero rows
+    if kind == "Lq":
+        bad.append(np.zeros((3, 8)))  # a row count that is not a power of two
+    elif kind == "lq":
+        assert cls.from_coeffs(3, np.zeros((3, 8))).R == 3  # any R >= 1
+    for c in bad:
+        with pytest.raises(ValueError, match="coefficients for n=3"):
+            cls.from_coeffs(3, c)
+    for n in (0, 25):
+        with pytest.raises(ValueError, match="dense cube dimension"):
+            cls.from_coeffs(n, coeffs)
 
 
 @pytest.mark.parametrize("inner, q, message", [
@@ -110,6 +125,21 @@ def test_inner_kind_inverts_the_operand_table(kind):
 def test_spec_takes_q_exactly_when_its_inner_norm_reads_it(inner, q, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         MixedNormSpec(3.0, inner, q)
+
+
+def test_scalar_mixed_norm_allocates_no_more_than_lp_norm(rng):
+    # the one transform's copy of the coefficients is the values, the only 2^n array
+    f = random_function(18, rng)
+    peaks = []
+    for op in (lambda: lp_norm(f, 3.0), lambda: mixed_norm(f, MixedNormSpec.scalar(3.0))):
+        op()  # warm any first-call caches
+        tracemalloc.start()
+        try:
+            op()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] < 1.5 * f.coeffs.nbytes
 
 
 def test_scalar_mixed_norm_is_lp_norm(rng):
