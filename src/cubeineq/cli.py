@@ -196,8 +196,12 @@ def _cmd_quantum(args) -> int:
         m = 1 << args.n
         for k in range(20):
             M = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-            PM = qt.project_Q(M, method="both")  # raises if the two implementations disagree
-            idem = float(np.max(np.abs(qt.project_Q(PM.mat).mat - PM.mat)))
+            PM = qt.project_Q(M)
+            gap = float(np.max(np.abs(PM - qt.project_by_conjugation(M))))
+            if not gap <= 1e-12:
+                raise qt.QuadratureAccuracyError(
+                    f"projection implementations disagree by {gap:.3e} (> 1.0e-12)")
+            idem = float(np.max(np.abs(qt.project_Q(PM) - PM)))
             worst = max(worst, idem)
             for p in (1.0, 1.5, 2.0, 3.0, np.inf):
                 excess = qt.schatten_norm(PM, p) - qt.schatten_norm(M, p)

@@ -31,6 +31,7 @@ from .radial import RadialProfile, binomial_weights, krawtchouk_table
 from .rng import stream_generator
 
 MAX_HALFLAP_N = 256  # largest n whose point-mass Krawtchouk sum is verified (2e-6 at s >= 1.5)
+MAX_HALFLAP_N_BELOW_1_5 = 64  # the same for 1 <= s < 1.5 (1.2e-8 at s = 1)
 
 
 @dataclass(frozen=True)
@@ -143,8 +144,9 @@ def lamberton_halflap_profile(n: int) -> RadialProfile:
     integer-Krawtchouk oracle, the L^s norm of the profile at s >= 1.5 is
     within 2e-6 relative up to n = 256 (at s = 1.5: 1.1e-13 at n = 160,
     1.4e-10 at 200 and 1.6e-6 at 256).  Below s = 1.5 the rounding of the
-    mid-weight values weighs more in the norm, and no range is verified: at
-    n = 160 the error is 1.6e-3 at s = 1.25.
+    mid-weight values weighs more in the norm: at s = 1 the error is 1.2e-8
+    at n = 64, 4.2e-6 at 80 and 2.3e-3 at 100, so `lamberton_ratio` refuses
+    s < 1.5 past n = `MAX_HALFLAP_N_BELOW_1_5`.
     """
     if n > MAX_HALFLAP_N:
         raise ValueError(f"the point mass's Krawtchouk sum is verified up to "
@@ -164,6 +166,9 @@ def lamberton_ratio(n: int, s: float) -> RatioReport:
         raise ValueError(f"need n >= 2, got {n}")
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
+    if s < 1.5 and n > MAX_HALFLAP_N_BELOW_1_5:
+        raise ValueError(f"below s=1.5 the point mass's Krawtchouk sum is verified up to "
+                         f"n={MAX_HALFLAP_N_BELOW_1_5}, got n={n} at s={s}")
     lhs = lamberton_gradient_norm(n, s)
     rhs = lp_norm(lamberton_halflap_profile(n), s)
     regime = "failure-regime" if 1 < s < 2 else "outside-failure-regime"

@@ -138,14 +138,12 @@ def signs_to_index(eta, n: int) -> int:
 class _CoeffArray:
     """The one coefficient array of every operand class: Walsh coefficients on
     the last axis of `coeffs`, shaped (2^n,) for a CubeFunction and (rows, 2^n)
-    for the rows of a VectorCubeFunction or a BiCubeFunction.  `mean_annihilated`
-    flags that a negative fractional power of L silently dropped a nonzero mean
-    component."""
+    for the rows of a VectorCubeFunction or a BiCubeFunction."""
 
-    __slots__ = ("n", "coeffs", "mean_annihilated")
+    __slots__ = ("n", "coeffs")
     _ROWS = None  # no row axis; else the name of the row count, a power of two unless "R"
 
-    def _set(self, n: int, coeffs, mean_annihilated: bool) -> None:
+    def _set(self, n: int, coeffs) -> None:
         """Check the coefficient shape and store the fields: the one shape check."""
         _check_dense_n(n)
         coeffs = np.asarray(coeffs, dtype=np.float64)
@@ -154,17 +152,17 @@ class _CoeffArray:
                 or rows and (rows[0] < 1 or self._ROWS != "R" and rows[0] & (rows[0] - 1))):
             want = 1 << n if self._ROWS is None else f"({self._ROWS}, {1 << n})"
             raise ValueError(f"expected {want} coefficients for n={n}, got {coeffs.shape}")
-        self.n, self.coeffs, self.mean_annihilated = n, coeffs, mean_annihilated
+        self.n, self.coeffs = n, coeffs
 
     @classmethod
-    def from_coeffs(cls, n: int, coeffs, mean_annihilated: bool = False):
+    def from_coeffs(cls, n: int, coeffs):
         """The operand with Walsh coefficients `coeffs` (row r: coeffs[r]), taken as they are."""
         F = cls.__new__(cls)
-        F._set(n, coeffs, mean_annihilated)
+        F._set(n, coeffs)
         return F
 
-    def _with(self, coeffs, mean_annihilated: bool = False):
-        return self.from_coeffs(self.n, coeffs, mean_annihilated)
+    def _with(self, coeffs):
+        return self.from_coeffs(self.n, coeffs)
 
     def values(self) -> np.ndarray:
         """Point values, the Walsh synthesis of each row of `coeffs`."""
@@ -191,8 +189,8 @@ class CubeFunction(_CoeffArray):
 
     __slots__ = ()
 
-    def __init__(self, n: int, coeffs, mean_annihilated: bool = False):
-        self._set(n, coeffs, mean_annihilated)
+    def __init__(self, n: int, coeffs):
+        self._set(n, coeffs)
 
     # -- construction / evaluation ------------------------------------------
 
@@ -336,7 +334,7 @@ def apply_multiplier(f: CubeFunction, m) -> CubeFunction:
 
     `m` is a callable on levels 0..n or an array of length n+1.
     """
-    return f._with(_times_levels(f.coeffs, _multiplier_table(m, f.n)), f.mean_annihilated)
+    return f._with(_times_levels(f.coeffs, _multiplier_table(m, f.n)))
 
 
 def laplacian(f: CubeFunction) -> CubeFunction:
@@ -360,14 +358,12 @@ def _frac_table(n: int, a: float) -> np.ndarray:
 
 
 def frac_power(f: CubeFunction, a: float) -> CubeFunction:
-    """L^{-a}: multiplies level k >= 1 by k^{-a} and annihilates the mean.
+    """L^{-a} on f - E f: multiplies level k >= 1 by k^{-a} and level 0 by 0.
 
-    For a > 0 the operator is only defined on mean-zero functions; a nonzero
-    mean is dropped and flagged through `mean_annihilated` on the result.
+    Any mean is dropped, whatever the sign of a, so frac_power(f, 0.0) is
+    f - E f.
     """
-    out = apply_multiplier(f, _frac_table(f.n, a))
-    out.mean_annihilated = f.mean_annihilated or (a > 0 and bool((f.coeffs[..., 0] != 0).any()))
-    return out
+    return apply_multiplier(f, _frac_table(f.n, a))
 
 
 def riesz(f: CubeFunction, i: int) -> CubeFunction:
@@ -428,8 +424,7 @@ class VectorCubeFunction(_CoeffArray):
         components = list(components)
         if not components or any(c.n != components[0].n for c in components):
             raise ValueError("need one or more components, all with the same n")
-        self._set(components[0].n, np.stack([c.coeffs for c in components]),
-                  any(c.mean_annihilated for c in components))
+        self._set(components[0].n, np.stack([c.coeffs for c in components]))
 
     R = property(lambda self: self.coeffs.shape[0])
 
@@ -452,7 +447,7 @@ class BiCubeFunction(_CoeffArray):
         values = np.asarray(values, dtype=np.float64)
         if values.shape != (1 << n_eps, 1 << n_delta):
             raise ValueError(f"value grid must be 2^{n_eps} x 2^{n_delta}")
-        self._set(n_eps, walsh_transform(values.T) / (1 << n_eps), False)
+        self._set(n_eps, walsh_transform(values.T) / (1 << n_eps))
 
     R = property(lambda self: self.coeffs.shape[0])
     n_eps = property(lambda self: self.n)

@@ -8,9 +8,9 @@ where Q_A flips the bits of A.  Under the normalized trace tr = Tr / 2^n
 the embedding is an L^p isometry onto a commutative subalgebra: the
 eigenvalue multiset of T_f is exactly the value multiset of f.  Around it
 live the anticommuting partners P_j, the projection back onto the Q-span
-(a Schatten-norm contraction, taken through the word coefficients; the
-conjugated diagonal restriction is kept as a cross-check), and the
-rotation group
+(a Schatten-norm contraction, taken through the word coefficients and
+checked against `project_by_conjugation`, the conjugated diagonal
+restriction), and the rotation group
 
     rotate(T, theta) = A_theta^* T A_theta,  A_theta = diag(1, e^{i theta})^{(x) n},
 
@@ -30,7 +30,9 @@ A rotation scales entry [y, x] by a phase in the level gap |x| - |y|, so the
 rotation and the kernel integral are both (2n+1)-entry level-gap multipliers
 read through one shared index table.
 
-Dense complex matrices only, n <= 10; all Schatten norms go through SVD.
+Every matrix is a plain complex 2^n x 2^n numpy array, n <= 10, checked
+once per public call that takes one (`_square`); all Schatten norms go
+through SVD.
 """
 
 from __future__ import annotations
@@ -65,30 +67,20 @@ def _check_qubits(n: int, cap: int = MAX_QUBITS) -> None:
         raise ValueError(f"qubit count must be in [1, {cap}], got {n}")
 
 
-class MatrixObservable:
-    """Dense complex 2^n x 2^n matrix under the normalized trace."""
-
-    __slots__ = ("n", "mat")
-
-    def __init__(self, n: int, mat):
-        _check_qubits(n)
-        mat = np.asarray(mat, dtype=complex)
-        if mat.shape != (1 << n, 1 << n):
-            raise ValueError(f"expected a {1 << n} x {1 << n} matrix")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("matrix entries must be finite")
-        self.n = n
-        self.mat = mat
-
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.mat - self.mat.conj().T)) <= tol)
-
-    def __repr__(self):
-        return f"MatrixObservable(n={self.n})"
-
-
-def _as_mat(T) -> np.ndarray:
-    return T.mat if isinstance(T, MatrixObservable) else np.asarray(T, dtype=complex)
+def _square(T) -> tuple[np.ndarray, int]:
+    """T as a complex 2^n x 2^n array, and its n: the one check of every matrix
+    argument.  The shape (2-D, square, 2^n with 1 <= n <= MAX_QUBITS) is checked
+    before any entry is read, then the entries must be finite; ValueError otherwise."""
+    mat = np.asarray(T)
+    m = mat.shape[0] if mat.ndim == 2 else 0
+    n = m.bit_length() - 1
+    if mat.shape != (m, m) or not 1 <= n <= MAX_QUBITS or m != 1 << n:
+        raise ValueError(f"expected a 2^n x 2^n matrix with 1 <= n <= {MAX_QUBITS}, "
+                         f"got shape {mat.shape}")
+    mat = mat.astype(complex, copy=False)
+    if not np.isfinite(mat).all():
+        raise ValueError("matrix entries must be finite")
+    return mat, n
 
 
 @dataclass(frozen=True)
@@ -118,37 +110,30 @@ class PauliWord:
         return cls(tuple("P" if (mask >> i) & 1 else "I" for i in range(n)))
 
     def matrix(self) -> np.ndarray:
+        """The dense 2^n x 2^n matrix of the word."""
+        _check_qubits(self.n)  # before the kron products
         # coordinate i owns bit i of the index, so factor order is reversed
-        out = _LETTERS[self.letters[-1]]
-        for c in reversed(self.letters[:-1]):
-            out = np.kron(out, _LETTERS[c])
-        return out
+        return functools.reduce(np.kron, [_LETTERS[c] for c in reversed(self.letters)])
 
 
-def pauli_build(word: PauliWord) -> MatrixObservable:
-    """Dense matrix of a Pauli tensor word."""
-    _check_qubits(word.n)
-    return MatrixObservable(word.n, word.matrix())
-
-
-def pauli_inner(X, Y, n: int) -> complex:
+def pauli_inner(X, Y) -> complex:
     """tr(X^* Y) with the normalized trace; Pauli words are orthonormal."""
-    return complex(np.trace(_as_mat(X).conj().T @ _as_mat(Y)) / (1 << n))
+    (x, n), (y, _) = _square(X), _square(Y)
+    return complex(np.vdot(x, y) / (1 << n))
 
 
 # -- the commutative embedding -------------------------------------------------
 
 
-def embed(f: CubeFunction) -> MatrixObservable:
+def embed(f: CubeFunction) -> np.ndarray:
     """T_f = sum_A fhat(A) Q_A, assembled entrywise as fhat(y xor x)."""
     _check_qubits(f.n)
-    return MatrixObservable(f.n, f.coeffs[_xor_grid(f.n)].astype(complex))
+    return f.coeffs[_xor_grid(f.n)].astype(complex)
 
 
 def extract_q_coefficients(T) -> np.ndarray:
     """Coefficients of T on the Q-words: c(A) = tr(Q_A T) = mean_x T[x xor A, x]."""
-    mat = _as_mat(T)
-    n = mat.shape[0].bit_length() - 1
+    mat, n = _square(T)
     idx = np.arange(1 << n)
     return mat[_xor_grid(n), idx[None, :]].mean(axis=1)
 
@@ -162,7 +147,7 @@ def schatten_norm(T, p: float, normalizer: int | None = None) -> float:
     """
     if not p >= 1:
         raise ValueError(f"exponent must be in [1, inf], got {p}")
-    mat = _as_mat(T)
+    mat = np.asarray(T, dtype=complex)
     s = np.linalg.svd(mat, compute_uv=False)
     if np.isinf(p):
         return float(s[0])
@@ -178,38 +163,22 @@ def rho_matrix(n: int) -> np.ndarray:
     """The unitary r^{(x) n} with r = [[1,1],[-1,1]]/sqrt(2) conjugating
     the Q-span onto the diagonal."""
     r = np.array([[1, 1], [-1, 1]], dtype=complex) / math.sqrt(2)
-    out = r
-    for _ in range(n - 1):
-        out = np.kron(out, r)
-    return out
+    return functools.reduce(np.kron, [r] * n)
 
 
-def project_Q(T, method: str = "words", tol: float = 1e-12) -> MatrixObservable:
-    """Orthogonal projection onto span{Q_A}; a contraction in every sigma_p.
+def project_Q(T) -> np.ndarray:
+    """Orthogonal projection onto span{Q_A}, through the word coefficients;
+    a contraction in every sigma_p."""
+    c = extract_q_coefficients(T)
+    return c[_xor_grid(c.size.bit_length() - 1)]
 
-    method "words" (the default) projects through the word coefficients,
-    "conjugation" through the dense rho Diag(rho^* T rho) rho^*; "both" runs
-    the two and demands agreement within `tol` (an internal-consistency
-    failure otherwise), the cross-check `cubeineq quantum projection` reports.
-    """
-    mat = _as_mat(T)
-    n = mat.shape[0].bit_length() - 1
-    if method not in ("words", "conjugation", "both"):
-        raise ValueError(f"unknown method {method!r}")
-    by_words = by_conj = None
-    if method in ("words", "both"):
-        c = extract_q_coefficients(mat)
-        by_words = c[_xor_grid(n)]
-    if method in ("conjugation", "both"):
-        rho = rho_matrix(n)
-        inner = rho.conj().T @ mat @ rho
-        by_conj = rho @ np.diag(np.diag(inner)) @ rho.conj().T
-    if method == "both":
-        gap = float(np.max(np.abs(by_words - by_conj)))
-        if gap > tol:
-            raise QuadratureAccuracyError(
-                f"projection implementations disagree by {gap:.3e} (> {tol:.1e})")
-    return MatrixObservable(n, by_words if by_words is not None else by_conj)
+
+def project_by_conjugation(T) -> np.ndarray:
+    """project_Q as the dense rho Diag(rho^* T rho) rho^*: the reference that
+    `cubeineq quantum projection` and the tests compare project_Q against."""
+    mat, n = _square(T)
+    rho = rho_matrix(n)
+    return rho @ np.diag(np.diag(rho.conj().T @ mat @ rho)) @ rho.conj().T
 
 
 # -- rotation group and derivation ---------------------------------------------
@@ -225,20 +194,19 @@ def _level_gap(n: int) -> np.ndarray:
     return gap
 
 
-def rotate(T, theta: float) -> MatrixObservable:
+def rotate(T, theta: float) -> np.ndarray:
     """A_theta^* T A_theta with A_theta = diag(1, e^{i theta})^{(x) n}.
 
     Sends Q_j to cos(theta) Q_j + sin(theta) P_j and P_j to
     cos(theta) P_j - sin(theta) Q_j; an isometry of every sigma_p.
     """
-    mat = _as_mat(T)
-    n = mat.shape[0].bit_length() - 1
-    return MatrixObservable(n, mat * np.exp(1j * theta * np.arange(-n, n + 1))[_level_gap(n)])
+    mat, n = _square(T)
+    return mat * np.exp(1j * theta * np.arange(-n, n + 1))[_level_gap(n)]
 
 
 def apply_p_left(M, j: int) -> np.ndarray:
     """Left-multiply by P_j without forming it: row y picks i(-1)^{y_j} M[y xor e_j]."""
-    mat = _as_mat(M)
+    mat, _ = _square(M)
     out = np.empty(mat.shape, dtype=complex)
     (out_lo, out_hi), (lo, hi) = _halves(out.T, j), _halves(mat.T, j)
     np.multiply(1j, hi, out=out_lo)
@@ -246,13 +214,9 @@ def apply_p_left(M, j: int) -> np.ndarray:
     return out
 
 
-def derivation(f: CubeFunction) -> MatrixObservable:
+def derivation(f: CubeFunction) -> np.ndarray:
     """D(T_f) = sum_j P_j d_j T_f, the generator of the rotation group."""
-    _check_qubits(f.n)
-    total = np.zeros((1 << f.n, 1 << f.n), dtype=complex)
-    for j in range(f.n):
-        total += apply_p_left(embed(partial_derivative(f, j)).mat, j)
-    return MatrixObservable(f.n, total)
+    return sum(apply_p_left(embed(partial_derivative(f, j)), j) for j in range(f.n))
 
 
 # -- singular kernel quadrature --------------------------------------------------
@@ -342,16 +306,15 @@ class QuadratureRule:
         return self._norm_const
 
 
-def kernel_transform(G, quad: QuadratureRule) -> MatrixObservable:
+def kernel_transform(G, quad: QuadratureRule) -> np.ndarray:
     """int K(theta) rotate(G, -theta) dtheta (the orientation under which the
     half-power representation below holds with a positive constant):
     G * kappa[|x| - |y|] with kappa(delta) = -2i sum_k w_k sin(theta_k delta).
     """
-    mat = _as_mat(G)
-    n = mat.shape[0].bit_length() - 1
+    mat, n = _square(G)
     gaps = np.arange(-n, n + 1)
     kappa = quad.integrate(lambda theta: np.exp(-1j * theta * gaps))
-    return MatrixObservable(n, mat * kappa[_level_gap(n)])
+    return mat * kappa[_level_gap(n)]
 
 
 _QA_THETAS = (0.3, 0.9, 1.4)  # the rotation angles qa_word_defect samples
@@ -367,10 +330,10 @@ def qa_word_defect(n: int, j: int) -> float:
     for A in range(1 << n):
         if not (A >> j) & 1:
             continue
-        g = apply_p_left(embed(character(n, A ^ (1 << j))).mat, j)
-        q_a, k = embed(character(n, A)).mat, int(levels(n)[A]) - 1
+        g = apply_p_left(embed(character(n, A ^ (1 << j))), j)
+        q_a, k = embed(character(n, A)), int(levels(n)[A]) - 1
         for theta in _QA_THETAS:
-            lhs = project_Q(rotate(g, -theta)).mat
+            lhs = project_Q(rotate(g, -theta))
             expect = q_a * (math.cos(theta) ** k * math.sin(theta))
             worst = max(worst, float(np.max(np.abs(lhs - expect))))
     return worst
@@ -385,9 +348,9 @@ def verify_qa_formula(f: CubeFunction, j: int, quad: QuadratureRule) -> float:
     _check_qubits(f.n, MAX_FORMULA_QUBITS)
     _check_coord(f, j)
     c = quad.normalizing_constant()
-    lhs = embed(riesz(f, j)).mat
-    g = apply_p_left(embed(partial_derivative(f, j)).mat, j)
-    rhs = project_Q(kernel_transform(g, quad).mat).mat / c
+    lhs = embed(riesz(f, j))
+    g = apply_p_left(embed(partial_derivative(f, j)), j)
+    rhs = project_Q(kernel_transform(g, quad)) / c
     residual = float(np.max(np.abs(lhs - rhs)))
     return max(residual, qa_word_defect(f.n, j))
 
@@ -399,8 +362,8 @@ def verify_elpF(f: CubeFunction, quad: QuadratureRule) -> float:
     if abs(f.mean) > 1e-12:
         raise ValueError("the half-power representation needs a mean-zero function")
     c = quad.normalizing_constant()
-    lhs = embed(frac_power(f, -0.5)).mat
-    rhs = project_Q(kernel_transform(derivation(f).mat, quad).mat).mat / c
+    lhs = embed(frac_power(f, -0.5))
+    rhs = project_Q(kernel_transform(derivation(f), quad)) / c
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -410,7 +373,7 @@ def verify_elpF(f: CubeFunction, quad: QuadratureRule) -> float:
 def block_column(F: VectorCubeFunction) -> np.ndarray:
     """C_F: the T_{f^r} stacked vertically; sigma_p of it is the L^p(ell^2) norm."""
     _check_block(F)
-    return np.vstack([embed(c).mat for c in F.components])
+    return np.vstack([embed(c) for c in F.components])
 
 
 def block_diag(F: VectorCubeFunction) -> np.ndarray:
@@ -419,7 +382,7 @@ def block_diag(F: VectorCubeFunction) -> np.ndarray:
     _check_block(F)
     m, r = 1 << F.n, np.arange(F.R)
     out = np.zeros((F.R, m, F.R, m), dtype=complex)
-    out[r, :, r, :] = [embed(c).mat for c in F.components]  # block (r, r) is T_{f^r}
+    out[r, :, r, :] = [embed(c) for c in F.components]  # block (r, r) is T_{f^r}
     return out.reshape(F.R * m, F.R * m)
 
 

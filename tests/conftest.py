@@ -226,17 +226,16 @@ def same_bytes(a, b):
 
 def per_component_reference(op, F):
     """op applied to the components of a VectorCubeFunction one at a time: the
-    coefficient rows of the R results, and whether any of them lost its mean."""
-    parts = [op(c) for c in F.components]
-    return np.stack([g.coeffs for g in parts]), any(g.mean_annihilated for g in parts)
+    coefficient rows of the R results."""
+    return np.stack([op(c).coeffs for c in F.components])
 
 
 def per_column_reference(op, grid):
     """op applied in eps to the (eps, delta) value grid of a two-variable function,
     one delta column at a time through a CubeFunction: the value grid of the
-    result, and whether any column lost its mean."""
-    parts = [op(CubeFunction.from_values(col)) for col in np.asarray(grid).T]
-    return np.stack([g.values() for g in parts], axis=1), any(g.mean_annihilated for g in parts)
+    result."""
+    return np.stack([op(CubeFunction.from_values(col)).values() for col in np.asarray(grid).T],
+                    axis=1)
 
 
 def discrete_derivative_reference(coeffs, i):
@@ -296,7 +295,7 @@ def qa_word_defect_reference(n, j):
         g = apply_p_left_reference(q_rest, j)
         k = int(lev[A]) - 1
         for theta in qt._QA_THETAS:
-            lhs = qt.project_Q(qt.rotate(g, -theta)).mat
+            lhs = qt.project_Q(qt.rotate(g, -theta))
             expect = np.zeros((m, m), dtype=complex)
             expect[idx ^ A, idx] = math.cos(theta) ** k * math.sin(theta)
             worst = max(worst, float(np.max(np.abs(lhs - expect))))

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -21,6 +22,24 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _readme_command_lines() -> list[list[str]]:
+    """The `cubeineq` lines of the README's "Command line" block, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line) for line in lines if line.startswith("cubeineq ")]
+
+
+def test_every_readme_command_line_example_exits_zero(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)  # the sweep example writes --out gamma.csv
+    commands = _readme_command_lines()
+    assert len(commands) >= 12
+    for argv in commands:
+        code, _, err = run_cli(capsys, *argv[1:])
+        assert code == 0, (argv, err)
+    assert (tmp_path / "gamma.csv").read_text().startswith("inequality_id,n,p,q,")
 
 
 def test_version(capsys):
@@ -210,6 +229,14 @@ def test_quantum_projection_checks_qubits_first(capsys, n):
     assert "qubit count must be in [1, 10]" in err
 
 
+def test_quantum_projection_disagreement_exits_two(capsys, monkeypatch):
+    reference = qt.project_by_conjugation
+    monkeypatch.setattr(qt, "project_by_conjugation", lambda T: reference(T) + 1e-9)
+    code, _, err = run_cli(capsys, "quantum", "projection", "--n", "3")
+    assert code == 2
+    assert "projection implementations disagree by 1.000e-09 (> 1.0e-12)" in err
+
+
 @pytest.mark.parametrize("which", ["qa", "heat"])
 def test_verify_count_below_one_exits_one(capsys, which):
     code, _, err = run_cli(capsys, "verify", "formula", "--which", which, "--count", "0")
@@ -277,6 +304,14 @@ def test_counterexample_past_the_verified_range_exits_one(capsys):
                              "--s", "1.5")
     assert code == 1
     assert out == "" and "verified up to n=256, got n=1100" in err
+
+
+def test_counterexample_below_s_1_5_past_n_64_exits_one(capsys):
+    # this printed a ratio of 3.2e-7 at n = 160 and exited 0
+    code, out, err = run_cli(capsys, "counterexample", "lamberton", "--s", "1",
+                             "--n-list", "100,160")
+    assert code == 1
+    assert out == "" and "verified up to n=64, got n=100 at s=1.0" in err
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

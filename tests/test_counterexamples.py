@@ -38,6 +38,21 @@ def test_halflap_norm_meets_its_declared_accuracy(n, tol):
     assert abs(got - exact) / exact < tol
 
 
+def test_the_point_mass_below_s_1_5_meets_its_declared_accuracy_up_to_n_64():
+    exact = _exact_halflap_norm(64, 1.0)
+    assert abs(cx.lamberton_ratio(64, 1.0).rhs - exact) / exact < 1e-7
+
+
+@pytest.mark.parametrize("report, s", [(cx.lamberton_ratio, 1.0), (cx.lamberton_ratio, 1.25),
+                                       (lambda n, s: cx.riesz_above_vector_check(n, 2.0, s), 1.25)])
+def test_the_point_mass_below_s_1_5_past_n_64_is_refused(report, s):
+    # at s = 1 the rhs was off by 2.3e-3 at n = 100 and by a factor 1.5e7 at n = 160
+    report(cx.MAX_HALFLAP_N_BELOW_1_5, s)
+    for n in (cx.MAX_HALFLAP_N_BELOW_1_5 + 1, 100, 160):
+        with pytest.raises(ValueError, match=f"verified up to n=64, got n={n} at s={s}"):
+            report(n, s)
+
+
 def test_profile_vanishes_inside_root_n_ball():
     n = 100
     prof = cx.talagrand_profile(n)

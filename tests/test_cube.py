@@ -182,20 +182,18 @@ def test_frac_power_heat_integral_oracle(rng):
     assert np.max(np.abs(numeric - target)) < 1e-8
 
 
-def test_frac_power_composes_and_flags(rng):
+def test_frac_power_composes_and_drops_the_mean(rng):
     f = random_function(5, rng, mean_zero=True)
     ab = frac_power(frac_power(f, 0.3), 0.5)
     merged = frac_power(f, 0.8)
     assert np.max(np.abs(ab.coeffs - merged.coeffs)) < 1e-12
-    assert not ab.mean_annihilated
 
     g = random_function(5, rng)
     g.coeffs[0] = 2.0
-    flagged = frac_power(g, 0.5)
-    assert flagged.mean_annihilated
-    assert flagged.coeffs[0] == 0.0
-    # positive powers of L kill the mean legitimately: no flag
-    assert not frac_power(g, -0.5).mean_annihilated
+    # L^{-a} acts on g - E g for every a, so L^0 is the projection off the mean
+    for a in (0.5, 0.0, -0.5):
+        assert frac_power(g, a).coeffs[0] == 0.0
+    assert np.array_equal(frac_power(g, 0.0).coeffs, (g - g.mean).coeffs)
 
 
 def test_bicube_sum_is_the_value_sum(rng):
@@ -438,10 +436,8 @@ def test_batched_operators_equal_per_component_calls(rng, n, R):
     F = VectorCubeFunction.from_coeffs(n, _signed_zero_coeffs(n, rng, R))
     for name, op in _BATCHED_OPERATORS.items():
         out = op(F)
-        rows, flagged = per_component_reference(op, F)
         assert type(out) is VectorCubeFunction and out.n == n, name
-        assert same_bytes(out.coeffs, rows), name
-        assert out.mean_annihilated == flagged, name
+        assert same_bytes(out.coeffs, per_component_reference(op, F)), name
 
 
 def test_bicube_marginals_and_reembedding(rng):
@@ -479,7 +475,7 @@ def test_map_eps_matches_per_column_loop(rng, n_eps, n_delta):
     F = BiCubeFunction(n_eps, n_delta, grid)
     for op in (lambda h: frac_power(discrete_derivative(h, 0), 0.5),
                lambda h: heat(h, 0.3), lambda h: riesz(h, n_eps - 1)):
-        loop, _ = per_column_reference(op, grid)
+        loop = per_column_reference(op, grid)
         calls = []
 
         def counted(h, op=op):
@@ -496,15 +492,14 @@ def test_map_eps_matches_per_column_loop(rng, n_eps, n_delta):
 @pytest.mark.parametrize("n_eps,n_delta", [(1, 1), (3, 2), (5, 4)])
 def test_operators_act_in_eps_on_a_bicube_function(rng, n_eps, n_delta):
     grid = rng.standard_normal((1 << n_eps, 1 << n_delta))
-    grid[:, 0] += 1.0  # a column with a mean, for frac_power to flag
+    grid[:, 0] += 1.0  # a column with a mean, for frac_power to drop
     F = BiCubeFunction(n_eps, n_delta, grid)
     for name, op in _BATCHED_OPERATORS.items():
         out = op(F)
-        loop, flagged = per_column_reference(op, grid)
+        loop = per_column_reference(op, grid)
         assert type(out) is BiCubeFunction, name
         assert (out.n_eps, out.n_delta) == (n_eps, n_delta), name
         assert np.max(np.abs(out.values - loop)) < 1e-12, name
-        assert out.mean_annihilated == flagged, name
 
 
 def _spread(rng, shape):

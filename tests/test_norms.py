@@ -95,8 +95,8 @@ def test_mixed_norm_shape_mismatch(rng):
 @pytest.mark.parametrize("kind", list(OPERANDS))
 def test_inner_kind_inverts_the_operand_table(kind):
     coeffs = np.arange(8.0) if kind == "scalar" else np.arange(16.0).reshape(2, 8)
-    g = OPERANDS[kind].from_coeffs(3, coeffs, mean_annihilated=True)
-    assert inner_kind(g) == kind and g.n == 3 and g.mean_annihilated
+    g = OPERANDS[kind].from_coeffs(3, coeffs)
+    assert inner_kind(g) == kind and g.n == 3
     assert g.coeffs is coeffs  # the coefficients are taken as they are, not transformed
     # the one shape check of the operand base refuses every other layout
     cls = OPERANDS[kind]

@@ -38,27 +38,32 @@ def test_word_orthonormality_and_completeness():
     mats = [w.matrix() for w in words]
     for i, X in enumerate(mats):
         for k, Y in enumerate(mats):
-            inner = qt.pauli_inner(X, Y, n)
+            inner = qt.pauli_inner(X, Y)
             expect = 1.0 if i == k else 0.0
             assert abs(inner - expect) < 1e-12
     # 4^n orthonormal elements span the full matrix algebra
     assert len(mats) == (1 << n) ** 2
 
 
+def test_word_matrix_checks_the_qubit_cap_first():
+    with pytest.raises(ValueError, match=r"qubit count must be in \[1, 10\]"):
+        qt.PauliWord.from_string("I" * 11).matrix()
+
+
 def test_embed_two_by_two():
     f = CubeFunction(1, [0.7, -0.3])  # a + b eps
     T = qt.embed(f)
-    assert np.allclose(T.mat, 0.7 * np.eye(2) - 0.3 * qt.Q2)
-    assert sorted(np.linalg.eigvalsh(T.mat)) == pytest.approx([0.4, 1.0])
+    assert np.allclose(T, 0.7 * np.eye(2) - 0.3 * qt.Q2)
+    assert sorted(np.linalg.eigvalsh(T)) == pytest.approx([0.4, 1.0])
 
 
 def test_embedding_isometry(rng):
     for _ in range(5):
         f = random_function(4, rng)
         T = qt.embed(f)
-        assert T.is_hermitian()
+        assert np.max(np.abs(T - T.conj().T)) == 0.0
         # eigendecomposition oracle: the singular values are the |values|
-        sv = np.linalg.svd(T.mat, compute_uv=False)
+        sv = np.linalg.svd(T, compute_uv=False)
         assert np.allclose(np.sort(sv), np.sort(np.abs(f.values())))
         for p in (1.0, 2.0, 3.0, np.inf):
             assert abs(qt.schatten_norm(T, p) - lp_norm(f, p)) < 1e-10
@@ -75,15 +80,15 @@ def test_embedding_isometry_property(n, seed, p):
 
 def test_embedding_is_algebra_map(rng):
     f, g = random_function(3, rng), random_function(3, rng)
-    assert np.max(np.abs(qt.embed(f * g).mat - qt.embed(f).mat @ qt.embed(g).mat)) < 1e-12
+    assert np.max(np.abs(qt.embed(f * g) - qt.embed(f) @ qt.embed(g))) < 1e-12
 
 
 def test_schatten_basics(rng):
     n = 3
-    eye = qt.MatrixObservable(n, np.eye(1 << n))
+    eye = np.eye(1 << n)
     for p in (1.0, 1.7, 2.0, np.inf):
         assert abs(qt.schatten_norm(eye, p) - 1.0) < 1e-14
-    word = qt.pauli_build(qt.PauliWord.from_string("QPU"))
+    word = qt.PauliWord.from_string("QPU").matrix()
     assert abs(qt.schatten_norm(word, 2.0) - 1.0) < 1e-12
     M = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     ps = [1.0, 1.5, 2.0, 3.0, 6.0, np.inf]
@@ -94,23 +99,42 @@ def test_schatten_basics(rng):
 
 def test_projection_basis_action():
     n = 2
-    qa = qt.pauli_build(qt.PauliWord.from_string("QQ"))
-    assert np.max(np.abs(qt.project_Q(qa.mat).mat - qa.mat)) < 1e-12
-    pj = qt.pauli_build(qt.PauliWord.from_string("IP"))
-    assert np.max(np.abs(qt.project_Q(pj.mat).mat)) < 1e-12
-    qp = qt.pauli_build(qt.PauliWord.from_string("QP"))
-    assert np.max(np.abs(qt.project_Q(qp.mat).mat)) < 1e-12
+    qa = qt.PauliWord.from_string("QQ").matrix()
+    assert np.max(np.abs(qt.project_Q(qa) - qa)) < 1e-12
+    pj = qt.PauliWord.from_string("IP").matrix()
+    assert np.max(np.abs(qt.project_Q(pj))) < 1e-12
+    qp = qt.PauliWord.from_string("QP").matrix()
+    assert np.max(np.abs(qt.project_Q(qp))) < 1e-12
 
 
 def test_projection_idempotent_and_consistent(rng):
     m = 16
     for _ in range(10):
         M = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        by_words = qt.project_Q(M, method="words").mat
-        by_conj = qt.project_Q(M, method="conjugation").mat
+        by_words = qt.project_Q(M)
+        by_conj = qt.project_by_conjugation(M)
         assert np.max(np.abs(by_words - by_conj)) < 1e-12
-        again = qt.project_Q(by_words).mat
+        again = qt.project_Q(by_words)
         assert np.max(np.abs(again - by_words)) < 1e-12
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.zeros((4, 8), dtype=complex), r"2\^n x 2\^n"),
+    (np.full((6, 6), np.nan), r"2\^n x 2\^n"),  # the shape is read before the entries
+    (np.diag([1.0, np.inf, 0.0, 0.0]), "finite"),
+    (np.broadcast_to(0j, (2048, 2048)), r"2\^n x 2\^n"),  # n = 11, no 64 MiB array
+], ids=["non-square", "6x6", "non-finite", "oversize"])
+@pytest.mark.parametrize("entry", [
+    "extract_q_coefficients", "project_Q", "project_by_conjugation", "rotate",
+    "apply_p_left", "kernel_transform", "pauli_inner-X", "pauli_inner-Y"])
+def test_every_matrix_argument_is_checked(quad, entry, bad, message):
+    call = {"rotate": lambda T: qt.rotate(T, 0.3),
+            "apply_p_left": lambda T: qt.apply_p_left(T, 0),
+            "kernel_transform": lambda T: qt.kernel_transform(T, quad),
+            "pauli_inner-X": lambda T: qt.pauli_inner(T, np.eye(4)),
+            "pauli_inner-Y": lambda T: qt.pauli_inner(np.eye(4), T)}.get(entry)
+    with pytest.raises(ValueError, match=message):
+        (call or getattr(qt, entry))(bad)
 
 
 def test_projection_contracts_every_schatten_norm(rng):
@@ -128,14 +152,14 @@ def test_rotation_identity_and_closed_form():
     n = 2
     f = character(n, 0b01)
     T = qt.embed(f)
-    assert np.max(np.abs(qt.rotate(T, 0.0).mat - T.mat)) < 1e-15
+    assert np.max(np.abs(qt.rotate(T, 0.0) - T)) < 1e-15
     theta = 0.7
-    RQ = qt.rotate(T, theta).mat
-    Q0 = qt.pauli_build(qt.PauliWord.from_string("QI")).mat
-    P0 = qt.pauli_build(qt.PauliWord.from_string("PI")).mat
+    RQ = qt.rotate(T, theta)
+    Q0 = qt.PauliWord.from_string("QI").matrix()
+    P0 = qt.PauliWord.from_string("PI").matrix()
     assert np.max(np.abs(RQ - (math.cos(theta) * Q0 + math.sin(theta) * P0))) < 1e-12
     # P rotates against Q
-    RP = qt.rotate(qt.MatrixObservable(n, P0), theta).mat
+    RP = qt.rotate(P0, theta)
     assert np.max(np.abs(RP - (math.cos(theta) * P0 - math.sin(theta) * Q0))) < 1e-12
 
 
@@ -144,16 +168,16 @@ def test_rotation_equals_level_formula_bitwise(rng):
         m = 1 << n
         M = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
         for theta in (0.0, 0.3, -0.9, 1.4, 2.5, -math.pi):
-            assert np.array_equal(qt.rotate(M, theta).mat, rotate_reference(M, theta))
+            assert np.array_equal(qt.rotate(M, theta), rotate_reference(M, theta))
 
 
 def test_rotation_generator_first_order(rng):
     f = random_function(3, rng)
     T = qt.embed(f)
-    D = qt.derivation(f).mat
+    D = qt.derivation(f)
     errs = []
     for h in (1e-2, 1e-3, 1e-4):
-        diff = (qt.rotate(T, h).mat - T.mat) / h
+        diff = (qt.rotate(T, h) - T) / h
         errs.append(np.max(np.abs(diff - D)))
     # first-order convergence: error shrinks linearly in h
     assert errs[1] < 0.15 * errs[0]
@@ -188,7 +212,7 @@ def test_kernel_transform_matches_per_node_rotation(rng, accuracy):
         m = 1 << n
         G = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
         ref = kernel_transform_reference(G, quad)
-        gap = np.max(np.abs(qt.kernel_transform(G, quad).mat - ref))
+        gap = np.max(np.abs(qt.kernel_transform(G, quad) - ref))
         assert gap <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -219,14 +243,14 @@ def test_qa_characters(quad):
     n = 4
     # j not in A: both sides vanish
     f = character(n, 0b1010)
-    g = qt.apply_p_left(qt.embed(partial_derivative(f, 0)).mat, 0)
+    g = qt.apply_p_left(qt.embed(partial_derivative(f, 0)), 0)
     assert np.max(np.abs(g)) == 0.0
     assert qt.verify_qa_formula(f, 0, quad) < 1e-8
     # j in A: the representation returns |A|^{-1/2} Q_A
     c = quad.normalizing_constant()
-    g = qt.apply_p_left(qt.embed(partial_derivative(f, 1)).mat, 1)
-    rhs = qt.project_Q(qt.kernel_transform(g, quad).mat).mat / c
-    qa_mat = qt.embed(character(n, 0b1010)).mat / math.sqrt(2.0)
+    g = qt.apply_p_left(qt.embed(partial_derivative(f, 1)), 1)
+    rhs = qt.project_Q(qt.kernel_transform(g, quad)) / c
+    qa_mat = qt.embed(character(n, 0b1010)) / math.sqrt(2.0)
     assert np.max(np.abs(rhs - qa_mat)) < 1e-9
 
 
@@ -239,7 +263,7 @@ def test_apply_p_left_and_qa_word_defect_match_references(rng, n):
     strided = (rng.standard_normal((2 * m, 2 * m)) + 0j)[::2, 1::2].T
     assert not strided.flags.c_contiguous and not strided.flags.f_contiguous
     for j in range(n):
-        for G in (M, strided, qt.embed(random_function(n, rng)).mat):
+        for G in (M, strided, qt.embed(random_function(n, rng))):
             assert same_bytes(qt.apply_p_left(G, j), apply_p_left_reference(G, j))
         ref = qa_word_defect_reference(n, j)
         assert np.float64(qt.qa_word_defect(n, j)).tobytes() == np.float64(ref).tobytes()
@@ -259,9 +283,9 @@ def test_elpf_additivity_and_random(rng, quad):
     f = random_function(4, rng, mean_zero=True)
     total = np.zeros((16, 16), dtype=complex)
     for j in range(4):
-        g = qt.apply_p_left(qt.embed(partial_derivative(f, j)).mat, j)
-        total += qt.kernel_transform(g, quad).mat
-    combined = qt.kernel_transform(qt.derivation(f).mat, quad).mat
+        g = qt.apply_p_left(qt.embed(partial_derivative(f, j)), j)
+        total += qt.kernel_transform(g, quad)
+    combined = qt.kernel_transform(qt.derivation(f), quad)
     assert np.max(np.abs(total - combined)) < 1e-10
     assert qt.verify_elpF(f, quad) < 1e-6
 
@@ -276,14 +300,14 @@ def test_elpf_requires_mean_zero(rng, quad):
 def test_shifted_kernel_equality(rng, quad):
     # shifting the rotation angle inside the integral never moves the norm
     f = random_function(3, rng, mean_zero=True)
-    G = qt.derivation(f).mat
-    base = qt.kernel_transform(G, quad).mat
+    G = qt.derivation(f)
+    base = qt.kernel_transform(G, quad)
     for p in (1.0, 2.0, 3.0):
         ref = qt.schatten_norm(base, p)
         vals = []
         for psi in np.linspace(-math.pi, math.pi, 9):
             shifted = quad.integrate(
-                lambda th: qt.rotate(G, -(th - psi)).mat)
+                lambda th: qt.rotate(G, -(th - psi)))
             vals.append(qt.schatten_norm(shifted, p) ** p)
         avg = (np.mean(vals)) ** (1 / p)
         assert abs(avg - ref) < 1e-8 * max(1.0, ref)
@@ -292,10 +316,9 @@ def test_shifted_kernel_equality(rng, quad):
 def test_conjugation_table():
     n = 2
     for j in range(n):
-        qj = qt.pauli_build(qt.PauliWord.q_word(1 << j, n)).mat
-        pj = qt.pauli_build(qt.PauliWord.p_word(1 << j, n)).mat
-        uj = qt.pauli_build(
-            qt.PauliWord(tuple("U" if i == j else "I" for i in range(n)))).mat
+        qj = qt.PauliWord.q_word(1 << j, n).matrix()
+        pj = qt.PauliWord.p_word(1 << j, n).matrix()
+        uj = qt.PauliWord(tuple("U" if i == j else "I" for i in range(n))).matrix()
         assert np.max(np.abs(conjugate_nu_inv(uj) - qj)) < 1e-12
         # nu^{-1}(Q_j) = -U_j = -i Q_j P_j (the product order matters:
         # -i P_j Q_j is +U_j)
@@ -311,11 +334,11 @@ def test_anticommutation_transport(rng):
     # conjugating the derivation sum by Q_k flips exactly the k-th term
     n = 3
     fams = [random_function(n, rng) for _ in range(n)]
-    terms = [qt.apply_p_left(qt.embed(partial_derivative(fams[j], j)).mat, j)
+    terms = [qt.apply_p_left(qt.embed(partial_derivative(fams[j], j)), j)
              for j in range(n)]
     total = sum(terms)
     for k in range(n):
-        qk = qt.pauli_build(qt.PauliWord.q_word(1 << k, n)).mat
+        qk = qt.PauliWord.q_word(1 << k, n).matrix()
         transported = qk @ total @ qk
         signed = sum((-1.0 if j == k else 1.0) * terms[j] for j in range(n))
         assert np.max(np.abs(transported - signed)) < 1e-12
