@@ -3,8 +3,9 @@
 For t >= 0 let xi(t) have i.i.d. +-1 coordinates with P{xi_i = 1} =
 (1 + e^{-t})/2, so E xi_i = e^{-t} and Var xi_i = 1 - e^{-2t}, and let
 delta_i(t) = (xi_i - e^{-t}) / sqrt(1 - e^{-2t}) be its standardization.
-Two identities are verified numerically against full enumeration over xi,
-one GEMM over all 4^n products of a value and an outcome weight:
+Two identities are verified numerically against the exact expectation over
+xi, whose outcome weights are a product over coordinates, so it is one 2 x 2
+averaging step per coordinate on the point values, O(n 2^n) in all:
 
     exp(-tL) f (eps)      =  E_xi[ f(eps * xi(t)) ],
     exp(-tL) D_j f (eps)  =  e^{-t} (1-e^{-2t})^{-1/2} E_xi[ delta_j(t) f(eps*xi(t)) ],
@@ -13,7 +14,7 @@ together with the symmetrized tail integral
 
     int_0^inf P{|xi_j(t) - xi_j'(t)| > s}^{1/r} ds = 2^{1-1/r} (1-e^{-2t})^{1/r}.
 
-Enumeration over the 2^n noise outcomes is exact and is refused above n = 14;
+The exact expectation over the 2^n noise outcomes is refused above n = 14;
 the Monte-Carlo estimator covers larger instances with a reported standard
 error and (seed, stream)-deterministic sampling.  It draws its uniforms
 `_BLOCK` at a time into one reused buffer and keeps only the int64 outcome
@@ -28,8 +29,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cube import (_BLOCK, CubeFunction, _check_coord, _xor_grid, character, discrete_derivative,
-                   heat, levels, signs_to_index)
+from .cube import (_BLOCK, CubeFunction, _check_coord, _halves, discrete_derivative, heat,
+                   signs_to_index)
 from .radial import RadialProfile
 from .rng import stream_generator
 
@@ -79,27 +80,22 @@ def _as_noise(t) -> NoiseParameter:
     return t if isinstance(t, NoiseParameter) else NoiseParameter(float(t))
 
 
-def _outcome_weights(n: int, noise: NoiseParameter) -> np.ndarray:
-    """P(xi = outcome b) where bit i of b marks xi_i = -1."""
-    pc = levels(n)
-    pp = noise.p_plus
-    return pp ** (n - pc) * (1.0 - pp) ** pc
+def _noise_average(values: np.ndarray, noise: NoiseParameter, j: int | None = None) -> np.ndarray:
+    """out[x] = E_xi[w_j(xi) values[x xor b(xi)]], with bit i of b(xi) marking
+    xi_i = -1 and w_j = delta_j(t) (1 when j is None), written over `values`.
 
-
-def _enumerated_noise_values(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """out[x] = sum_b weights[b] * values[x xor b]: one GEMM over all 4^n products.
-
-    Splitting x, b and y = x_low xor b_low at bit lo = n // 2 gives
-    out[xh, xl] = sum_{bh, y} values[xh ^ bh, y] * weights[bh, xl ^ y],
-    a (2^(n-lo) x 2^n) @ (2^n x 2^lo) product of two half-size XOR gathers.
+    The outcome weights are a product over coordinates, so the expectation is
+    one 2 x 2 averaging step per coordinate (`_halves`): O(n 2^n) in all.
     """
-    n = values.shape[0].bit_length() - 1
-    lo = n // 2
-    v = values.reshape(-1, 1 << lo)
-    w = weights.reshape(-1, 1 << lo)
-    gathered = v[_xor_grid(n - lo)].reshape(v.shape[0], -1)
-    kernel = w[:, _xor_grid(lo)].reshape(-1, 1 << lo)
-    return (gathered @ kernel).reshape(-1)
+    pp = noise.p_plus
+    for i in range(values.size.bit_length() - 1):
+        a, b = pp, 1.0 - pp
+        if i == j:  # delta_j is (1 - e)/sd at xi_j = 1, (-1 - e)/sd at xi_j = -1
+            sd = math.sqrt(noise.variance)
+            a, b = a * (1.0 - noise.mean) / sd, b * (-1.0 - noise.mean) / sd
+        lo, hi = _halves(values, i)
+        lo[...], hi[...] = a * lo + b * hi, a * hi + b * lo
+    return values
 
 
 class NoisePair(NamedTuple):
@@ -113,16 +109,14 @@ def exact_noise_expectation(f: CubeFunction, t) -> NoisePair:
     """E_xi[f(eps xi(t))] two independent ways, for cross-checking.
 
     The spectral path multiplies level k by exp(-tk); the enumerative path
-    weighs the 2^n outcomes of xi with their product probabilities in one GEMM
-    over all 4^n products (refused for n > 14).
+    averages the point values over the outcomes of xi one coordinate at a
+    time (refused for n > 14).
     """
     noise = _as_noise(t)
     if f.n > MAX_ENUM_N:
         raise ValueError(f"enumerative path refused for n > {MAX_ENUM_N}")
     spectral = heat(f, noise.t)
-    weights = _outcome_weights(f.n, noise)
-    enumerated = _enumerated_noise_values(f.values(), weights)
-    return NoisePair(spectral, CubeFunction.from_values(enumerated))
+    return NoisePair(spectral, CubeFunction.from_values(_noise_average(f.values(), noise)))
 
 
 def verify_heat_representation(f: CubeFunction, t) -> float:
@@ -135,7 +129,7 @@ def verify_derivative_representation(f: CubeFunction, j: int, t) -> float:
     """Max pointwise gap in the derivative representation at coordinate j.
 
     Both sides of  exp(-tL) D_j f = e^{-t}(1-e^{-2t})^{-1/2} E[delta_j f(eps xi)]
-    are computed exactly (the right side by enumeration over xi); t = 0 is
+    are computed exactly (the right side as an expectation over xi); t = 0 is
     rejected because the standardization degenerates.
     """
     noise = _as_noise(t)
@@ -146,12 +140,8 @@ def verify_derivative_representation(f: CubeFunction, j: int, t) -> float:
     _check_coord(f, j)
     lhs = heat(discrete_derivative(f, j), noise.t).values()
 
-    e = noise.mean
-    sd = math.sqrt(noise.variance)
-    weights = _outcome_weights(f.n, noise)
-    xi_j = character(f.n, 1 << j).values()
-    rhs = _enumerated_noise_values(f.values(), weights * (xi_j - e) / sd)
-    rhs *= e / sd
+    rhs = _noise_average(f.values(), noise, j)
+    rhs *= noise.mean / math.sqrt(noise.variance)
     return float(np.max(np.abs(lhs - rhs)))
 
 

@@ -21,6 +21,12 @@ those values once per call by a power of two when the largest |value|^p
 would leave the normal range (`_rescale`), and scale the root back;
 otherwise nothing is scaled and no bit changes.
 
+At p = 2 with a scalar, ell^2 or L^2 inner norm (`_hilbert`) Parseval reads the
+norms off the Walsh coefficients with no synthesis: ||F||^2 sums the squared
+coefficients (averaged over the 2^n_delta rows for L^2), and a sign pattern's
+power is delta^T G delta for the Gram matrix G of the k operands: O(k 2^n) in
+exact mode (sqrt tr G), O(k^2 2^n + S k^2) for S Monte-Carlo samples.
+
 `radial_sup_rademacher_moment` is the O(n log n + W^2) reduction, with W
 the sign-total window below, that makes the quantity
 (E_delta [sup_zeta |sum_i delta_i D_i f(zeta)|]^p)^{1/p} exactly computable
@@ -112,9 +118,11 @@ def _pow(a: np.ndarray, e: float, scratch: np.ndarray | None = None) -> np.ndarr
     return np.power(a, e, out=a)
 
 
-def _rescale(vals: np.ndarray, spec: MixedNormSpec, terms: int = 1, moments: int = 1) -> int:
-    """Scale `vals` in place by 2^-k so that the powers `_pattern_powers` takes
-    of them stay normal, and return k.
+def _rescale(vals: np.ndarray, spec: MixedNormSpec, terms: int = 1, moments: int = 1,
+             copy: bool = False) -> tuple[np.ndarray, int]:
+    """Scale `vals` by 2^-k so that the powers `_pattern_powers` takes of them
+    stay normal, and return them with k: in place, or into a new array only
+    when k != 0 and `copy` is set.
 
     With e the largest finite exponent of `spec` times `moments` (2 when the
     variance of the powers is taken too) and M = max|vals|, k = 0 (no bit
@@ -125,18 +133,17 @@ def _rescale(vals: np.ndarray, spec: MixedNormSpec, terms: int = 1, moments: int
     """
     exponents = [x for x in (spec.p, spec.q) if x is not None and x < math.inf]
     if not exponents or vals.size == 0:
-        return 0
+        return vals, 0
     e = max(exponents) * moments
     top = max(float(vals.max()), -float(vals.min()))  # no |vals| temporary
     if not 0.0 < top < math.inf:
-        return 0
+        return vals, 0
     lg = math.log2(top)
     amp = terms * (vals.shape[-2] if spec.inner == "lq" else 1)
     if e * lg > -1022 and e * (lg + math.log2(amp)) < 1024 - 64:
-        return 0
+        return vals, 0
     k = round(lg)
-    np.ldexp(vals, -k, out=vals)
-    return k
+    return np.ldexp(vals, -k, out=None if copy else vals), k
 
 
 def _pattern_powers(block: np.ndarray, spec: MixedNormSpec,
@@ -181,8 +188,7 @@ def lp_norm(f, p: float) -> float:
     if isinstance(f, CubeFunction):
         return mixed_norm(f, MixedNormSpec.scalar(p))
     if isinstance(f, RadialProfile):
-        a = np.abs(f.v)
-        k = _rescale(a, MixedNormSpec.scalar(p))  # k = 0 at p = inf, which has no finite exponent
+        a, k = _rescale(np.abs(f.v), MixedNormSpec.scalar(p))  # k = 0 at p = inf
         return _unscale(_root(a.max() if np.isinf(p) else binomial_weights(f.n) @ a**p, p), k)
     raise TypeError(f"unsupported operand {type(f).__name__}")
 
@@ -198,12 +204,25 @@ def inner_kind(g) -> str | None:
     return _KINDS.get(type(g))
 
 
+def _hilbert(spec: MixedNormSpec) -> bool:
+    """p = 2 with a scalar, ell^2 or L^2 inner norm: a Hilbert-space norm."""
+    return spec.p == 2 and spec.q in (None, 2)
+
+
+def _gram(c: np.ndarray, spec: MixedNormSpec) -> np.ndarray:
+    """<g_i, g_j> in L^2(X) of the operands with coefficients c[i], by Parseval."""
+    flat = c.reshape(c.shape[0], -1)
+    return flat @ flat.T / (c.shape[-2] if spec.inner == "Lq" else 1)
+
+
 def mixed_norm(F, spec: MixedNormSpec) -> float:
     """Outer L^p over the cube of the inner norm declared by `spec`."""
     if inner_kind(F) != spec.inner:
         raise ValueError(f"norm spec {spec} does not match operand {type(F).__name__}")
-    vals = _operand_values([F])[0]
-    k = _rescale(vals, spec)
+    if _hilbert(spec):
+        c, k = _rescale(F.coeffs, spec, copy=True)
+        return _unscale(_root(_gram(c[None], spec)[0, 0], 2), k)
+    vals, k = _rescale(_operand_values([F])[0], spec)
     return _unscale(_root(_pattern_powers(vals, spec), spec.p), k)
 
 
@@ -273,12 +292,17 @@ def rademacher_avg(operands, p: float, spec: MixedNormSpec | None = None,
         if g.coeffs.shape != operands[0].coeffs.shape:
             raise ValueError(f"operand shape {g.coeffs.shape} != {operands[0].coeffs.shape}")
     k = len(operands)
-    vals = _operand_values(operands)  # (k, ...)
-    scale = _rescale(vals, spec, terms=k, moments=1 if cfg.mode == "exact" else 2)
+    exact = cfg.mode == "exact"
+    if exact and k > MAX_EXACT_SIGNS:
+        raise ValueError(f"exact mode capped at {MAX_EXACT_SIGNS} sign variables, got {k}")
+    hilbert = _hilbert(spec)  # then a pattern's power is delta^T G delta, of mean tr G
+    vals, scale = _rescale(np.stack([g.coeffs for g in operands]) if hilbert
+                           else _operand_values(operands), spec, k, 1 if exact else 2)
+    if hilbert and exact:
+        return RademacherResult(_unscale(_root(_gram(vals[None], spec)[0, 0], 2), scale))
+    gram = _gram(vals, spec) if hilbert else None
 
-    if cfg.mode == "exact":
-        if k > MAX_EXACT_SIGNS:
-            raise ValueError(f"exact mode capped at {MAX_EXACT_SIGNS} sign variables, got {k}")
+    if exact:
         half = 1 << (k - 1)
         chunks = (sign_table(np.arange(lo, min(lo + _CHUNK, half)), k)
                   for lo in range(0, half, _CHUNK))
@@ -286,12 +310,13 @@ def rademacher_avg(operands, p: float, spec: MixedNormSpec | None = None,
         rng = stream_generator(cfg.seed, cfg.stream)
         chunks = (1.0 - 2.0 * rng.integers(0, 2, size=(min(_CHUNK, cfg.samples - lo), k))
                   for lo in range(0, cfg.samples, _CHUNK))
-    powers = np.concatenate([_sign_powers(signs, vals, spec) for signs in chunks])
+    powers = np.concatenate([_sign_powers(signs, vals, spec) if gram is None
+                             else np.einsum("si,ij,sj->s", signs, gram, signs) for signs in chunks])
     if np.isinf(p):
         return RademacherResult(_unscale(powers.max(), scale))
     mean = powers.mean()
     value = _root(mean, p)
-    if cfg.mode == "exact":
+    if exact:
         return RademacherResult(_unscale(value, scale))
     se_mean = powers.std(ddof=1) / math.sqrt(cfg.samples) if cfg.samples > 1 else 0.0
     stderr = se_mean * value / (p * mean) if mean > 0 else se_mean
@@ -444,5 +469,5 @@ def radial_sup_rademacher_moment(profile: RadialProfile, p: float,
     sups = sup_gradient_sum_by_sign_total(profile, svals)
     if np.isinf(p):
         return float(sups.max())
-    k = _rescale(sups, MixedNormSpec.scalar(p))
+    sups, k = _rescale(sups, MixedNormSpec.scalar(p))
     return _unscale(_root(binomial_pmf(n, (svals + n) // 2) @ sups**p, p), k)

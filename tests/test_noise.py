@@ -6,8 +6,7 @@ import pytest
 
 from cubeineq.cube import _BLOCK, CubeFunction, character, random_function
 from cubeineq.noise import (
-    _enumerated_noise_values,
-    _outcome_weights,
+    _noise_average,
     MCEstimate,
     NoiseParameter,
     SampleBatch,
@@ -66,15 +65,18 @@ def test_spectral_vs_enumerative_cross_check(rng):
 
 @pytest.mark.parametrize("n", range(1, 14))
 def test_enumerator_matches_per_outcome_loop(rng, n):
-    # heat weights, and derivative weights for a coordinate in each half
+    # heat weights, and derivative weights for a coordinate in each half:
+    # the per-coordinate steps against the weighted sum over all 2^n outcomes
     values = rng.standard_normal(1 << n)
     noise = NoiseParameter(0.4)
-    heat_w = _outcome_weights(n, noise)
     bits = np.arange(1 << n)
-    for w in [heat_w] + [heat_w * ((1.0 - 2.0 * ((bits >> j) & 1)) - noise.mean)
-                         / math.sqrt(noise.variance) for j in {0, n - 1}]:
+    down = np.bitwise_count(bits)
+    heat_w = noise.p_plus ** (n - down) * (1.0 - noise.p_plus) ** down
+    for j in [None, *{0, n - 1}]:
+        w = heat_w if j is None else heat_w * ((1.0 - 2.0 * ((bits >> j) & 1)) - noise.mean) \
+            / math.sqrt(noise.variance)
         ref = enumerated_noise_reference(values, w)
-        got = _enumerated_noise_values(values, w)
+        got = _noise_average(values.copy(), noise, j)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.abs(ref).max()
 
 

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -395,7 +396,7 @@ def test_exact_rademacher_matches_full_enumeration(rng, monkeypatch, block, p, k
         assert abs(out.value - value) <= 1e-12 * value, (spec, k)
 
 
-@pytest.mark.parametrize("p", [1.0, 2.5, 3.0, np.inf])
+@pytest.mark.parametrize("p", [1.0, 2.0, 2.5, 3.0, np.inf])
 def test_monte_carlo_rademacher_matches_reference_on_same_signs(rng, p):
     cfg = RademacherConfig("monte-carlo", samples=5000, seed=11, stream=3)  # two chunks
     for spec in rademacher_specs(p):
@@ -526,3 +527,89 @@ def test_norms_scale_exactly_by_powers_of_two_at_every_p(rng, p, shift):
     for base, moved in pairs:
         assert np.isfinite(base) and base > 0 or base == 0.0
         assert moved == pytest.approx(np.ldexp(base, shift), rel=1e-13)
+
+
+# -- the Hilbert path: p = 2 over a scalar, ell^2 or L^2 inner norm ----------------
+
+
+def random_operands(rng, inner, n, k):
+    """k random operands on n coordinates in one value space: 3 ell^2 rows, 4 L^2 rows."""
+    rows = {"scalar": (), "lq": (3,), "Lq": (4,)}[inner]
+    return [OPERANDS[inner].from_coeffs(n, rng.standard_normal((*rows, 1 << n))) for _ in range(k)]
+
+
+def hilbert_spec(inner):
+    return MixedNormSpec(2.0, inner, None if inner == "scalar" else 2.0)
+
+
+@pytest.mark.parametrize("inner", list(OPERANDS))
+@pytest.mark.parametrize("n", range(1, 13))
+def test_hilbert_path_agrees_with_the_value_path(rng, monkeypatch, inner, n):
+    # Parseval and the Gram matrix give what synthesis and the per-pattern powers give
+    spec = hilbert_spec(inner)
+    ops = random_operands(rng, inner, n, 5)
+    cfgs = (RademacherConfig(), RademacherConfig("monte-carlo", samples=300, seed=n))
+
+    def run():
+        return [mixed_norm(ops[0], spec)] + [x for cfg in cfgs
+                                            for x in astuple(rademacher_avg(ops, 2.0, spec, cfg))]
+
+    hilbert = run()
+    monkeypatch.setattr(norms, "_hilbert", lambda spec: False)
+    for got, want in zip(hilbert, run(), strict=True):
+        assert abs(got - want) <= 1e-13 * want or got == want == 0.0, (got, want)
+
+
+@pytest.mark.parametrize("inner", list(OPERANDS))
+def test_hilbert_path_of_nan_is_nan_and_of_zero_is_zero(rng, inner):
+    spec = hilbert_spec(inner)
+    mc = RademacherConfig("monte-carlo", samples=10)
+    zero, bad = random_operands(rng, inner, 4, 2)
+    zero.coeffs[...] = 0.0
+    bad.coeffs.reshape(-1)[5] = np.nan
+    assert mixed_norm(zero, spec) == 0.0
+    assert np.isnan(mixed_norm(bad, spec))
+    for cfg in (None, mc):
+        assert rademacher_avg([zero, zero], 2.0, spec, cfg).value == 0.0
+        assert np.isnan(rademacher_avg([zero, bad], 2.0, spec, cfg).value)
+    assert lp_norm(CubeFunction(3, np.zeros(8)), 2.0) == 0.0
+
+
+@pytest.mark.parametrize("spec, calls", [
+    (MixedNormSpec.scalar(2.0), 0), (MixedNormSpec.lq(2.0, 2.0), 0),
+    (MixedNormSpec.cube(2.0, 2.0), 0), (MixedNormSpec.lq(2.0, 3.0), 1),
+    (MixedNormSpec.cube(2.0, np.inf), 1), (MixedNormSpec.scalar(3.0), 1),
+])
+def test_hilbert_specs_make_no_walsh_transform(rng, monkeypatch, spec, calls):
+    ops = random_operands(rng, spec.inner, 4, 3)
+    count = [0]
+
+    def counted(a):
+        count[0] += 1
+        return walsh_transform(a)
+
+    monkeypatch.setattr(norms, "walsh_transform", counted)
+    runs = [lambda: mixed_norm(ops[0], spec)]
+    runs += [lambda cfg=cfg: rademacher_avg(ops, spec.p, spec, cfg)
+             for cfg in (None, RademacherConfig("monte-carlo", samples=50))]
+    if spec.inner == "scalar":
+        runs.append(lambda: lp_norm(ops[0], spec.p))
+    for run in runs:
+        count[0] = 0
+        run()
+        assert count[0] == calls
+
+
+def test_p2_mixed_norm_allocates_no_value_array(rng):
+    # Parseval reads the coefficients where they are: no copy unless they are rescaled
+    for F, spec in ((random_function(18, rng), MixedNormSpec.scalar(2.0)),
+                    (BiCubeFunction.from_coeffs(16, rng.standard_normal((4, 1 << 16))),
+                     MixedNormSpec.cube(2.0, 2.0))):
+        mixed_norm(F, spec)  # warm any first-call caches
+        tracemalloc.start()
+        try:
+            mixed_norm(F, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * F.coeffs.nbytes
