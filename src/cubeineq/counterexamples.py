@@ -12,26 +12,26 @@ Three constructions show which dimension-free estimates break:
 * the sharp constant bound  min_{0<r<1} r^{-n} (1+r)/(1-r), which grows
   like log n + log log n + O(1).
 
-Everything is radial, so all computations run in O(n polylog) or the
-O(n log n + W^2) sup-Rademacher reduction (W ~ sqrt(n) sign totals) and
-reach n = 2^20 in seconds.  Natural logarithms throughout.
+Everything is radial, so all computations run in O(n polylog), the
+O(n log n + W^2) sup-Rademacher reduction (W ~ sqrt(n) sign totals) or, for
+the point mass, at most n * 384 terms by heat-kernel subordination, and reach
+n = 2^20 in seconds.  Natural logarithms throughout.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .cube import _BLOCK
 from .inequalities import RatioReport, _ratio
-from .norms import lp_norm, radial_derivative_profiles, radial_sup_rademacher_moment
-from .radial import RadialProfile, binomial_weights, krawtchouk_table
+from .norms import radial_derivative_profiles, radial_sup_rademacher_moment
+from .radial import MAX_RADIAL_N, RadialProfile, _log_binomial_pmf
 from .rng import stream_generator
-
-MAX_HALFLAP_N = 256  # largest n whose point-mass Krawtchouk sum is verified (2e-6 at s >= 1.5)
-MAX_HALFLAP_N_BELOW_1_5 = 64  # the same for 1 <= s < 1.5 (1.2e-8 at s = 1)
 
 
 @dataclass(frozen=True)
@@ -133,44 +133,71 @@ def lamberton_gradient_norm(n: int, s: float) -> float:
     The gradient is sqrt(n)/2 at the all-ones point, 1/2 at its n
     neighbours, and zero elsewhere.
     """
-    return float((2.0 ** (-n) * ((math.sqrt(n) / 2.0) ** s + n * 2.0 ** (-s))) ** (1.0 / s))
+    return 2.0 ** (-n / s) * math.exp(_log_unit_gradient_norm(n, s))
 
 
-def lamberton_halflap_profile(n: int) -> RadialProfile:
-    """L^{1/2} f as a radial profile: value(d) = 2^{-n} sum_k sqrt(k) K_k(d).
+def _log_unit_gradient_norm(n: int, s: float) -> float:
+    """log ((sqrt(n)/2)^s + n 2^{-s})^{1/s}, the gradient norm of 2^{n/s} f, at any finite s."""
+    return float(np.logaddexp(s * math.log(n / 4.0) / 2.0, math.log(n) - s * math.log(2.0))) / s
 
-    The sum runs over the raw Krawtchouk table, whose terms cancel, so it is
-    refused with ValueError for n > `MAX_HALFLAP_N`.  Against an exact
-    integer-Krawtchouk oracle, the L^s norm of the profile at s >= 1.5 is
-    within 2e-6 relative up to n = 256 (at s = 1.5: 1.1e-13 at n = 160,
-    1.4e-10 at 200 and 1.6e-6 at 256).  Below s = 1.5 the rounding of the
-    mid-weight values weighs more in the norm: at s = 1 the error is 1.2e-8
-    at n = 64, 4.2e-6 at 80 and 2.3e-3 at 100, so `lamberton_ratio` refuses
-    s < 1.5 past n = `MAX_HALFLAP_N_BELOW_1_5`.
+
+@functools.lru_cache(maxsize=1)
+def _log_t_rule() -> tuple:
+    """Gauss-Legendre in u = log t on [-75, log T], 12 panels of 32 for every n, narrow where the
+    integrands peak (t from 2/n to log n): log weights of t^{-3/2} dt / (2 sqrt(pi)),
+    log((1 +- e^{-t}) / 2) and the log mass past T."""
+    T = 40.0 + math.log(MAX_RADIAL_N)  # past T, P_t delta = 2^{-n} to e^{-40} relative
+    edges = np.array([-75.0, -32, -18, -12, -8.5, -6, -4, -2.5, -1.25, -0.25, 0.75, 2, math.log(T)])
+    x, w = np.polynomial.legendre.leggauss(32)
+    half, mid = np.diff(edges)[:, None] / 2.0, (edges[:-1] + edges[1:])[:, None] / 2.0
+    u = (mid + half * x).ravel()
+    em1 = np.expm1(-np.exp(u))  # e^{-t} - 1
+    log_w = np.log(half * w).ravel() - u / 2.0 - math.log(2.0 * math.sqrt(math.pi))
+    return log_w, np.log1p(em1 / 2.0), np.log(-em1 / 2.0), -math.log(math.pi * T) / 2.0
+
+
+def _log_halflap(n: int) -> tuple:
+    """log pmf(d) and log |v(d)|, v = L^{1/2} f for the point mass, d = 0..n, by subordination:
+    for d >= 1, |v(d)| = (2 sqrt(pi))^{-1} int_0^inf P_t delta(d) t^{-3/2} dt, a positive
+    integrand, P_t delta(d) = 2^{-n} (1 + e^{-t})^{n-d} (1 - e^{-t})^d, summed in logs.
+    v(0) = E sqrt(K), K ~ Bin(n, 1/2), so mean zero, v(0) = sum_{d>=1} C(n, d) |v(d)|, is a check.
     """
-    if n > MAX_HALFLAP_N:
-        raise ValueError(f"the point mass's Krawtchouk sum is verified up to "
-                         f"n={MAX_HALFLAP_N}, got n={n}")
-    K = krawtchouk_table(n)
-    w = np.sqrt(np.arange(n + 1, dtype=np.float64)) * 2.0 ** (-n)
-    return RadialProfile(n, w @ K)
+    log_w, plus, minus, log_tail = _log_t_rule()
+    base, slope = log_w + n * plus, minus - plus  # at each node the log-integrand is affine in d
+    k = np.arange(1, n + 1, dtype=np.float64)
+    log_v, rows = np.empty(n), 2 * _BLOCK // log_w.size
+    for lo in range(0, n, rows):
+        d = k[lo:lo + rows]
+        # leave out the nodes that a node best at one end of the block beats by e^60 at both
+        # ends, and so at every d between
+        ends = base + np.outer(d[[0, -1]], slope)
+        best = ends[:, ends.argmax(axis=1)]
+        keep = (ends[:, :, None] >= best[:, None, :] - 60.0).any(axis=0).all(axis=1)
+        log_v[lo:lo + len(d)] = _logsumexp(d[:, None] * slope[keep] + base[keep])
+    log_v = np.logaddexp(log_v, log_tail - n * math.log(2.0))
+    log_pmf = _log_binomial_pmf(n, np.arange(n + 1))
+    return log_pmf, np.r_[_logsumexp(log_pmf[1:] + 0.5 * np.log(k)), log_v]
+
+
+def _logsumexp(x: np.ndarray):
+    """log sum exp(x) over the last axis, overwriting x."""
+    top = np.max(x, axis=-1, keepdims=True)
+    np.maximum(np.subtract(x, top, out=x), -700.0, out=x)  # exp below e^{-700} is slow
+    return top[..., 0] + np.log(np.sum(np.exp(x, out=x), axis=-1))
 
 
 def lamberton_ratio(n: int, s: float) -> RatioReport:
-    """Gradient norm over || L^{1/2} f ||_{L^s} for the point mass.
+    """Gradient norm over || L^{1/2} f ||_{L^s} for 2^{n/s} f, the point mass at unit L^s norm.
 
-    The interesting regime is 1 < s < 2, where the ratio grows with n;
-    other exponents are computed but flagged in the report mode.
+    Unscaled, both sides underflow near n = 1600 at s = 1.5.  The ratio grows with n
+    in the failure regime 1 < s < 2; other exponents are flagged in the report mode.
+    The rhs is within 1e-12 up to n = 8192 and 3e-9 up to 2^16, the worst near s = 1.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if s < 1:
-        raise ValueError(f"need s >= 1, got {s}")
-    if s < 1.5 and n > MAX_HALFLAP_N_BELOW_1_5:
-        raise ValueError(f"below s=1.5 the point mass's Krawtchouk sum is verified up to "
-                         f"n={MAX_HALFLAP_N_BELOW_1_5}, got n={n} at s={s}")
-    lhs = lamberton_gradient_norm(n, s)
-    rhs = lp_norm(lamberton_halflap_profile(n), s)
+    if not (2 <= n <= MAX_RADIAL_N and 1 <= s < math.inf):
+        raise ValueError(f"need 2 <= n <= {MAX_RADIAL_N} and a finite s >= 1, got n={n}, s={s}")
+    log_pmf, log_v = _log_halflap(n)
+    lhs = math.exp(_log_unit_gradient_norm(n, s))
+    rhs = math.exp((float(_logsumexp(log_pmf + s * log_v)) + n * math.log(2.0)) / s)
     regime = "failure-regime" if 1 < s < 2 else "outside-failure-regime"
     return RatioReport(lhs, rhs, _ratio(lhs, rhs), mode=f"radial[{regime}]")
 
@@ -180,19 +207,17 @@ def riesz_above_vector_check(n: int, p: float, s: float) -> RatioReport:
 
     The lift g(eps) = f(eps . ) takes values in L^s of a second cube; group
     invariance makes both inner norms independent of eps, so the two sides
-    collapse to scalar binomial sums sharing the lamberton_ratio components:
+    collapse to scalar binomial sums sharing the lamberton_ratio components (for 2^{n/s} f),
 
-        lhs^p = E_delta [ 2^{-n-s} (|sum_i delta_i|^s + n) ]^{p/s},
+        lhs^p = E_delta [ 2^{-s} (|sum_i delta_i|^s + n) ]^{p/s},
         rhs   = || L^{1/2} f ||_{L^s}.
     """
-    if not (p >= 2 > s > 1):
-        raise ValueError(f"need p >= 2 > s > 1, got p={p}, s={s}")
+    if not (math.inf > p >= 2 > s > 1):
+        raise ValueError(f"need finite p >= 2 > s > 1, got p={p}, s={s}")
+    rhs = lamberton_ratio(n, s).rhs  # checks n before anything is allocated
     k = np.arange(n + 1)
-    pmf = binomial_weights(n)
-    total = np.abs(2.0 * k - n)
-    inner = 2.0 ** (-n - s) * (total**s + n)
-    lhs = float((pmf @ inner ** (p / s)) ** (1.0 / p))
-    rhs = lamberton_ratio(n, s).rhs
+    log_inner = np.log(np.abs(2.0 * k - n) ** s + n) - s * math.log(2.0)
+    lhs = math.exp(float(_logsumexp(_log_binomial_pmf(n, k) + p / s * log_inner)) / p)
     return RatioReport(lhs, rhs, _ratio(lhs, rhs), mode="radial[lifted]")
 
 

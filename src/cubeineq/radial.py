@@ -9,12 +9,11 @@ between profile and level coefficients is the Krawtchouk polynomial
            = sum_j (-1)^j C(d,j) C(n-d,k-j).
 
 `krawtchouk_table` gives the raw values by the three-term recurrence in k, a
-small-n reference only: they grow like central binomial coefficients and
-cancel in sums.  Its one sum in the package, the point mass's L^{1/2} in
-`counterexamples`, is verified against an exact oracle up to n = 256 and
-refuses larger n.  The calculus (level coefficients, synthesis, multipliers)
-goes through the orthonormal Phi[k, d] = sqrt(pmf(d) / C(n, k)) K_k(d),
-built by `np.linalg.eigh` in O(n^3) on the first call for each n and cached.
+small-n reference with no caller in the package: they grow like central
+binomial coefficients and cancel in sums.  The calculus (level coefficients,
+synthesis, multipliers) goes through the orthonormal
+Phi[k, d] = sqrt(pmf(d) / C(n, k)) K_k(d), built by `np.linalg.eigh` in
+O(n^3) on the first call for each n and cached.
 It is exact to rounding in the binomial-weighted l^2 norm (pointwise, see
 `radial_apply_multiplier`), and refuses n > 1022, where pmf(0) = 2^-n is
 subnormal, with ValueError before it allocates.
@@ -98,20 +97,25 @@ def _bd0(x: np.ndarray, m: float) -> np.ndarray:
     return out
 
 
-def binomial_pmf(n: int, k) -> np.ndarray:
-    """C(n, k) 2^{-n} for integers 0 <= k <= n, by Loader's saddle-point form."""
+def _log_binomial_pmf(n: int, k) -> np.ndarray:
+    """log(C(n, k) 2^{-n}) for integers 0 <= k <= n (Loader's lc - lf / 2), finite at every n."""
     k = np.asarray(k, dtype=np.float64)
     if not ((k >= 0) & (k <= n) & (k == np.floor(k))).all():
         raise ValueError(f"need integers 0 <= k <= n={n}")
-    out = np.full(k.shape, math.ldexp(1.0, -n))  # k = 0 and k = n
+    out = np.full(k.shape, -n * math.log(2.0))  # k = 0 and k = n
     inner = (k > 0) & (k < n)
     x = k[inner]
     m = n / 2.0
     lc = (_stirlerr(np.array([n], dtype=np.float64)) - _stirlerr(x) - _stirlerr(n - x)
           - _bd0(x, m) - _bd0(n - x, m))
     lf = math.log(2.0 * math.pi) + np.log(x) + np.log1p(-x / n)
-    out[inner] = np.exp(lc - 0.5 * lf)
+    out[inner] = lc - 0.5 * lf
     return out
+
+
+def binomial_pmf(n: int, k) -> np.ndarray:
+    """C(n, k) 2^{-n} for integers 0 <= k <= n, by Loader's saddle-point form."""
+    return np.where(np.isin(k, (0, n)), math.ldexp(1.0, -n), np.exp(_log_binomial_pmf(n, k)))
 
 
 def binomial_weights(n: int) -> np.ndarray:

@@ -298,20 +298,29 @@ def test_counterexample_non_finite_row_exits_two(capsys, monkeypatch):
     assert "non-finite" in err and "64" in err
 
 
-def test_counterexample_past_the_verified_range_exits_one(capsys):
-    # the point mass's Krawtchouk sum, nan at this size, is refused before it is taken
-    code, out, err = run_cli(capsys, "counterexample", "lamberton", "--n-list", "1100",
-                             "--s", "1.5")
-    assert code == 1
-    assert out == "" and "verified up to n=256, got n=1100" in err
+def test_counterexample_past_the_old_table_range_exits_zero(capsys):
+    # the raw Krawtchouk sum was nan at this size; unscaled, both sides underflowed near 1600
+    code, out, _ = run_cli(capsys, "counterexample", "lamberton", "--n-list", "1100")
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert all(math.isfinite(row[k]) and row[k] > 0 for k in ("lhs", "rhs", "ratio"))
 
 
-def test_counterexample_below_s_1_5_past_n_64_exits_one(capsys):
-    # this printed a ratio of 3.2e-7 at n = 160 and exited 0
-    code, out, err = run_cli(capsys, "counterexample", "lamberton", "--s", "1",
-                             "--n-list", "100,160")
+@pytest.mark.parametrize("argv", [("lamberton", "--s", "inf"),
+                                  ("riesz-above", "--s", "1.5", "--p", "inf")])
+def test_counterexample_infinite_exponent_exits_one(capsys, argv):
+    # each printed lhs 1.0 and exited 0
+    code, out, err = run_cli(capsys, "counterexample", *argv, "--n-list", "10")
     assert code == 1
-    assert out == "" and "verified up to n=64, got n=100 at s=1.0" in err
+    assert out == "" and "finite" in err
+
+
+def test_counterexample_huge_finite_s_exits_zero(capsys):
+    # this died with a raw OverflowError traceback
+    code, out, _ = run_cli(capsys, "counterexample", "lamberton", "--n-list", "10",
+                           "--s", "1e300")
+    assert code == 0
+    assert abs(json.loads(out)["rows"][0]["lhs"] - math.sqrt(10) / 2) < 1e-14
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

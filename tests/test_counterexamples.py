@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath
@@ -7,50 +8,90 @@ import pytest
 import cubeineq.counterexamples as cx
 from cubeineq.cube import BiCubeFunction, discrete_derivative, gradient
 from cubeineq.norms import MixedNormSpec, lp_norm, rademacher_avg
-from cubeineq.radial import binomial_weights
+from cubeineq.radial import MAX_RADIAL_N, binomial_weights
 from conftest import brute_sup_rademacher_moment, exact_krawtchouk
 
 
-@pytest.mark.parametrize("report", [lambda n: cx.riesz_above_vector_check(n, 2.0, 1.5),
-                                    lambda n: cx.lamberton_ratio(n, 1.5)])
-def test_the_point_mass_past_the_verified_range_is_refused(report):
-    # the raw Krawtchouk sum gave a wrong ratio at n = 512 and a nan rhs at 1024
-    report(cx.MAX_HALFLAP_N)
-    for n in (cx.MAX_HALFLAP_N + 1, 512, 1024):
-        with pytest.raises(ValueError, match=f"verified up to n=256, got n={n}"):
-            report(n)
+@functools.cache
+def _exact_halflap(n: int) -> list:
+    """2^n L^{1/2} f (d) of the point mass, d = 0..n, from integer Krawtchouk values."""
+    K = exact_krawtchouk(n)
+    with mpmath.workdps(140):  # integer terms up to 1e90 at n = 300, cancelling
+        roots = [mpmath.sqrt(k) for k in range(n + 1)]
+        return [mpmath.fsum(roots[k] * K[k][d] for k in range(n + 1)) for d in range(n + 1)]
 
 
 def _exact_halflap_norm(n: int, s: float) -> mpmath.mpf:
-    """|| L^{1/2} f ||_{L^s} of the point mass from integer Krawtchouk values."""
-    K = exact_krawtchouk(n)
-    with mpmath.workdps(120):  # integer terms up to 6e75 at n = 256, cancelling
-        roots = [mpmath.sqrt(k) for k in range(n + 1)]
-        sums = [mpmath.fsum(roots[k] * K[k][d] for k in range(n + 1)) for d in range(n + 1)]
-        power_mean = mpmath.fsum(mpmath.binomial(n, d) * abs(v) ** s for d, v in enumerate(sums))
-        return (power_mean / mpmath.mpf(2) ** (n + n * s)) ** (1 / mpmath.mpf(s))
+    """|| L^{1/2} f ||_{L^s} of the point mass scaled to unit L^s norm (times 2^{n/s})."""
+    with mpmath.workdps(140):
+        sums = _exact_halflap(n)
+        power_sum = mpmath.fsum(mpmath.binomial(n, d) * abs(v) ** s for d, v in enumerate(sums))
+        return (power_sum / mpmath.mpf(2) ** (n * s)) ** (1 / mpmath.mpf(s))
 
 
-@pytest.mark.parametrize("n, tol", [(200, 1e-9), (256, 2e-6)])
-def test_halflap_norm_meets_its_declared_accuracy(n, tol):
-    exact = _exact_halflap_norm(n, 1.5)
-    got = lp_norm(cx.lamberton_halflap_profile(n), 1.5)
-    assert abs(got - exact) / exact < tol
+@pytest.mark.parametrize("n", [200, 256, 300])
+@pytest.mark.parametrize("s", [1.0, 1.01, 1.25, 1.5])
+def test_the_point_mass_rhs_matches_the_exact_oracle(n, s):
+    # the raw Krawtchouk sum was off by 1.6e-6 at n = 256, s = 1.5, and by a
+    # factor 1.5e7 at n = 160, s = 1; twelve equal panels in log t were off by
+    # 3e-9 at n = 300, s = 1.01, where mid-weight values weigh in the norm
+    exact = _exact_halflap_norm(n, s)
+    assert abs(cx.lamberton_ratio(n, s).rhs - exact) / exact < 1e-12
 
 
 def test_the_point_mass_below_s_1_5_meets_its_declared_accuracy_up_to_n_64():
     exact = _exact_halflap_norm(64, 1.0)
-    assert abs(cx.lamberton_ratio(64, 1.0).rhs - exact) / exact < 1e-7
+    assert abs(cx.lamberton_ratio(64, 1.0).rhs - exact) / exact < 1e-12
 
 
-@pytest.mark.parametrize("report, s", [(cx.lamberton_ratio, 1.0), (cx.lamberton_ratio, 1.25),
-                                       (lambda n, s: cx.riesz_above_vector_check(n, 2.0, s), 1.25)])
-def test_the_point_mass_below_s_1_5_past_n_64_is_refused(report, s):
-    # at s = 1 the rhs was off by 2.3e-3 at n = 100 and by a factor 1.5e7 at n = 160
-    report(cx.MAX_HALFLAP_N_BELOW_1_5, s)
-    for n in (cx.MAX_HALFLAP_N_BELOW_1_5 + 1, 100, 160):
-        with pytest.raises(ValueError, match=f"verified up to n=64, got n={n} at s={s}"):
-            report(n, s)
+@pytest.mark.parametrize("n", [1024, 1 << 14, 1 << 16])
+def test_the_point_mass_is_mean_zero(n):
+    # v(0) = E sqrt(K) and the d >= 1 values come from separate sums
+    log_pmf, log_v = cx._log_halflap(n)
+    log_c = log_pmf[1:] + n * math.log(2.0)
+    assert abs(math.expm1(cx._logsumexp(log_c + log_v[1:]) - log_v[0])) < 1e-10
+
+
+@pytest.mark.parametrize("report, n, ratio", [
+    (lambda n: cx.lamberton_ratio(n, 1.5), 2048, 2.7495545),
+    (lambda n: cx.lamberton_ratio(n, 1.5), 1 << 14, 3.7636954),
+    (lambda n: cx.riesz_above_vector_check(n, 2.0, 1.5), 2048, 2.7205520),
+])
+def test_the_point_mass_ratio_past_the_old_table_range(report, n, ratio):
+    # the raw Krawtchouk sum read 2.5e-9 at n = 512 and a nan rhs at 1024
+    rep = report(n)
+    assert rep.lhs > 0 and rep.rhs > 0
+    assert abs(rep.ratio - ratio) < 5e-8
+
+
+@pytest.mark.parametrize("report", [cx.lamberton_ratio,
+                                    lambda n, s: cx.riesz_above_vector_check(n, 2.0, s)])
+def test_the_point_mass_checks_its_size_before_allocating(report, monkeypatch):
+    def fail(*args):
+        raise AssertionError("allocated before the size check")
+
+    monkeypatch.setattr(cx, "_log_halflap", fail)
+    monkeypatch.setattr(cx, "_log_binomial_pmf", fail)
+    with pytest.raises(ValueError, match="got n=2097153"):
+        report(MAX_RADIAL_N + 1, 1.5)
+
+
+@pytest.mark.parametrize("call", [lambda: cx.lamberton_ratio(10, math.inf),
+                                  lambda: cx.lamberton_ratio(10, math.nan),
+                                  lambda: cx.riesz_above_vector_check(10, math.inf, 1.5)])
+def test_the_point_mass_refuses_infinite_exponents(call):
+    # s = inf read lhs 1.0 and ratio 0.4536; the true sup gradient is sqrt(10)/2
+    with pytest.raises(ValueError, match="finite"):
+        call()
+
+
+def test_the_point_mass_at_a_huge_finite_s_reads_the_sup_norms():
+    # at s = 1e300, (sqrt(n)/2)^s raised OverflowError; both sides are now sup norms
+    n = 10
+    rep = cx.lamberton_ratio(n, 1e300)
+    mean_root = sum(math.comb(n, k) * math.sqrt(k) for k in range(n + 1)) / 2**n
+    assert abs(rep.lhs - math.sqrt(n) / 2) < 1e-14
+    assert abs(rep.rhs - mean_root) < 1e-14
 
 
 def test_profile_vanishes_inside_root_n_ball():
@@ -147,10 +188,11 @@ def test_lamberton_small_n_full_enumeration():
 
     f = CubeFunction.from_values([1.0, 0.0, 0.0, 0.0])
     halflap = frac_power(f, -0.5)
-    assert abs(rep.rhs - lp_norm(halflap, s)) < 1e-12
+    unit = 2.0 ** (n / s)  # both sides are reported for f scaled to unit L^s norm
+    assert abs(rep.rhs - unit * lp_norm(halflap, s)) < 1e-12
     grads = np.stack([g.values() for g in gradient(f)])
     dense_lhs = float((((np.sqrt((grads**2).sum(0))) ** s).mean()) ** (1 / s))
-    assert abs(rep.lhs - dense_lhs) < 1e-12
+    assert abs(rep.lhs - unit * dense_lhs) < 1e-12
 
 
 def test_lamberton_ratio_strictly_increasing():
@@ -190,7 +232,7 @@ def test_riesz_above_lhs_matches_direct_delta_enumeration():
     totals = []
     for mask in range(1 << n):
         ssum = abs(2 * bin(mask).count("1") - n)
-        inner = 2.0 ** (-n - s) * (ssum**s + n)
+        inner = 2.0 ** (-s) * (ssum**s + n)  # f scaled to unit L^s norm
         totals.append(inner ** (p / s))
     assert abs(rep.lhs - (np.mean(totals)) ** (1 / p)) < 1e-14
 

@@ -8,6 +8,7 @@ from cubeineq.cube import apply_multiplier
 from cubeineq.radial import (
     RadialProfile,
     _basis,
+    _log_binomial_pmf,
     binomial_pmf,
     binomial_weights,
     krawtchouk_table,
@@ -125,6 +126,15 @@ def test_binomial_pmf_matches_exact(n):
     assert np.array_equal(binomial_pmf(n, ks), w[ks])
     assert np.array_equal(w, w[::-1])
     assert abs(w.sum() - 1.0) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1100, 2**16, 2**21])
+def test_log_binomial_pmf_is_finite_where_the_pmf_underflows(n):
+    # binomial_weights(n)[0] is 0.0 past n = 1074; its log core is -n log 2
+    ks = np.array([0, 1, 7, n // 3, n // 2, n - 1, n])
+    exact = [float(mpmath.log(mpmath.binomial(n, int(k))) - n * mpmath.log(2)) for k in ks]
+    got = _log_binomial_pmf(n, ks)
+    assert np.all(np.abs(got - exact) <= 4e-16 * n)  # rounding of terms of size n log 2
 
 
 def test_binomial_pmf_refuses_outside_support():
