@@ -13,9 +13,11 @@ Three constructions show which dimension-free estimates break:
   like log n + log log n + O(1).
 
 Everything is radial, so all computations run in O(n polylog), the
-O(n log n + W^2) sup-Rademacher reduction (W ~ sqrt(n) sign totals) or, for
-the point mass, at most n * 384 terms by heat-kernel subordination, and reach
-n = 2^20 in seconds.  Natural logarithms throughout.
+sup-Rademacher reduction (O(n log n) plus the (s, d) pairs its bounds keep,
+about 20 per sign total for the log-distance profile, O(W^2) at worst, with
+W ~ sqrt(n) sign totals) or, for the point mass, at most n * 384 terms by
+heat-kernel subordination, and reach n = 2^20 in seconds.  Natural
+logarithms throughout.
 """
 
 from __future__ import annotations
@@ -138,7 +140,19 @@ def lamberton_gradient_norm(n: int, s: float) -> float:
 
 def _log_unit_gradient_norm(n: int, s: float) -> float:
     """log ((sqrt(n)/2)^s + n 2^{-s})^{1/s}, the gradient norm of 2^{n/s} f, at any finite s."""
-    return float(np.logaddexp(s * math.log(n / 4.0) / 2.0, math.log(n) - s * math.log(2.0))) / s
+    big, small = math.log(n / 4.0) / 2.0, -math.log(2.0)  # sqrt(n)/2 once, 1/2 at n points
+    top = _log_top((big, small), s)
+    return top + float(np.logaddexp(s * (big - top), math.log(n) + s * (small - top))) / s
+
+
+def _log_top(log_x, e: float) -> float:
+    """max log x where e log x would overflow (s or p near 1e308), else 0.0.
+
+    Taken out before the power e and added back after, it leaves every term e (log x - top)
+    <= 0, so a huge e reads the sup norm; in range it is 0.0 and no bit changes (always
+    taking it out moves the point-mass rhs by 3e-12 at n = 2^16, by reassociation).
+    """
+    return float(np.max(log_x)) if e * float(np.max(np.abs(log_x))) > 1e307 else 0.0
 
 
 @functools.lru_cache(maxsize=1)
@@ -197,7 +211,10 @@ def lamberton_ratio(n: int, s: float) -> RatioReport:
         raise ValueError(f"need 2 <= n <= {MAX_RADIAL_N} and a finite s >= 1, got n={n}, s={s}")
     log_pmf, log_v = _log_halflap(n)
     lhs = math.exp(_log_unit_gradient_norm(n, s))
-    rhs = math.exp((float(_logsumexp(log_pmf + s * log_v)) + n * math.log(2.0)) / s)
+    top = _log_top(log_v, s)
+    with np.errstate(over="ignore"):  # e^{-inf} terms: _logsumexp clips them to e^{-700}
+        log_sum = float(_logsumexp(log_pmf + s * (log_v - top)))
+    rhs = math.exp(top + (log_sum + n * math.log(2.0)) / s)
     regime = "failure-regime" if 1 < s < 2 else "outside-failure-regime"
     return RatioReport(lhs, rhs, _ratio(lhs, rhs), mode=f"radial[{regime}]")
 
@@ -217,7 +234,10 @@ def riesz_above_vector_check(n: int, p: float, s: float) -> RatioReport:
     rhs = lamberton_ratio(n, s).rhs  # checks n before anything is allocated
     k = np.arange(n + 1)
     log_inner = np.log(np.abs(2.0 * k - n) ** s + n) - s * math.log(2.0)
-    lhs = math.exp(float(_logsumexp(_log_binomial_pmf(n, k) + p / s * log_inner)) / p)
+    top = _log_top(log_inner, p / s)
+    with np.errstate(over="ignore"):
+        log_sum = float(_logsumexp(_log_binomial_pmf(n, k) + p / s * (log_inner - top)))
+    lhs = math.exp(top / s + log_sum / p)
     return RatioReport(lhs, rhs, _ratio(lhs, rhs), mode="radial[lifted]")
 
 

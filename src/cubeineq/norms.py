@@ -28,7 +28,10 @@ power is delta^T G delta for the Gram matrix G of the k operands: O(k 2^n) in
 exact mode (sqrt tr G), O(k^2 2^n + S k^2) for S Monte-Carlo samples.
 
 `radial_sup_rademacher_moment` is the O(n log n + W^2) reduction, with W
-the sign-total window below, that makes the quantity
+the sign-total window below (its sup kernel evaluates only the (s, d) pairs
+whose upper bound reaches a known lower bound on their row, so W^2 is a
+worst case: about 20 pairs per sign total on the log-distance profile), that
+makes the quantity
 (E_delta [sup_zeta |sum_i delta_i D_i f(zeta)|]^p)^{1/p} exactly computable
 for radial f up to n ~ 10^6: for a point zeta of weight d the summand
 D_i f(zeta) equals alpha(d) = (v(d)-v(d+1))/2 on +1 coordinates and
@@ -41,7 +44,9 @@ collapses to a binomial sum over s.  For large n the binomial sum is
 truncated where the total discarded probability mass is below `tail_mass`
 (default 1e-20); below the window size the computation is exact.  The
 binomial weights are evaluated on that window only (`radial.binomial_pmf`),
-and the blocks of (s, d) pairs reuse three preallocated buffers.
+and the blocks of (s, d) pairs reuse three preallocated buffers.  Both entry
+points refuse a non-finite profile, and the kernel refuses `svals` that are
+not sign totals.
 """
 
 from __future__ import annotations
@@ -58,6 +63,8 @@ from .rng import stream_generator
 
 MAX_EXACT_SIGNS = 20
 _CHUNK = 1 << 12
+_PRUNE_ROWS = 32  # sign totals per block of the radial sup kernel
+_SLACK = 1e-12  # relative, on its pair bounds: covers the rounding of value and bound
 
 
 # the value spaces, each with the operand class that carries it; `inner_kind` inverts it
@@ -374,9 +381,8 @@ def _upper_chain(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return front[hull]
 
 
-def _envelope_weights(alpha: np.ndarray, beta: np.ndarray, n: int, smax: float,
-                      d: np.ndarray) -> np.ndarray:
-    """The weights among `d` (all with |n - 2d| > smax) that can attain the sup.
+def _envelope_weights(alpha: np.ndarray, beta: np.ndarray, n: int, smax: float) -> np.ndarray:
+    """The weights off the band |n - 2d| <= smax that can attain the sup, ascending.
 
     Off the band the u-range endpoints are linear in s (u = -d below n/2;
     d - n + s, n + s - d above), so a weight's term is the line
@@ -384,13 +390,24 @@ def _envelope_weights(alpha: np.ndarray, beta: np.ndarray, n: int, smax: float,
     t = |s| / smax.  The winners for t in [0, 1] are the upper-hull vertices
     of the points (slope, intercept) between the t = 0 and t = 1 maximisers
     (`_upper_chain`); every line within a relative 1e-12 of that envelope is
-    kept too, so rounding ties cannot lose the maximiser.
+    kept too, so rounding ties cannot lose the maximiser.  A zero line (slope and
+    intercept 0) is a weight whose every value is 0, never above the band's, which
+    holds a weight for any sign total; all lines of a constant profile are zero.
     """
+    lo, hi = math.ceil((n - smax) / 2), math.floor((n + smax) / 2)  # the band is [lo, hi]
+    d = np.r_[0:lo, hi + 1:n + 1]
     if d.size == 0:
         return d
-    below = 2 * d < n
-    x = np.abs(np.where(below, alpha[d], beta[d])) * smax
-    y = np.abs(beta[d] - alpha[d]) * np.where(below, d, n - d)
+    x = np.concatenate([alpha[:lo], beta[hi + 1:]])
+    np.abs(x, out=x)
+    x *= smax
+    y = np.concatenate([beta[:lo], beta[hi + 1:]])
+    y[:lo] -= alpha[:lo]
+    y[lo:] -= alpha[hi + 1:]
+    np.abs(y, out=y)
+    y *= np.where(d < lo, d, n - d)
+    live = x > 0.0
+    live |= y > 0.0
     chain = _upper_chain(x, y)
     xc, yc = x[chain], y[chain]
     # the gap x t + y - envelope(t) is concave in t, largest where the
@@ -398,47 +415,96 @@ def _envelope_weights(alpha: np.ndarray, beta: np.ndarray, n: int, smax: float,
     breaks = np.concatenate([[0.0], (yc[:-1] - yc[1:]) / (xc[1:] - xc[:-1]), [1.0]])
     k = np.searchsorted(xc, x, side="right")
     t = breaks[k]
-    j = np.minimum(k, chain.size - 1)
-    return d[x * t + y >= (1.0 - 1e-12) * (xc[j] * t + yc[j])]
+    np.minimum(k, chain.size - 1, out=k)
+    x *= t
+    x += y  # the line at t
+    y = xc[k]
+    y *= t
+    y += yc[k]  # the envelope at t
+    y *= 1.0 - 1e-12
+    live &= x >= y
+    return d[live]
+
+
+def _pair_values(s: np.ndarray, cols: np.ndarray, n: int, bufs: np.ndarray) -> np.ndarray:
+    """max(|a s + g umin|, |a s + g umax|) for the sign totals `s` (rows) and the weights whose
+    a = alpha, g = gamma and d are the rows of `cols` (columns), u's range at weight d being
+    [max(-d, d - n + s), min(d, n + s - d)]; written into a (len(s), len(d)) view of the three
+    buffers `bufs` (base, then the two ends)."""
+    a, g, d = cols
+    base, lo_end, hi_end = bufs[:, :s.size * d.size].reshape(3, s.size, d.size)
+    s = s[:, None]
+    np.multiply(a, s, out=base)
+    np.add(d - n, s, out=lo_end)
+    np.maximum(-d, lo_end, out=lo_end)  # umin
+    np.subtract(n + s, d, out=hi_end)
+    np.minimum(d, hi_end, out=hi_end)  # umax
+    for u in (lo_end, hi_end):
+        np.multiply(g, u, out=u)
+        np.add(base, u, out=u)
+        np.abs(u, out=u)
+    return np.maximum(lo_end, hi_end, out=lo_end)
 
 
 def sup_gradient_sum_by_sign_total(profile: RadialProfile, svals: np.ndarray) -> np.ndarray:
     """sup_zeta |sum_i delta_i D_i f(zeta)| for each sign total s in `svals`.
 
-    The max over d of |alpha s + gamma u| at the u-range endpoints, taken
-    over the band |n - 2d| <= max|s| and the few weights `_envelope_weights`
-    selects off it, in blocks of at most `_BLOCK` (s, d) pairs written into
-    three preallocated buffers.  Cost is O(n log n) for the hull plus O(W^2)
-    for the W ~ max|s| band weights.
+    The max over d of |alpha s + gamma u| at the u-range endpoints (`_pair_values`), over
+    the band |n - 2d| <= max|s| and the few weights `_envelope_weights` selects off it.
+    val(-s, d) == val(s, d) bit for bit, so each |s| is taken once, in ascending blocks of
+    `_PRUNE_ROWS`.  As u lies in [-d, d] and u - s in [d - n, n - d],
+        val(s, d) <= min(|alpha| |s| + |gamma| d, |alpha + gamma| |s| + |gamma| (n - d)),
+    nondecreasing in |s|.  A block evaluates only the weights whose bound at its largest
+    |s| passes the smallest exact value, over the block, of a few seed weights (the row
+    argmax at five |s|).  A relative `_SLACK` in the bound covers the rounding of both
+    sides, so every dropped pair is at most its row's maximum: the output is bit for bit
+    that of the full band.  Cost is O(n log n) for the hull, O(W^2 / 64) for the bounds
+    (W ~ max|s| band weights, W / 2 distinct |s|) and the pairs they keep, seeds included:
+    6 per |s| on random profiles, 40 on the log-distance one and 0.6 W on a linear one,
+    whose bound is loose by |s| and whose maximum n many weights share.  A non-finite
+    profile, or `svals` that are not sign totals (integers in [-n, n] of the parity of n),
+    is refused.
     """
-    alpha, beta = radial_derivative_profiles(profile)
-    svals = np.asarray(svals, dtype=np.float64)
     n = profile.n
-    smax = float(np.abs(svals).max(initial=0.0))
-    weights = np.arange(n + 1)
-    off = np.abs(n - 2 * weights) > smax
-    idx = np.concatenate([weights[~off], _envelope_weights(alpha, beta, n, smax, weights[off])])
-    d = idx.astype(np.float64)
-    a, g = alpha[idx], beta[idx] - alpha[idx]
-    neg_d, d_minus_n = -d, d - n
-    out = np.empty(svals.shape[0])
-    rows = max(1, _BLOCK // idx.size)
-    # three (rows, W) buffers reused by every block: base, then the two ends
-    bufs = np.empty((3, min(rows, svals.shape[0]), idx.size))
-    for lo in range(0, svals.shape[0], rows):
-        s = svals[lo:lo + rows, None]
-        base, lo_end, hi_end = bufs[:, :s.shape[0]]
-        np.multiply(a, s, out=base)
-        np.add(d_minus_n, s, out=lo_end)
-        np.maximum(neg_d, lo_end, out=lo_end)  # umin
-        np.subtract(n + s, d, out=hi_end)
-        np.minimum(d, hi_end, out=hi_end)  # umax
-        for u in (lo_end, hi_end):
-            np.multiply(g, u, out=u)
-            np.add(base, u, out=u)
-            np.abs(u, out=u)
-        np.maximum(lo_end, hi_end, out=lo_end)
-        lo_end.max(axis=1, out=out[lo:lo + rows])
+    mag = np.abs(np.asarray(svals, dtype=np.float64))
+    if not np.isfinite(profile.v).all():
+        raise ValueError("profile has non-finite values")
+    if not (np.isfinite(mag).all() and (mag <= n).all() and (mag % 2 == n % 2).all()):
+        raise ValueError(f"svals must be sign totals: integers in [-{n}, {n}] of the parity of n")
+    if not mag.size:
+        return mag
+    alpha, beta = radial_derivative_profiles(profile)
+    half = mag.astype(np.int64) // 2
+    present = np.zeros(n // 2 + 1, dtype=bool)
+    present[half] = True
+    tot = 2.0 * np.flatnonzero(present) + n % 2  # the distinct |s|, ascending
+    band = np.arange(math.ceil((n - tot[-1]) / 2), math.floor((n + tot[-1]) / 2) + 1)
+    idx = np.concatenate([band, _envelope_weights(alpha, beta, n, tot[-1])])
+    cols = np.stack([alpha[idx], beta[idx] - alpha[idx], idx])
+    a, g, d = cols
+    abs_a, abs_b, abs_g = np.abs(a), np.abs(a + g), np.abs(g)
+    near, far = abs_g * d, abs_g * (n - d)
+    bufs = np.empty((3, max(_BLOCK, d.size)))  # pages are touched only where pairs are
+    seeds = [_pair_values(tot[i:i + 1], cols, n, bufs).argmax()
+             for i in {k * (tot.size - 1) // 4 for k in range(5)}]
+    lower = _row_maxima(tot, cols[:, seeds], n, bufs, np.empty(tot.size))
+    res = lower.copy()
+    for lo in range(0, tot.size, _PRUNE_ROWS):
+        s = tot[lo:lo + _PRUNE_ROWS]
+        inner = abs_a * s[-1] + near
+        bound = np.minimum(inner, abs_b * s[-1] + far + _SLACK * inner)
+        keep = bound > (1.0 - _SLACK) * lower[lo:lo + _PRUNE_ROWS].min()
+        if keep.any():
+            _row_maxima(s, cols[:, keep], n, bufs, res[lo:lo + _PRUNE_ROWS])
+    np.maximum(res, lower, out=res)
+    return res[np.cumsum(present)[half] - 1]
+
+
+def _row_maxima(s, cols, n, bufs, out):
+    """The row maxima of `_pair_values` for the sign totals `s`, as many rows per call as fit."""
+    rows = max(1, bufs.shape[1] // cols.shape[1])
+    for lo in range(0, s.size, rows):
+        _pair_values(s[lo:lo + rows], cols, n, bufs).max(axis=1, out=out[lo:lo + rows])
     return out
 
 
@@ -457,13 +523,12 @@ def radial_sup_rademacher_moment(profile: RadialProfile, p: float,
     """(E_delta [sup_zeta |sum_i delta_i D_i f(zeta)|]^p)^{1/p} for radial f.
 
     Exact up to the documented binomial-tail truncation; p = inf returns the
-    overall supremum.  Cost is O(n log n + W^2) with window W ~
-    sqrt(n log(1/tail)).  A non-finite profile is refused.
+    overall supremum.  Window W ~ sqrt(n log(1/tail)); the cost is the kernel's,
+    O(n log n + W^2 / 64) plus the pairs its bounds keep (at most W^2 / 2).  A
+    non-finite profile is refused.
     """
     if not p >= 1:
         raise ValueError(f"exponent must be in [1, inf], got {p}")
-    if not np.isfinite(profile.v).all():
-        raise ValueError("profile has non-finite values")
     n = profile.n
     svals = sign_total_window(n, tail_mass)
     sups = sup_gradient_sum_by_sign_total(profile, svals)

@@ -323,6 +323,16 @@ def test_counterexample_huge_finite_s_exits_zero(capsys):
     assert abs(json.loads(out)["rows"][0]["lhs"] - math.sqrt(10) / 2) < 1e-14
 
 
+@pytest.mark.parametrize("argv", [("lamberton", "--s", "1e308"),
+                                  ("riesz-above", "--s", "1.5", "--p", "1e308")])
+def test_counterexample_overflowing_exponent_exits_zero(capsys, argv):
+    # lamberton printed lhs inf, rhs nan and riesz-above lhs nan, with RuntimeWarnings; exit 2
+    code, out, _ = run_cli(capsys, "counterexample", *argv, "--n-list", "100")
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert all(math.isfinite(row[k]) and row[k] > 0 for k in ("lhs", "rhs", "ratio"))
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("argv", [
     ("ratio", "--ineq", "PISIER", "--n", "4", "--p", "2000"),

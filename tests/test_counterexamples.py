@@ -94,6 +94,44 @@ def test_the_point_mass_at_a_huge_finite_s_reads_the_sup_norms():
     assert abs(rep.rhs - mean_root) < 1e-14
 
 
+@pytest.mark.parametrize("s", [1e307, 1e308, 1.7976931348623157e308])
+def test_the_point_mass_at_an_overflowing_s_reads_the_sup_norms(s):
+    # s = 1e308 overflowed s log v: lhs inf, rhs nan and two RuntimeWarnings
+    n = 100
+    rep = cx.lamberton_ratio(n, s)
+    mean_root = sum(math.comb(n, k) * math.sqrt(k) for k in range(n + 1)) / 2**n
+    assert abs(rep.lhs - math.sqrt(n) / 2) < 1e-14
+    assert abs(rep.rhs - mean_root) < 1e-14
+
+
+@pytest.mark.parametrize("p", [1e300, 1e308, 1.7976931348623157e308])
+def test_the_lifted_point_mass_at_an_overflowing_p_reads_the_sup_norm(p):
+    # p = 1e308 read lhs nan: the sup over delta is at |sum delta_i| = n
+    n, s = 100, 1.5
+    rep = cx.riesz_above_vector_check(n, p, s)
+    assert abs(rep.lhs / ((n**s + n) * 2.0**-s) ** (1 / s) - 1) < 1e-14
+    assert rep.rhs == cx.lamberton_ratio(n, s).rhs
+
+
+@pytest.mark.parametrize("n", [10, 300, 4096])
+@pytest.mark.parametrize("s", [1.0, 1.01, 1.5, 3.0, 1e5, 1e300])
+def test_the_point_mass_in_range_takes_no_max_out(n, s):
+    # the max comes out of the logs only where s log v would overflow; taking it out
+    # always moves the rhs by reassociation (3e-12 at n = 2^16)
+    log_pmf, log_v = cx._log_halflap(n)
+    rhs = math.exp((float(cx._logsumexp(log_pmf + s * log_v)) + n * math.log(2.0)) / s)
+    lhs = math.exp(float(np.logaddexp(s * math.log(n / 4.0) / 2.0,
+                                      math.log(n) - s * math.log(2.0))) / s)
+    rep = cx.lamberton_ratio(n, s)
+    assert (rep.lhs, rep.rhs) == (lhs, rhs)
+    if 1 < s < 2:
+        k = np.arange(n + 1)
+        log_inner = np.log(np.abs(2.0 * k - n) ** s + n) - s * math.log(2.0)
+        for p in (2.0, 7.0, 1e300):
+            log_sum = float(cx._logsumexp(cx._log_binomial_pmf(n, k) + p / s * log_inner))
+            assert cx.riesz_above_vector_check(n, p, s).lhs == math.exp(log_sum / p)
+
+
 def test_profile_vanishes_inside_root_n_ball():
     n = 100
     prof = cx.talagrand_profile(n)

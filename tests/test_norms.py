@@ -258,9 +258,7 @@ def test_sup_kernel_bitwise_on_random_profiles(rng, n):
 def kept_off_band(prof):
     """How many off-band weights the envelope pick keeps for the full window."""
     smax = float(sign_total_window(prof.n)[-1])
-    alpha, beta = radial_derivative_profiles(prof)
-    d = np.arange(prof.n + 1)
-    return _envelope_weights(alpha, beta, prof.n, smax, d[np.abs(prof.n - 2 * d) > smax]).size
+    return _envelope_weights(*radial_derivative_profiles(prof), prof.n, smax).size
 
 
 @pytest.mark.parametrize("n", [200, 1000, 1 << 16])
@@ -269,11 +267,129 @@ def test_sup_kernel_bitwise_on_degenerate_hulls(n):
     # and v = d puts the off-band points exactly on one line, which the
     # monotone chain reduces to its two ends
     d = np.arange(n + 1, dtype=np.float64)
-    if n < 1 << 16:  # constant lines all tie at 0, so every weight is kept
+    if n < 1 << 16:  # at 2^16, see test_sup_kernel_on_a_constant_profile_evaluates_o_of_w_pairs
         assert_sup_kernel_matches_reference(RadialProfile(n, np.full(n + 1, 3.0)))
     for v in (d, 0.7 * d, 2.0 - 1.3 * d):
         assert_sup_kernel_matches_reference(RadialProfile(n, v))
         assert kept_off_band(RadialProfile(n, v)) <= 4
+
+
+def counted_pairs(monkeypatch):
+    """A list that collects the (s, d) pairs each kernel evaluation computes."""
+    pairs = []
+    evaluate = norms._pair_values
+
+    def counting(s, cols, *rest):
+        pairs.append(s.size * cols.shape[1])
+        return evaluate(s, cols, *rest)
+
+    monkeypatch.setattr(norms, "_pair_values", counting)
+    return pairs
+
+
+def test_sup_kernel_on_a_constant_profile_evaluates_o_of_w_pairs(monkeypatch):
+    # every weight's lines and bounds are 0; the envelope kept all 63061 off-band
+    # weights, and all 2477 x 65537 pairs were evaluated (0.9 s)
+    n = 1 << 16
+    prof = RadialProfile(n, np.full(n + 1, 3.0))
+    assert kept_off_band(prof) == 0
+    pairs = counted_pairs(monkeypatch)
+    svals = sign_total_window(n)
+    assert np.array_equal(sup_gradient_sum_by_sign_total(prof, svals), np.zeros(svals.size))
+    assert sum(pairs) <= 10 * svals.size  # the seed weights' rows only
+    assert radial_sup_rademacher_moment(prof, 2.0) == 0.0
+
+
+def test_sup_kernel_prunes_the_talagrand_band(monkeypatch):
+    # about 6.1e6 band pairs at n = 2^16; the bounds leave under 30 per sign total
+    n = 1 << 16
+    pairs = counted_pairs(monkeypatch)
+    svals = sign_total_window(n)
+    sup_gradient_sum_by_sign_total(talagrand_profile(n), svals)
+    assert sum(pairs) < 30 * svals.size
+
+
+def _sup_kernel_profiles(n):
+    rng = np.random.default_rng(n)
+    d = np.arange(n + 1, dtype=np.float64)
+    return {"normal": rng.standard_normal(n + 1), "walk": np.cumsum(rng.standard_normal(n + 1)),
+            "linear": n - 2.0 * d, "abs": np.abs(n - 2.0 * d), "quadratic": (d - n / 3.0) ** 2,
+            "constant": np.full(n + 1, -2.5), "talagrand": talagrand_profile(n).v}
+
+
+@pytest.mark.parametrize("kind", ["normal", "walk", "linear", "abs", "quadratic", "constant",
+                                  "talagrand"])
+@pytest.mark.parametrize("n", [7, 64, 101, 200, 1023, 1024, 4097])
+def test_sup_kernel_bitwise_on_every_profile_kind(kind, n):
+    assert_sup_kernel_matches_reference(RadialProfile(n, _sup_kernel_profiles(n)[kind]))
+
+
+@pytest.mark.parametrize("k", range(8, 15))
+def test_sup_kernel_bitwise_on_odd_talagrand_profiles(k):
+    assert_sup_kernel_matches_reference(talagrand_profile((1 << k) + 1))
+
+
+@pytest.mark.parametrize("kind", ["normal", "walk", "linear", "quadratic", "talagrand"])
+@pytest.mark.parametrize("n", [200, 1001])
+def test_sup_kernel_bitwise_on_one_sided_and_single_totals(kind, n):
+    prof = RadialProfile(n, _sup_kernel_profiles(n)[kind])
+    alpha, beta = radial_derivative_profiles(prof)
+    window = sign_total_window(n).astype(np.float64)
+    for svals in (window[window < 0], window[-3:], window[window.size // 2:][:1], window[::-7],
+                  np.array([float(n)]), np.array([-float(n), float(n - 2)])):
+        expected = windowed_sup_reference(alpha, beta, n, svals)
+        assert np.array_equal(sup_gradient_sum_by_sign_total(prof, svals), expected), svals
+    if n % 2 == 0:
+        assert sup_gradient_sum_by_sign_total(prof, [0.0])[0] == windowed_sup_reference(
+            alpha, beta, n, np.zeros(1))[0]
+
+
+_small_profiles = st.integers(1, 64).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1),
+    st.sampled_from([1.0, 0.1, 1e-3, 3.7, 2.0**-30]),
+    st.one_of(st.lists(st.integers(0, n), min_size=1, max_size=24),
+              st.tuples(st.integers(0, n), st.integers(0, n))
+              .map(lambda ends: list(range(min(ends), max(ends) + 1))))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_small_profiles)
+def test_sup_kernel_bitwise_on_small_profiles_and_sub_windows(case):
+    # few-valued profiles tie often, and a sub-window is any set of sign totals
+    n, levels, scale, ks = case
+    prof = RadialProfile(n, np.array(levels, dtype=np.float64) * scale)
+    svals = 2.0 * np.array(ks, dtype=np.float64) - n
+    expected = windowed_sup_reference(*radial_derivative_profiles(prof), n, svals)
+    assert np.array_equal(sup_gradient_sum_by_sign_total(prof, svals), expected)
+
+
+@pytest.mark.parametrize("n", [9, 300, 4096])
+def test_sup_kernel_values_are_even_in_the_sign_total(rng, n):
+    prof = RadialProfile(n, np.cumsum(rng.standard_normal(n + 1)))
+    alpha, beta = radial_derivative_profiles(prof)
+    s = np.arange(n % 2, n + 1, 2, dtype=np.float64)
+    ref = windowed_sup_reference(alpha, beta, n, s)
+    assert np.array_equal(windowed_sup_reference(alpha, beta, n, -s), ref)
+    assert np.array_equal(sup_gradient_sum_by_sign_total(prof, -s), ref)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sup_kernel_refuses_a_non_finite_profile(bad):
+    # a nan profile returned an all-nan row with no warning
+    v = np.arange(33, dtype=np.float64)
+    v[5] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        sup_gradient_sum_by_sign_total(RadialProfile(32, v), np.array([0.0, 2.0]))
+
+
+@pytest.mark.parametrize("svals", [[np.nan, 2.0], [np.inf], [1.0], [2.5], [0.0, 34.0], [-34.0],
+                                   [1e-300]])
+def test_sup_kernel_refuses_what_is_not_a_sign_total(svals):
+    # [nan, 2] returned [nan, 0.5]; an odd total at even n has no sign pattern
+    prof = RadialProfile(32, np.arange(33, dtype=np.float64) ** 0.5)
+    with pytest.raises(ValueError, match="sign totals"):
+        sup_gradient_sum_by_sign_total(prof, np.array(svals))
 
 
 def _descending(steps):
