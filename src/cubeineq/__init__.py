@@ -41,7 +41,7 @@ from .norms import (
     rademacher_avg,
     radial_sup_rademacher_moment,
 )
-from .radial import RadialProfile, krawtchouk_table, radial_apply_multiplier
+from .radial import RadialProfile, krawtchouk_table
 from .inequalities import (
     InequalityInstance,
     RatioReport,

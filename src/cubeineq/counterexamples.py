@@ -88,12 +88,12 @@ def talagrand_lhs(n: int) -> float:
     return float(np.max(np.abs(prof.v - prof.mean)))
 
 
-def talagrand_ratio(n: int, p: float, tail_mass: float = 1e-20) -> RatioReport:
+def talagrand_ratio(n: int, p: float) -> RatioReport:
     """Sup-deviation of the lift against its sup-Rademacher moment at p."""
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
     lhs = talagrand_lhs(n)
-    rhs = radial_sup_rademacher_moment(talagrand_profile(n), p, tail_mass)
+    rhs = radial_sup_rademacher_moment(talagrand_profile(n), p)
     return RatioReport(lhs, rhs, _ratio(lhs, rhs), mode=f"radial[n={n}]")
 
 
@@ -113,10 +113,6 @@ def talagrand_pointwise_bound(n: int, count: int, seed: int = 0, stream: int = 0
     lhs = np.abs(alpha[d] * s_plus + beta[d] * s_minus)
     bound = 4.0 / math.sqrt(n) * np.abs(s_plus + s_minus) + 4.0
     return float(np.max(lhs - bound))
-
-
-def talagrand_sweep(n_list, p: float, tail_mass: float = 1e-20) -> list[RatioReport]:
-    return [talagrand_ratio(n, p, tail_mass) for n in n_list]
 
 
 # -- point-mass (Riesz-from-above) counterexample ------------------------------

@@ -303,16 +303,6 @@ def _check_coord(f: CubeFunction, i: int) -> None:
         raise ValueError(f"coordinate {i} out of range for n={f.n}")
 
 
-def _multiplier_table(m, n: int) -> np.ndarray:
-    """The levels 0..n of a multiplier given as a callable or an array of length n+1."""
-    if callable(m):
-        return np.array([m(k) for k in range(n + 1)], dtype=np.float64)
-    table = np.asarray(m, dtype=np.float64)
-    if table.shape != (n + 1,):
-        raise ValueError(f"multiplier table must have length n+1={n + 1}")
-    return table
-
-
 def _times_levels(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
     """coeffs[..., A] * table[|A|] for every mask A, in a new array."""
     lev = levels(coeffs.shape[-1].bit_length() - 1)
@@ -330,11 +320,15 @@ def _times_levels(coeffs: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 def apply_multiplier(f: CubeFunction, m) -> CubeFunction:
-    """Spectral calculus: fhat(A) -> m(|A|) * fhat(A).
+    """Spectral calculus: fhat(A) -> m[|A|] * fhat(A), for an array `m` of length n+1.
 
-    `m` is a callable on levels 0..n or an array of length n+1.
+    Any other length is refused with ValueError; a callable is not an array of
+    numbers, and numpy refuses it with TypeError.
     """
-    return f._with(_times_levels(f.coeffs, _multiplier_table(m, f.n)))
+    table = np.asarray(m, dtype=np.float64)
+    if table.shape != (f.n + 1,):
+        raise ValueError(f"multiplier table must have length n+1={f.n + 1}")
+    return f._with(_times_levels(f.coeffs, table))
 
 
 def laplacian(f: CubeFunction) -> CubeFunction:

@@ -41,12 +41,12 @@ over d and over the feasible (integer, parity-free after relaxing to the
 endpoints) range of u = (signed delta-mass on the -1 set), which is linear
 in u and hence attained at the range endpoints.  The delta-average then
 collapses to a binomial sum over s.  For large n the binomial sum is
-truncated where the total discarded probability mass is below `tail_mass`
-(default 1e-20); below the window size the computation is exact.  The
+truncated where the total discarded probability mass is below `TAIL_MASS`
+= 1e-20; below the window size the computation is exact.  The
 binomial weights are evaluated on that window only (`radial.binomial_pmf`),
-and the blocks of (s, d) pairs reuse three preallocated buffers.  Both entry
-points refuse a non-finite profile, and the kernel refuses `svals` that are
-not sign totals.
+and the blocks of (s, d) pairs reuse three preallocated buffers.  A profile
+is finite by construction (`RadialProfile` refuses anything else), and the
+kernel refuses `svals` that are not sign totals.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ MAX_EXACT_SIGNS = 20
 _CHUNK = 1 << 12
 _PRUNE_ROWS = 32  # sign totals per block of the radial sup kernel
 _SLACK = 1e-12  # relative, on its pair bounds: covers the rounding of value and bound
+TAIL_MASS = 1e-20  # binomial mass outside the sign-total window of the radial sup reduction
 
 
 # the value spaces, each with the operand class that carries it; `inner_kind` inverts it
@@ -461,14 +462,11 @@ def sup_gradient_sum_by_sign_total(profile: RadialProfile, svals: np.ndarray) ->
     that of the full band.  Cost is O(n log n) for the hull, O(W^2 / 64) for the bounds
     (W ~ max|s| band weights, W / 2 distinct |s|) and the pairs they keep, seeds included:
     6 per |s| on random profiles, 40 on the log-distance one and 0.6 W on a linear one,
-    whose bound is loose by |s| and whose maximum n many weights share.  A non-finite
-    profile, or `svals` that are not sign totals (integers in [-n, n] of the parity of n),
-    is refused.
+    whose bound is loose by |s| and whose maximum n many weights share.  `svals` that
+    are not sign totals (integers in [-n, n] of the parity of n) are refused.
     """
     n = profile.n
     mag = np.abs(np.asarray(svals, dtype=np.float64))
-    if not np.isfinite(profile.v).all():
-        raise ValueError("profile has non-finite values")
     if not (np.isfinite(mag).all() and (mag <= n).all() and (mag % 2 == n % 2).all()):
         raise ValueError(f"svals must be sign totals: integers in [-{n}, {n}] of the parity of n")
     if not mag.size:
@@ -508,29 +506,25 @@ def _row_maxima(s, cols, n, bufs, out):
     return out
 
 
-def sign_total_window(n: int, tail_mass: float = 1e-20) -> np.ndarray:
-    """Sign totals s (parity of n) covering all but `tail_mass` of the mass."""
-    if not 0.0 < tail_mass < 1.0:
-        raise ValueError(f"tail_mass must lie in (0, 1), got {tail_mass}")
-    half_width = int(math.ceil(math.sqrt(2.0 * n * math.log(2.0 / tail_mass))))
+def sign_total_window(n: int) -> np.ndarray:
+    """Sign totals s (parity of n) covering all but `TAIL_MASS` of the mass."""
+    half_width = int(math.ceil(math.sqrt(2.0 * n * math.log(2.0 / TAIL_MASS))))
     half_width = min(half_width, n)
     lo = -half_width if (half_width % 2) == (n % 2) else -half_width + 1
     return np.arange(lo, half_width + 1, 2, dtype=np.int64)
 
 
-def radial_sup_rademacher_moment(profile: RadialProfile, p: float,
-                                 tail_mass: float = 1e-20) -> float:
+def radial_sup_rademacher_moment(profile: RadialProfile, p: float) -> float:
     """(E_delta [sup_zeta |sum_i delta_i D_i f(zeta)|]^p)^{1/p} for radial f.
 
     Exact up to the documented binomial-tail truncation; p = inf returns the
-    overall supremum.  Window W ~ sqrt(n log(1/tail)); the cost is the kernel's,
-    O(n log n + W^2 / 64) plus the pairs its bounds keep (at most W^2 / 2).  A
-    non-finite profile is refused.
+    overall supremum.  Window W ~ sqrt(n log(1/TAIL_MASS)); the cost is the kernel's,
+    O(n log n + W^2 / 64) plus the pairs its bounds keep (at most W^2 / 2).
     """
     if not p >= 1:
         raise ValueError(f"exponent must be in [1, inf], got {p}")
     n = profile.n
-    svals = sign_total_window(n, tail_mass)
+    svals = sign_total_window(n)
     sups = sup_gradient_sum_by_sign_total(profile, svals)
     if np.isinf(p):
         return float(sups.max())

@@ -1,4 +1,4 @@
-"""Radial (permutation-invariant) cube functions and the Krawtchouk calculus.
+"""Radial (permutation-invariant) cube functions, binomial weights and Krawtchouk values.
 
 A radial function depends only on the Hamming distance d from the all-ones
 point; storing the n+1 profile values makes dimensions up to about 10^6
@@ -10,13 +10,9 @@ between profile and level coefficients is the Krawtchouk polynomial
 
 `krawtchouk_table` gives the raw values by the three-term recurrence in k, a
 small-n reference with no caller in the package: they grow like central
-binomial coefficients and cancel in sums.  The calculus (level coefficients,
-synthesis, multipliers) goes through the orthonormal
-Phi[k, d] = sqrt(pmf(d) / C(n, k)) K_k(d), built by `np.linalg.eigh` in
-O(n^3) on the first call for each n and cached.
-It is exact to rounding in the binomial-weighted l^2 norm (pointwise, see
-`radial_apply_multiplier`), and refuses n > 1022, where pmf(0) = 2^-n is
-subnormal, with ValueError before it allocates.
+binomial coefficients and cancel in sums.  A radial profile reaches the
+spectral calculus only through its dense cube function (`to_cube_function`,
+n <= 24).
 
 Binomial weights are Loader's saddle-point form of the pmf at p = 1/2 (C.
 Loader, "Fast and accurate computation of binomial probabilities", 2000), in
@@ -28,13 +24,12 @@ keeps about 6e-13, so 1e-14 is not reached there.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 
 import numpy as np
 
-from .cube import CubeFunction, _multiplier_table, levels
+from .cube import CubeFunction, levels
 
 MAX_RADIAL_N = 1 << 21  # "up to ~10^6"; 2^20 workflows need a power of two
 MAX_TABLE_N = 2048
@@ -128,7 +123,10 @@ def binomial_weights(n: int) -> np.ndarray:
 
 
 class RadialProfile:
-    """Function of the Hamming weight d alone, v[d] = value at any weight-d point."""
+    """Function of the Hamming weight d alone, v[d] = value at any weight-d point.
+
+    Non-finite values are refused here, once, so no consumer returns nan for them.
+    """
 
     __slots__ = ("n", "v")
 
@@ -138,6 +136,8 @@ class RadialProfile:
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (n + 1,):
             raise ValueError(f"profile must have n+1={n + 1} entries")
+        if not np.isfinite(v).all():
+            raise ValueError("profile has non-finite values")
         self.n = n
         self.v = v
 
@@ -153,23 +153,6 @@ class RadialProfile:
     def to_cube_function(self) -> CubeFunction:
         """Densify (n <= 24): value at x is v[popcount(x)]."""
         return CubeFunction.from_values(self.v[levels(self.n)])
-
-    def level_coefficients(self) -> np.ndarray:
-        """w[k] such that v(d) = sum_k w[k] K_k(d): Phi (sqrt(pmf) v) / sqrt(C(n, k))."""
-        phi, pmf = _basis(self.n), binomial_weights(self.n)
-        w = phi @ (np.sqrt(pmf) * self.v) / np.sqrt(np.ldexp(pmf, self.n))
-        if not np.isfinite(w).all():
-            raise ValueError(f"level coefficients at n={self.n} are not finite in float64")
-        return w
-
-    @classmethod
-    def from_level_coefficients(cls, n: int, w) -> "RadialProfile":
-        """v(d) = sum_k w[k] K_k(d): Phi^T (sqrt(C(n, k)) w) / sqrt(pmf); refused if not finite."""
-        phi, pmf = _basis(n), binomial_weights(n)
-        v = np.sqrt(np.ldexp(pmf, n)) * np.asarray(w, dtype=np.float64) @ phi / np.sqrt(pmf)
-        if not np.isfinite(v).all():
-            raise ValueError(f"radial profile at n={n} is not finite in float64")
-        return cls(n, v)
 
     @property
     def mean(self) -> float:
@@ -191,37 +174,3 @@ class RadialProfile:
 
     def __repr__(self):
         return f"RadialProfile(n={self.n})"
-
-
-@functools.lru_cache(maxsize=4)
-def _basis(n: int) -> np.ndarray:
-    """Read-only orthonormal, symmetric Phi[k, d] = sqrt(pmf(d) / C(n, k)) K_k(d).
-
-    Column d is the eigenvector of eigenvalue n - 2d of the Kac matrix (zero
-    diagonal, off-diagonal sqrt(k (n - k + 1))).  Column 0, sqrt(pmf), is made
-    positive; column d+1 takes the sign that makes the dual recurrence in d
-    hold, a positive product with (n - 2k) Phi[:, d] (the Phi[:, d-1] term is
-    orthogonal to it).  Row 0 cannot set signs: it underflows at large n.
-    """
-    if n > 1022:
-        raise ValueError(f"the radial calculus at n={n} > 1022 is not finite in float64")
-    off = np.sqrt(np.arange(1.0, n + 1) * np.arange(n, 0.0, -1))  # sqrt(k (n - k + 1))
-    phi = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))[1][:, ::-1]
-    dual = np.einsum("kd,k,kd->d", phi[:, 1:], n - 2.0 * np.arange(n + 1), phi[:, :-1])
-    phi = phi * np.sign(np.concatenate(([phi[:, 0].sum()], dual))).cumprod()
-    phi.setflags(write=False)
-    return phi
-
-
-def radial_apply_multiplier(p: RadialProfile, m) -> RadialProfile:
-    """Radial counterpart of the spectral calculus: level k scaled by m(k).
-
-    v' = Phi^T (m Phi (sqrt(pmf) v)) / sqrt(pmf), O(n^2) once the basis is
-    cached; it equals the dense path wherever both exist, with an error of
-    about eps max|m| ||v||_{2,pmf} in the binomial-weighted l^2 norm.  The
-    value at weight d carries about that error over sqrt(pmf(d)), which at
-    large n swamps the values near d = 0 or n: `lp_norm(., p > 2)` of a
-    synthesised large-n profile inherits it.
-    """
-    table = _multiplier_table(m, p.n)
-    return RadialProfile.from_level_coefficients(p.n, table * p.level_coefficients())

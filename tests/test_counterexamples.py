@@ -188,7 +188,7 @@ def test_pointwise_gradient_bound_holds():
 
 def test_growth_separation_moderate_range():
     ns = [2**k for k in range(6, 13)]
-    reports = cx.talagrand_sweep(ns, 2.0)
+    reports = [cx.talagrand_ratio(n, 2.0) for n in ns]
     lhs_curve = cx.GrowthCurve.fit(ns, [r.lhs for r in reports])
     # fixture floor 0.3 calibrated from the full-grid oracle run
     # (n = 2^8..2^20, 2026-08-10): fitted slope 0.5002, residual/range 0.02%

@@ -435,14 +435,6 @@ def test_sup_kernel_bitwise_just_past_the_band(rng, n):
     assert_sup_kernel_matches_reference(lamberton_point_mass(n))
 
 
-@pytest.mark.parametrize("tail_mass", [0.0, 1.0, 2.5, -1e-3, float("nan")])
-def test_window_refuses_tail_mass_outside_unit_interval(tail_mass):
-    with pytest.raises(ValueError, match="tail_mass"):
-        sign_total_window(64, tail_mass)
-    with pytest.raises(ValueError, match="tail_mass"):
-        radial_sup_rademacher_moment(talagrand_profile(64), 2.0, tail_mass)
-
-
 @pytest.mark.parametrize("p", [2.0, 3.0])
 @pytest.mark.parametrize("shift", [600, -600])
 def test_sup_moment_scales_exactly_by_powers_of_two(p, shift):

@@ -1,20 +1,17 @@
-import math
-
 import mpmath
 import numpy as np
 import pytest
 
-from cubeineq.cube import apply_multiplier
+from cubeineq.noise import SampleBatch, mc_noise_expectation
+from cubeineq.norms import lp_norm
 from cubeineq.radial import (
     RadialProfile,
-    _basis,
     _log_binomial_pmf,
     binomial_pmf,
     binomial_weights,
     krawtchouk_table,
-    radial_apply_multiplier,
 )
-from conftest import exact_basis, exact_krawtchouk, exact_level_coefficients, exact_radial_multiplier
+from conftest import exact_krawtchouk
 
 
 def test_first_two_levels():
@@ -47,38 +44,6 @@ def test_brute_force_enumeration_n4():
             )
             assert abs(K[k, d] - s) < 1e-12
             assert exact[k][d] == s
-
-
-def test_identity_multiplier_is_identity(rng):
-    prof = RadialProfile(8, rng.standard_normal(9))
-    out = radial_apply_multiplier(prof, lambda k: 1.0)
-    assert np.max(np.abs(out.v - prof.v)) < 1e-12
-
-
-def test_constant_profile_fixed_by_heat():
-    prof = RadialProfile(6, np.full(7, 2.5))
-    out = radial_apply_multiplier(prof, lambda k: np.exp(-0.7 * k))
-    assert np.max(np.abs(out.v - prof.v)) < 1e-12
-
-
-def test_matches_dense_path(rng):
-    n = 10
-    prof = RadialProfile(n, rng.standard_normal(n + 1))
-    table = np.sqrt(np.arange(n + 1, dtype=np.float64))
-    radial = radial_apply_multiplier(prof, table)
-    dense = apply_multiplier(prof.to_cube_function(), table)
-    dvals = dense.values()
-    w = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
-    for d in range(n + 1):
-        assert abs(dvals[w == d][0] - radial.v[d]) < 1e-12
-
-
-def test_level_coefficients_roundtrip(rng):
-    n = 12
-    prof = RadialProfile(n, rng.standard_normal(n + 1))
-    w = prof.level_coefficients()
-    back = RadialProfile.from_level_coefficients(n, w)
-    assert np.max(np.abs(back.v - prof.v)) < 1e-12
 
 
 def test_radial_projection_of_dense(rng):
@@ -143,78 +108,16 @@ def test_binomial_pmf_refuses_outside_support():
             binomial_pmf(5, [0, k])
 
 
-@pytest.mark.parametrize("n", [60, 100])
-def test_basis_matches_exact(n):
-    assert np.max(np.abs(_basis(n) - exact_basis(n))) < 1e-14
-
-
-def test_level_coefficients_match_exact():
-    # the error in the weighted norm sum_k C(n,k) w_k^2, against exact rationals
-    n = 60
-    v = np.random.default_rng(3).standard_normal(n + 1)
-    exact = np.array([float(x) for x in exact_level_coefficients(n, v)])
-    comb = np.array([float(math.comb(n, k)) for k in range(n + 1)])
-    err = RadialProfile(n, v).level_coefficients() - exact
-    assert math.sqrt(comb @ err**2 / (comb @ exact**2)) < 1e-14
-
-
-@pytest.mark.parametrize("n", [60, 100, 500, 1000, 1022])
-def test_identity_multiplier_roundtrip_in_weighted_norm(n):
-    v = np.random.default_rng(0).standard_normal(n + 1)
-    pmf = binomial_weights(n)
-    out = radial_apply_multiplier(RadialProfile(n, v), np.ones(n + 1)).v
-    assert math.sqrt(pmf @ (out - v) ** 2 / (pmf @ v**2)) <= 1e-13
-
-
-@pytest.mark.parametrize("n", [100, 200])
-def test_pointwise_error_within_declared_bound(n):
-    # |v'(d) - exact(d)| <= C eps max|m| ||v||_{2,pmf} / sqrt(pmf(d)); C = 32 leaves
-    # room over the measured 4.2; a raw Krawtchouk table sum exceeds C = 1 by 1e12 at n = 100
-    v = np.random.default_rng(0).standard_normal(n + 1)
-    pmf = binomial_weights(n)
-    bound = 32 * np.finfo(float).eps * math.sqrt(pmf @ v**2) / np.sqrt(pmf)
-    for m in (np.ones(n + 1), np.exp(-0.3 * np.arange(n + 1))):
-        out = radial_apply_multiplier(RadialProfile(n, v), m).v
-        assert (np.abs(out - exact_radial_multiplier(n, v, m)) <= bound).all()
-
-
-def test_calculus_refused_before_the_basis_is_built(monkeypatch):
-    # pmf(0) = 2^-1023 is subnormal: refused before the (n+1)^2 eigenproblem
-    def no_eigh(a):
-        raise AssertionError("basis built")
-
-    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-    n = 1023
-    prof = RadialProfile(n, np.ones(n + 1))
-    for call in (prof.level_coefficients, lambda: radial_apply_multiplier(prof, np.ones(n + 1)),
-                 lambda: RadialProfile.from_level_coefficients(n, np.ones(n + 1))):
-        with pytest.raises(ValueError, match="not finite"):
-            call()
-
-
-@pytest.mark.parametrize("n", [1024, 1100])
-def test_level_coefficients_refuse_overflow(n):
-    # 1/pmf(0) = 2^n overflows float64 from n = 1024: ValueError, not OverflowError
-    prof = RadialProfile(n, np.ones(n + 1))
-    with pytest.raises(ValueError, match="not finite"):
-        prof.level_coefficients()
-    with pytest.raises(ValueError, match="not finite"):
-        radial_apply_multiplier(prof, np.ones(n + 1))
-
-
-def test_multiplier_table_shared_with_the_dense_calculus(rng):
-    prof = RadialProfile(5, rng.standard_normal(6))
-    by_callable = radial_apply_multiplier(prof, lambda k: 0.5**k)
-    assert np.array_equal(by_callable.v, radial_apply_multiplier(prof, 0.5 ** np.arange(6.0)).v)
-    for apply, g in ((radial_apply_multiplier, prof), (apply_multiplier, prof.to_cube_function())):
-        with pytest.raises(ValueError, match=r"length n\+1=6"):
-            apply(g, np.ones(5))
-
-
-def test_from_level_coefficients_refuses_overflow():
-    # sum_k K_k(d) overflows float64 at n = 1100: ValueError, not a nan profile
-    with pytest.raises(ValueError, match="not finite"):
-        RadialProfile.from_level_coefficients(1100, np.ones(1101))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_profile_is_refused_when_built(bad):
+    # lp_norm, .mean and mc_noise_expectation of such a profile returned nan with no error
+    v = [0.0, 1.0, bad, 2.0, 3.0]
+    for use in (lambda p: lp_norm(p, 2), lambda p: p.mean,
+                lambda p: mc_noise_expectation(p, 0.5, SampleBatch(0, 100))):
+        with pytest.raises(ValueError, match="non-finite"):
+            use(RadialProfile(4, v))
+    with pytest.raises(ValueError, match="non-finite"):
+        RadialProfile.from_json('{"n": 4, "v": [0, 1, NaN, 2, 3]}')
 
 
 def test_file_format():
