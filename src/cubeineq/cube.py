@@ -44,6 +44,13 @@ MAX_DENSE_N = 24
 _BLOCK = 1 << 15  # float64 values per cache-resident block (256 KiB)
 
 
+def _dot(x: np.ndarray, y: np.ndarray):
+    """sum_i x[i] y[i] of two 1-D arrays as a Python scalar, by numpy's own loop on
+    one thread: OpenBLAS runs a dot of over 10^4 entries on all its threads, in an
+    order that depends on their count, and leaves a worker spinning after it."""
+    return np.einsum("i,i->", x, y).item()
+
+
 def _check_dense_n(n: int) -> None:
     if not 1 <= n <= MAX_DENSE_N:
         raise ValueError(f"dense cube dimension must be in [1, {MAX_DENSE_N}], got {n}")
@@ -454,10 +461,12 @@ class BiCubeFunction(_CoeffArray):
 
     @classmethod
     def from_sign_family(cls, family) -> "BiCubeFunction":
-        """F(eps, delta) = sum_j delta_j f_j(eps) from cube functions f_j."""
+        """F(eps, delta) = sum_j delta_j f_j(eps) from cube functions f_j, summed in j order."""
         rows = np.stack([fj.coeffs for fj in family])
-        signs = sign_table(np.arange(1 << len(rows)), len(rows))
-        return cls.from_coeffs(rows.shape[1].bit_length() - 1, signs @ rows)
+        coeffs = np.zeros((1, rows.shape[1]))
+        for row in rows:  # the rows with bit j of delta clear add f_j, the others subtract it
+            coeffs = np.concatenate([coeffs + row, coeffs - row])
+        return cls.from_coeffs(rows.shape[1].bit_length() - 1, coeffs)
 
     @classmethod
     def from_translate(cls, f: CubeFunction) -> "BiCubeFunction":
@@ -468,8 +477,8 @@ class BiCubeFunction(_CoeffArray):
         """F_j(eps) = E_delta[ delta_j F(eps, delta) ]."""
         if not 0 <= j < self.n_delta:
             raise ValueError(f"coordinate {j} out of range for n_delta={self.n_delta}")
-        delta_j = sign_table(np.arange(self.R), self.n_delta)[:, j]
-        return CubeFunction(self.n, delta_j @ self.coeffs / self.R)
+        plus, minus = _halves(self.coeffs.T, j)  # the rows with delta_j = +1, and -1
+        return CubeFunction(self.n, (plus.sum(axis=(-2, -1)) - minus.sum(axis=(-2, -1))) / self.R)
 
     def marginals(self) -> list[CubeFunction]:
         return [self.marginal(j) for j in range(self.n_delta)]

@@ -56,6 +56,7 @@ import numpy as np
 from .cube import (
     BiCubeFunction,
     VectorCubeFunction,
+    _dot,
     apply_multiplier,
     character,
     discrete_derivative,
@@ -327,11 +328,16 @@ def _build_inputs(instance: InequalityInstance, theta: np.ndarray):
     return ops if instance.input_kind == "family" else ops[0]
 
 
+def _unit(theta: np.ndarray) -> np.ndarray:
+    """theta / ||theta||_2, with the norm summed by `_dot` (one thread at any core count)."""
+    return theta / math.sqrt(_dot(theta, theta))
+
+
 def random_inputs(instance: InequalityInstance, rng: np.random.Generator):
     """Unit-sphere random coefficient inputs of the right shape (at most `MAX_INPUT_COEFFS`)."""
     _, dim = _input_dim(instance)
     theta = rng.standard_normal(dim)
-    return _build_inputs(instance, theta / np.linalg.norm(theta))
+    return _build_inputs(instance, _unit(theta))
 
 
 def _canonical_thetas(instance: InequalityInstance) -> list[np.ndarray]:
@@ -350,8 +356,7 @@ def _canonical_thetas(instance: InequalityInstance) -> list[np.ndarray]:
         for i in range(shape[0]):  # broadcast into every row of an lq or Lq operand
             dictator[i] = character(n, 1 << (i % n)).coeffs
     flat = np.ones(dim)
-    return [dictator.reshape(dim) / np.linalg.norm(dictator),
-            flat / np.linalg.norm(flat)]
+    return [_unit(dictator.reshape(dim)), _unit(flat)]
 
 
 def search_max_ratio(instance: InequalityInstance, cfg: SearchConfig | None = None,
@@ -374,7 +379,7 @@ def search_max_ratio(instance: InequalityInstance, cfg: SearchConfig | None = No
         yield from _canonical_thetas(instance)
         for _ in range(max(1, cfg.trials)):
             theta = rng.standard_normal(dim)
-            yield theta / np.linalg.norm(theta)
+            yield _unit(theta)
 
     probes = [(r, theta) for theta in probe_thetas() if math.isfinite(r := ratio_of(theta))]
     if not probes:

@@ -19,7 +19,15 @@ of a cube function, holds no 2^n array beside the point values.  `lp_norm`,
 `mixed_norm`, `rademacher_avg` and `radial_sup_rademacher_moment` scale
 those values once per call by a power of two when the largest |value|^p
 would leave the normal range (`_rescale`), and scale the root back;
-otherwise nothing is scaled and no bit changes.
+otherwise nothing is scaled and no bit changes.  At integer p the root
+(`_root`) scales by exactly that power of two.
+
+Every reduction of vectors to one number (a binomial mean, a sum of squared
+coefficients) is `cube._dot`, numpy's own loop on one thread.  BLAS runs
+only the matrix products (the sign-pattern blocks of `_sign_powers` and the
+Monte-Carlo Gram matrix), and OpenBLAS splits those by output entries, not
+within a sum.  So the results are the same bits whatever the host's core or
+BLAS thread count.
 
 At p = 2 with a scalar, ell^2 or L^2 inner norm (`_hilbert`) Parseval reads the
 norms off the Walsh coefficients with no synthesis: ||F||^2 sums the squared
@@ -52,11 +60,12 @@ kernel refuses `svals` that are not sign totals.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import (_BLOCK, BiCubeFunction, CubeFunction, VectorCubeFunction, sign_table,
+from .cube import (_BLOCK, BiCubeFunction, CubeFunction, VectorCubeFunction, _dot, sign_table,
                    walsh_transform)
 from .radial import RadialProfile, binomial_pmf, binomial_weights
 from .rng import stream_generator
@@ -177,7 +186,24 @@ def _pattern_powers(block: np.ndarray, spec: MixedNormSpec,
 
 
 def _root(power_mean, p: float) -> float:
-    return float(power_mean if np.isinf(p) else power_mean ** (1.0 / p))
+    """power_mean^(1/p); at p = inf the power mean is the norm itself.
+
+    At integer p the mean x is split as y 2^(p q) with y in [1, 2^p), and the
+    root is y^(1/p) 2^q: scaling x by 2^(p j) moves only q, so the root scales
+    by exactly 2^j, as `_unscale` assumes (pow(x, 1/p) misses that by an ulp
+    for most x, since 1/p is rounded).  x in [1, 2^p) is its own y, so the
+    bits there are plain pow's.  Past p = `sys.float_info.max_exp`, where 2^p
+    overflows, y lies in [2^(max_exp - p), 2^max_exp) instead.
+    """
+    x = float(power_mean)
+    if np.isinf(p):
+        return x
+    if not float(p).is_integer():
+        return x ** (1.0 / p)
+    p = int(p)
+    m, e = math.frexp(x)  # x = m 2^e with 0.5 <= m < 1; e = 0 at 0, inf and nan
+    q = -((min(p, sys.float_info.max_exp) - e) // p)
+    return math.ldexp(math.ldexp(m, e - p * q) ** (1.0 / p), q)
 
 
 def _unscale(x, k: int) -> float:
@@ -197,7 +223,7 @@ def lp_norm(f, p: float) -> float:
         return mixed_norm(f, MixedNormSpec.scalar(p))
     if isinstance(f, RadialProfile):
         a, k = _rescale(np.abs(f.v), MixedNormSpec.scalar(p))  # k = 0 at p = inf
-        return _unscale(_root(a.max() if np.isinf(p) else binomial_weights(f.n) @ a**p, p), k)
+        return _unscale(_root(a.max() if np.isinf(p) else _dot(binomial_weights(f.n), a**p), p), k)
     raise TypeError(f"unsupported operand {type(f).__name__}")
 
 
@@ -223,13 +249,20 @@ def _gram(c: np.ndarray, spec: MixedNormSpec) -> np.ndarray:
     return flat @ flat.T / (c.shape[-2] if spec.inner == "Lq" else 1)
 
 
+def _square_sum(c: np.ndarray, spec: MixedNormSpec) -> float:
+    """sum_i ||g_i||^2 in L^2(X) of the operands with coefficients c[i] (or of the
+    one operand c), by Parseval: the trace of `_gram`, with no matrix product."""
+    flat = c.reshape(-1)
+    return _dot(flat, flat) / (c.shape[-2] if spec.inner == "Lq" else 1)
+
+
 def mixed_norm(F, spec: MixedNormSpec) -> float:
     """Outer L^p over the cube of the inner norm declared by `spec`."""
     if inner_kind(F) != spec.inner:
         raise ValueError(f"norm spec {spec} does not match operand {type(F).__name__}")
     if _hilbert(spec):
         c, k = _rescale(F.coeffs, spec, copy=True)
-        return _unscale(_root(_gram(c[None], spec)[0, 0], 2), k)
+        return _unscale(_root(_square_sum(c, spec), 2), k)
     vals, k = _rescale(_operand_values([F])[0], spec)
     return _unscale(_root(_pattern_powers(vals, spec), spec.p), k)
 
@@ -307,7 +340,7 @@ def rademacher_avg(operands, p: float, spec: MixedNormSpec | None = None,
     vals, scale = _rescale(np.stack([g.coeffs for g in operands]) if hilbert
                            else _operand_values(operands), spec, k, 1 if exact else 2)
     if hilbert and exact:
-        return RademacherResult(_unscale(_root(_gram(vals[None], spec)[0, 0], 2), scale))
+        return RademacherResult(_unscale(_root(_square_sum(vals, spec), 2), scale))
     gram = _gram(vals, spec) if hilbert else None
 
     if exact:
@@ -529,4 +562,4 @@ def radial_sup_rademacher_moment(profile: RadialProfile, p: float) -> float:
     if np.isinf(p):
         return float(sups.max())
     sups, k = _rescale(sups, MixedNormSpec.scalar(p))
-    return _unscale(_root(binomial_pmf(n, (svals + n) // 2) @ sups**p, p), k)
+    return _unscale(_root(_dot(binomial_pmf(n, (svals + n) // 2), sups**p), p), k)

@@ -43,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import (CubeFunction, VectorCubeFunction, _check_coord, _halves, _xor_grid, character,
-                   frac_power, levels, partial_derivative, riesz)
+from .cube import (CubeFunction, VectorCubeFunction, _check_coord, _dot, _halves, _xor_grid,
+                   character, frac_power, levels, partial_derivative, riesz)
 from .inequalities import InequalityInstance, RatioReport
 from . import inequalities
 
@@ -119,7 +119,7 @@ class PauliWord:
 def pauli_inner(X, Y) -> complex:
     """tr(X^* Y) with the normalized trace; Pauli words are orthonormal."""
     (x, n), (y, _) = _square(X), _square(Y)
-    return complex(np.vdot(x, y) / (1 << n))
+    return complex(_dot(x.conj().reshape(-1), y.reshape(-1)) / (1 << n))
 
 
 # -- the commutative embedding -------------------------------------------------

@@ -19,7 +19,9 @@ Loader, "Fast and accurate computation of binomial probabilities", 2000), in
 numpy: the Stirling-formula error from a table up to 15 and its series above,
 and the deviance by its series near the mean.  Every entry at least 1e-300 is
 within 1e-12 relative of the exact binomial up to n = 2^20; the deep tail
-keeps about 6e-13, so 1e-14 is not reached there.
+keeps about 6e-13, so 1e-14 is not reached there.  A binomial mean
+(`RadialProfile.mean`, and the radial norms of `norms`) is `cube._dot` of
+the weights and the values, on one thread at any core count.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import math
 
 import numpy as np
 
-from .cube import CubeFunction, levels
+from .cube import CubeFunction, _dot, levels
 
 MAX_RADIAL_N = 1 << 21  # "up to ~10^6"; 2^20 workflows need a power of two
 MAX_TABLE_N = 2048
@@ -156,7 +158,7 @@ class RadialProfile:
 
     @property
     def mean(self) -> float:
-        return float(binomial_weights(self.n) @ self.v)
+        return _dot(binomial_weights(self.n), self.v)
 
     def to_dict(self) -> dict:
         return {"n": self.n, "v": self.v.tolist()}

@@ -1,7 +1,9 @@
+import math
 import re
 import tracemalloc
 from dataclasses import astuple
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,6 +12,7 @@ from cubeineq.cube import (
     BiCubeFunction,
     CubeFunction,
     VectorCubeFunction,
+    _dot,
     character,
     discrete_derivative,
     frac_power,
@@ -603,7 +606,7 @@ def test_radial_lp_norm_of_a_constant_outside_the_power_range(value, p):
 def test_radial_lp_norm_at_unit_scale_is_the_unscaled_binomial_mean(rng, p):
     prof = RadialProfile(40, rng.standard_normal(41))
     a = np.abs(prof.v)
-    raw = a.max() if np.isinf(p) else (binomial_weights(40) @ a**p) ** (1.0 / p)
+    raw = a.max() if np.isinf(p) else _dot(binomial_weights(40), a**p) ** (1.0 / p)
     assert lp_norm(prof, p) == float(raw)  # no rescale at unit scale: the same bits
 
 
@@ -635,6 +638,22 @@ def test_norms_scale_exactly_by_powers_of_two_at_every_p(rng, p, shift):
     for base, moved in pairs:
         assert np.isfinite(base) and base > 0 or base == 0.0
         assert moved == pytest.approx(np.ldexp(base, shift), rel=1e-13)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 1000, 2000, 2090])
+def test_root_scales_exactly_by_powers_of_two_at_integer_p(rng, p):
+    # every normal mean and its shifts by 2^(p j) that stay normal; 2^p overflows past p = 1024
+    for x in np.ldexp(rng.uniform(0.5, 1.0, 200), rng.integers(-1021, 1025, 200)).tolist():
+        for j in (-3, -1, 1, 2):
+            e = math.frexp(x)[1] + p * j
+            if -1021 <= e <= 1024:
+                assert norms._root(math.ldexp(x, p * j), p) == math.ldexp(norms._root(x, p), j)
+        with mpmath.workdps(40):  # within two ulps of the exact root
+            assert norms._root(x, p) == pytest.approx(float(mpmath.root(x, p)), rel=4.5e-16)
+    for x in rng.uniform(1.0, 2.0 ** min(p, 1000), 200).tolist():
+        assert norms._root(x, p) == x ** (1.0 / p)  # [1, 2^p): the bits of plain pow
+    assert [norms._root(x, p) for x in (0.0, math.inf)] == [0.0, math.inf]
+    assert math.isnan(norms._root(math.nan, p))
 
 
 # -- the Hilbert path: p = 2 over a scalar, ell^2 or L^2 inner norm ----------------
