@@ -13,6 +13,7 @@ not finite, which `_emit` checks for every subcommand.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -264,6 +265,7 @@ def _float_list(text: str) -> list[float]:
     return _number_list(text, float)
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one serves every main call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cubeineq",

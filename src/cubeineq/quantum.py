@@ -313,7 +313,11 @@ def kernel_transform(G, quad: QuadratureRule) -> np.ndarray:
     """
     mat, n = _square(G)
     gaps = np.arange(-n, n + 1)
-    kappa = quad.integrate(lambda theta: np.exp(-1j * theta * gaps))
+    # integrate's odd sum over every node at once; reducing axis 0 adds the
+    # node rows in node order, so kappa has integrate's bits
+    theta = quad.nodes[:, None]
+    terms = quad.weights[:, None] * (np.exp(-1j * theta * gaps) - np.exp(-1j * -theta * gaps))
+    kappa = np.add.reduce(terms, axis=0)
     return mat * kappa[_level_gap(n)]
 
 

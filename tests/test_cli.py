@@ -139,6 +139,19 @@ def test_byte_identical_reruns(capsys):
     assert out1 == out2
 
 
+def test_one_parser_serves_calls_around_a_usage_error(capsys):
+    # a failed parse must leave nothing behind in the parser every call shares
+    args = ("ratio", "--ineq", "DELTA_FI", "--n", "3", "--p", "3", "--a", "0.5",
+            "--search", "random", "--trials", "5", "--seed", "2")
+    code1, out1, _ = run_cli(capsys, *args)
+    code, out, err = run_cli(capsys, *args, "--gamma", "0.3")
+    assert code == 1 and out == "" and "not allowed" in err
+    code2, out2, _ = run_cli(capsys, *args)
+    assert code1 == code2 == 0
+    assert out1 == out2
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_sweep_csv_schema(tmp_path, capsys):
     out_file = tmp_path / "rows.csv"
     code, _, _ = run_cli(capsys, "sweep", "--ineq", "GAMMA_BELOW", "--gamma", "0.25",

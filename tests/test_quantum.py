@@ -216,6 +216,16 @@ def test_kernel_transform_matches_per_node_rotation(rng, accuracy):
         assert gap <= 1e-13 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("accuracy", [1e-6, 1e-8, 1e-10])
+def test_kernel_transform_multiplier_has_the_node_loop_bits(accuracy):
+    quad = qt.QuadratureRule.build(accuracy)
+    for n in range(1, 11):
+        gaps = np.arange(-n, n + 1)
+        kappa = quad.integrate(lambda t: np.exp(-1j * t * gaps))
+        ones = np.ones((1 << n, 1 << n), dtype=complex)
+        assert np.array_equal(qt.kernel_transform(ones, quad), kappa[qt._level_gap(n)])
+
+
 def test_library_projects_through_words_only(monkeypatch, rng, quad):
     from cubeineq.cli import main
 

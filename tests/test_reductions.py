@@ -5,6 +5,13 @@ order that depends on their count, and leaves a worker spinning for about
 0.1 s after the call.  The package keeps BLAS to matrix products and sums
 every vector by `cube._dot`; these tests run the large-n paths in a fresh
 interpreter, where the BLAS thread count is still read from the environment.
+The probes import numpy first and set `OPENBLAS_NUM_THREADS` themselves, so
+they run with the thread count they name.
+
+When `import cubeineq` is what loads numpy and none of
+`OPENBLAS_NUM_THREADS`, `GOTO_NUM_THREADS` and `OMP_NUM_THREADS` is set, the
+package loads it with one BLAS thread and then unsets the variable again; the
+last test checks that rule, and that an explicit choice is kept.
 """
 
 import os
@@ -13,13 +20,17 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import cubeineq
 
 
 def _run(script: str, **env_vars) -> str:
+    """stdout of `script` in a fresh interpreter; a variable given as None is unset."""
     src = str(Path(cubeineq.__file__).resolve().parents[1])
     env = dict(os.environ, **env_vars, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = {name: value for name, value in env.items() if value is not None}
     done = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
@@ -53,7 +64,7 @@ def test_no_call_leaves_a_blas_thread_spinning():
             time.sleep(0.05)
             print(f"{name}: {time.process_time() - start}")
             time.sleep(0.1)
-    """)
+    """, OPENBLAS_NUM_THREADS="2")
     spins = {name: float(t) for name, t in (line.rsplit(": ", 1) for line in out.splitlines())}
     assert len(spins) == 4
     assert all(t < 0.01 for t in spins.values()), spins
@@ -77,3 +88,44 @@ def test_results_do_not_depend_on_the_blas_thread_count():
     one, two = (_run(script, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2"))
     assert len(one.splitlines()) == 4
     assert one == two
+
+
+def _numpy_uses_openblas() -> bool:
+    import numpy as np
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (KeyError, TypeError):
+        return False
+    return "openblas" in str(blas).lower()
+
+
+@pytest.mark.skipif(not _numpy_uses_openblas() or not Path("/proc/self/maps").is_file()
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="reads OpenBLAS's own thread count; its default is one on one core")
+@pytest.mark.parametrize("first, env, pinned", [
+    ("", {}, True),
+    ("", {"OPENBLAS_NUM_THREADS": "2"}, False),
+    ("", {"OMP_NUM_THREADS": "2"}, False),
+    ("import numpy", {}, False),
+], ids=["unset", "OPENBLAS_NUM_THREADS=2", "OMP_NUM_THREADS=2", "numpy-first"])
+def test_cubeineq_loads_numpy_with_one_blas_thread_when_nothing_chose(first, env, pinned):
+    unset = dict.fromkeys(("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
+    out = _run(f"""
+        import ctypes, os
+        {first}
+        import cubeineq
+        with open("/proc/self/maps") as fh:
+            libs = sorted({{line.split()[-1] for line in fh if "openblas" in line.lower()}})
+        threads = None
+        for path in libs:
+            lib = ctypes.CDLL(path)
+            for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                           "openblas_get_num_threads"):
+                if threads is None and hasattr(lib, symbol):
+                    threads = getattr(lib, symbol)()
+        print(threads, os.environ.get("OPENBLAS_NUM_THREADS"))
+    """, **{**unset, **env})
+    threads, variable = out.split()
+    assert (int(threads) == 1) == pinned
+    assert variable == env.get("OPENBLAS_NUM_THREADS", "None")
