@@ -139,6 +139,13 @@ class SearchConfig:
     seed: int = 0
     stream: int = 0
 
+    def __post_init__(self):
+        if self.trials < 1 or self.restarts < 1:
+            raise ValueError(f"a search needs trials >= 1 and restarts >= 1, "
+                             f"got trials={self.trials}, restarts={self.restarts}")
+        if self.ascent_steps < 0:
+            raise ValueError(f"ascent steps must be >= 0, got {self.ascent_steps}")
+
 
 def _ratio(lhs: float, rhs: float) -> float:
     if math.isnan(lhs) or math.isnan(rhs):
@@ -179,11 +186,9 @@ def _riesz_lower(instance, f, cfg, gamma=0.0):
 
 
 def _r_below(instance, family, cfg, with_derivative=True):
-    lhs = _norm(instance, reduce(operator.add, (frac_power(discrete_derivative(g, i), instance.a)
-                                                for i, g in enumerate(family))))
-    if with_derivative:
-        return lhs, _rad_derivatives(instance, family, cfg)
-    return lhs, _rad(instance, family, cfg)
+    derivatives = [discrete_derivative(g, i) for i, g in enumerate(family)]
+    lhs = _norm(instance, reduce(operator.add, (frac_power(d, instance.a) for d in derivatives)))
+    return lhs, _rad(instance, derivatives if with_derivative else family, cfg)
 
 
 def _pisier(instance, f, cfg):
@@ -210,9 +215,9 @@ def _pt_deriv(instance, family, cfg):
     t = instance.t
     shifted = np.zeros(instance.n + 1)
     shifted[1:] = np.exp(-t * np.arange(instance.n))
-    lhs = _norm(instance, reduce(operator.add, (apply_multiplier(discrete_derivative(g, i), shifted)
-                                                for i, g in enumerate(family))))
-    rhs = _rad_derivatives(instance, family, cfg)
+    derivatives = [discrete_derivative(g, i) for i, g in enumerate(family)]
+    lhs = _norm(instance, reduce(operator.add, (apply_multiplier(d, shifted) for d in derivatives)))
+    rhs = _rad(instance, derivatives, cfg)
     return lhs, rhs / math.sqrt(-math.expm1(-2.0 * t))
 
 
@@ -235,19 +240,22 @@ class _Entry:
     sides: Callable  # sides(instance, inputs, cfg) -> (lhs, rhs)
     needs: str | None = None  # the instance field the entry reads: "a", "gamma" or "t"
     scalar_only: bool = False
+    # a family entry that reads operand i only through D_i, which multiplies
+    # its coefficients at masks without bit i by 0.0
+    through_derivative: bool = False
 
 
 CATALOG = {
     "R_ABOVE": _Entry("single", _r_above),
     "RIESZ_LOWER": _Entry("single", _riesz_lower),
-    "R_BELOW": _Entry("family", _r_below, needs="a"),
+    "R_BELOW": _Entry("family", _r_below, needs="a", through_derivative=True),
     "R_BELOW_NOD": _Entry("family", lambda inst, fs, cfg: _r_below(inst, fs, cfg, False),
                           needs="a"),
     "PISIER": _Entry("single", _pisier),
     "F1": _Entry("bi", _f1, scalar_only=True),
     "DF": _Entry("single", _df),
-    "PT_DERIV": _Entry("family", _pt_deriv, needs="t"),
-    "EPI": _Entry("family", _epi, scalar_only=True),
+    "PT_DERIV": _Entry("family", _pt_deriv, needs="t", through_derivative=True),
+    "EPI": _Entry("family", _epi, scalar_only=True, through_derivative=True),
     "GAMMA_BELOW": _Entry("single", lambda inst, f, cfg: _riesz_lower(inst, f, cfg, inst.gamma),
                           needs="gamma"),
     "GRAD_L1P": _Entry("single", _grad_l1p, scalar_only=True),
@@ -359,58 +367,80 @@ def _canonical_thetas(instance: InequalityInstance) -> list[np.ndarray]:
     return [_unit(dictator.reshape(dim)), _unit(flat)]
 
 
+def _inert_coordinates(instance: InequalityInstance) -> np.ndarray:
+    """The coordinates of the search's coefficient vector that cannot move the
+    entry's report, as a boolean vector: for an entry that reads operand i only
+    through D_i (`_Entry.through_derivative`), the coefficients of operand i at
+    masks without bit i, which D_i multiplies by 0.0; none for any other entry."""
+    shape, _ = _input_dim(instance)
+    inert = np.zeros(shape, dtype=bool)
+    if CATALOG[instance.ineq_id].through_derivative:
+        masks = np.arange(shape[-1])
+        for i in range(shape[0]):
+            inert[i, ..., (masks >> i) & 1 == 0] = True
+    return inert.reshape(-1)
+
+
 def search_max_ratio(instance: InequalityInstance, cfg: SearchConfig | None = None,
                      rademacher_cfg: RademacherConfig | None = None):
     """Best ratio found by random restarts plus greedy coordinate ascent.
 
     Returns (report, witness_inputs).  Deterministic for a fixed config; the
     result is a lower bound on the true extremal ratio, nothing more.
+
+    An ascent step on an inert coordinate (`_inert_coordinates`: one that D_i
+    multiplies by 0.0 in an entry that reads operand i only through D_i) is
+    rejected without an evaluation.  It still draws its coordinate and sign
+    and counts as a stale step, and the evaluation would have given the
+    report's bits again, which never beats them; so the output is bit for bit
+    that of evaluating every step.  The winner's report is the one its search
+    already computed.
     """
     cfg = cfg if cfg is not None else SearchConfig()
     if instance.n > 14:
         raise ValueError("ratio search is a dense-mode tool (n <= 14)")
     _, dim = _input_dim(instance)  # refuses an input over MAX_INPUT_COEFFS
+    inert = _inert_coordinates(instance)
     rng = stream_generator(cfg.seed, cfg.stream)
 
-    def ratio_of(theta):
-        return evaluate(instance, _build_inputs(instance, theta), rademacher_cfg).ratio
+    def report_of(theta):
+        return evaluate(instance, _build_inputs(instance, theta), rademacher_cfg)
 
     def probe_thetas():
         yield from _canonical_thetas(instance)
-        for _ in range(max(1, cfg.trials)):
+        for _ in range(cfg.trials):
             theta = rng.standard_normal(dim)
             yield _unit(theta)
 
-    probes = [(r, theta) for theta in probe_thetas() if math.isfinite(r := ratio_of(theta))]
+    probes = [(rep, theta) for theta in probe_thetas()
+              if math.isfinite((rep := report_of(theta)).ratio)]
     if not probes:
         raise RuntimeError("no probe produced a finite ratio")
-    probes.sort(key=lambda pair: pair[0], reverse=True)
+    probes.sort(key=lambda pair: pair[0].ratio, reverse=True)
 
-    best_r, best_theta = probes[0]
-    for r0, theta0 in probes[: max(1, cfg.restarts)]:
-        theta = theta0.copy()
-        r = r0
+    best, best_theta = probes[0]
+    for report, theta in probes[:cfg.restarts]:
         h = ASCENT_STEP
         stale = 0
         for _ in range(cfg.ascent_steps):
             j = int(rng.integers(dim))
             step = h * (1.0 if rng.random() < 0.5 else -1.0)
-            cand = theta.copy()
-            cand[j] += step
-            rc = ratio_of(cand)
-            if math.isfinite(rc) and rc > r:
-                theta, r = cand, rc
-                stale = 0
-            else:
-                stale += 1
-                if stale >= 25:
-                    h *= 0.7
+            if not inert[j]:
+                cand = theta.copy()
+                cand[j] += step
+                rc = report_of(cand)
+                if math.isfinite(rc.ratio) and rc.ratio > report.ratio:
+                    theta, report = cand, rc
                     stale = 0
-        if r > best_r:
-            best_r, best_theta = r, theta
-    witness = _build_inputs(instance, best_theta)
-    report = evaluate(instance, witness, rademacher_cfg)
-    return replace(report, mode=f"search[trials={cfg.trials},ascent={cfg.ascent_steps}]"), witness
+                    continue
+            stale += 1
+            if stale >= 25:
+                h *= 0.7
+                stale = 0
+        if report.ratio > best.ratio:
+            best, best_theta = report, theta
+    mode = f"search[trials={cfg.trials},ascent={cfg.ascent_steps}]"
+    return replace(best, mode=mode), _build_inputs(instance, best_theta)
 
 
 # -- sweeps -------------------------------------------------------------------

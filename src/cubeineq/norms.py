@@ -12,22 +12,25 @@ values, and an inner norm reduces axis -2: R components or 2^n_delta points.
 from ||x||^p per sign pattern (no root before the average), over the 2^{k-1}
 patterns with delta_{k-1} = +1 (k <= 20; ||-x|| = ||x||) or over seeded
 Monte-Carlo samples with a standard error, in blocks of about `_BLOCK` values
-computed into one reused buffer and reduced in place.  Powers are taken in
-place (`_pow` overwrites its input; a cube without scratch goes a `_BLOCK`
-at a time through one buffer), so a scalar `mixed_norm`, which is `lp_norm`
-of a cube function, holds no 2^n array beside the point values.  `lp_norm`,
-`mixed_norm`, `rademacher_avg` and `radial_sup_rademacher_moment` scale
-those values once per call by a power of two when the largest |value|^p
-would leave the normal range (`_rescale`), and scale the root back;
+computed into one reused buffer and reduced in place.  When the power is one
+integer e of every value (a scalar space at integer p, or p = q), a pattern's
+power sum is one fused pass, row dots |v|^(e-1) . |v| by einsum over tiles of
+at most `_BLOCK` values (`_power_sums`); otherwise powers are taken in place
+(`_pow` overwrites its input).  Either way a cube without scratch goes a
+`_BLOCK` at a time through one buffer, so a scalar `mixed_norm`, which is
+`lp_norm` of a cube function, holds no 2^n array beside the point values.
+`lp_norm`, `mixed_norm`, `rademacher_avg` and `radial_sup_rademacher_moment`
+scale those values once per call by a power of two when the largest
+|value|^p would leave the normal range (`_rescale`), and scale the root back;
 otherwise nothing is scaled and no bit changes.  At integer p the root
 (`_root`) scales by exactly that power of two.
 
 Every reduction of vectors to one number (a binomial mean, a sum of squared
-coefficients) is `cube._dot`, numpy's own loop on one thread.  BLAS runs
-only the matrix products (the sign-pattern blocks of `_sign_powers` and the
-Monte-Carlo Gram matrix), and OpenBLAS splits those by output entries, not
-within a sum.  So the results are the same bits whatever the host's core or
-BLAS thread count.
+coefficients) is `cube._dot`, numpy's own loop on one thread, and so is each
+row of `_power_sums`.  BLAS runs only the matrix products (the sign-pattern
+blocks of `_sign_powers` and the Monte-Carlo Gram matrix), and OpenBLAS
+splits those by output entries, not within a sum.  So the results are the
+same bits whatever the host's core or BLAS thread count.
 
 At p = 2 with a scalar, ell^2 or L^2 inner norm (`_hilbert`) Parseval reads the
 norms off the Walsh coefficients with no synthesis: ||F||^2 sums the squared
@@ -163,14 +166,54 @@ def _rescale(vals: np.ndarray, spec: MixedNormSpec, terms: int = 1, moments: int
     return np.ldexp(vals, -k, out=None if copy else vals), k
 
 
+def _power_sums(a: np.ndarray, e: int, scratch: np.ndarray | None = None) -> np.ndarray:
+    """sum_i a[..., i]^e for a >= 0 and an integer e >= 1, one value per leading
+    index, as row dots a^(e-1) . a by `np.einsum` (numpy's own loop, never BLAS).
+
+    A tile of at most `_BLOCK` values is summed at a time: rows of up to `_BLOCK`
+    values in groups, a longer row in `_BLOCK`-value pieces whose sums are added
+    in order.  a^(e-1) goes into `scratch`, an optional array of a's size, or
+    else into one buffer of a tile; the tiles are the same either way, so the
+    bits do not depend on `scratch`.  `a` is not written."""
+    width = a.shape[-1]
+    rows = a.reshape(-1, width)
+    out = np.empty(rows.shape[0])
+    step, cols = max(1, _BLOCK // width), min(width, _BLOCK)
+    if e > 2:
+        buf = (scratch if scratch is not None else np.empty(min(a.size, _BLOCK))).reshape(-1)
+    for lo in range(0, rows.shape[0], step):
+        for c in range(0, width, cols):
+            tile = rows[lo:lo + step, c:c + cols]
+            if e == 1:
+                part = np.einsum("...i->...", tile)
+            else:
+                factor = tile if e == 2 else buf[:tile.size].reshape(tile.shape)
+                if e == 3:
+                    np.multiply(tile, tile, out=factor)
+                elif e > 3:
+                    np.power(tile, e - 1, out=factor)
+                part = np.einsum("...i,...i->...", factor, tile)
+            if c:
+                out[lo:lo + step] += part
+            else:
+                out[lo:lo + step] = part
+    return out.reshape(a.shape[:-1])
+
+
 def _pattern_powers(block: np.ndarray, spec: MixedNormSpec,
                     scratch: np.ndarray | None = None) -> np.ndarray:
     """mean_x ||block(x)||^p over the trailing axes of a (..., inner?, points)
     block, one value per leading index: the mean of (sum or mean of |v|^q)^{p/q}
     with no root taken.  p = inf gives the norm max_x ||block(x)|| itself.
+    At an integer p equal to q, or with no q, every value takes the one power
+    p, and each index is one fused pass (`_power_sums`) over its trailing values.
     `block` is overwritten, and so is `scratch`, an optional array shaped like
-    it that takes the squares of a cube in place of a temporary."""
+    it that takes |v|^(p-1), or the squares of a cube, in place of a temporary."""
     a = np.abs(block, out=block)
+    if spec.q in (None, spec.p) and float(spec.p).is_integer():
+        rows = a if spec.inner == "scalar" else a.reshape(*a.shape[:-2], -1)
+        count = a.shape[-1] * (a.shape[-2] if spec.inner == "Lq" else 1)
+        return _power_sums(rows, int(spec.p), scratch) / count
     q = 1.0  # the power of the inner norm that `s` holds
     if spec.inner == "scalar":
         s = a

@@ -386,6 +386,17 @@ def test_ratio_input_over_budget_exits_one(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("budget, message", [(("--trials", "0"), "trials >= 1 and restarts >= 1, got trials=0"),
+                                             (("--trials", "-5"), "trials >= 1 and restarts >= 1, got trials=-5"),
+                                             (("--ascent-steps", "-3"), "must be >= 0, got -3")])
+def test_ratio_refuses_a_search_budget_it_would_not_run(capsys, budget, message):
+    # these ran one trial (or no step) and reported the budget given
+    code, out, err = run_cli(capsys, "ratio", "--ineq", "GAMMA_BELOW", "--n", "4", "--p", "3",
+                             "--gamma", "0.25", "--search", "ascent", *budget, "--seed", "1")
+    assert code == 1 and out == ""
+    assert message in err
+
+
 @pytest.mark.parametrize("search", ["none", "random", "ascent"])
 def test_ratio_rows_are_the_one_point_sweep_rows(capsys, search):
     shared = ("--ineq", "DELTA_FI", "--a", "0.5", "--inner", "lq", "--search", search,

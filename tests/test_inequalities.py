@@ -16,6 +16,7 @@ from cubeineq.cube import (
 )
 from cubeineq.inequalities import (
     ALIASES,
+    ASCENT_STEP,
     CATALOG,
     MAX_INPUT_COEFFS,
     InequalityInstance,
@@ -30,10 +31,12 @@ from cubeineq.inequalities import (
     SWEEP_COLUMNS,
     _build_inputs,
     _canonical_thetas,
+    _inert_coordinates,
     _input_dim,
     _ratio,
 )
 from cubeineq import cube
+from cubeineq import inequalities as iq
 from cubeineq.norms import OPERANDS, lp_norm, rademacher_avg
 from cubeineq.rng import stream_generator
 
@@ -82,6 +85,103 @@ def test_search_monotone_in_budget():
     large, _ = search_max_ratio(inst, SearchConfig(trials=40, restarts=1, ascent_steps=0, seed=9))
     # same seed: the larger budget replays the smaller one's draws first
     assert large.ratio >= small.ratio - 1e-15
+
+
+@pytest.mark.parametrize("budget, message", [
+    (dict(trials=0), "trials >= 1"), (dict(trials=-5), "trials >= 1"),
+    (dict(restarts=0), "restarts >= 1"), (dict(ascent_steps=-3), "ascent steps must be >= 0"),
+])
+def test_search_config_refuses_a_budget_it_would_not_run(budget, message):
+    with pytest.raises(ValueError, match=message):
+        SearchConfig(**budget)
+    assert SearchConfig(trials=1, restarts=1, ascent_steps=0).ascent_steps == 0
+
+
+def _report_bytes(report):
+    return np.array([report.lhs, report.rhs, report.ratio]).tobytes()
+
+
+def _witness_bytes(witness):
+    return b"".join(g.coeffs.tobytes() for g in witness)
+
+
+DERIVATIVE_ENTRIES = [("R_BELOW", "scalar"), ("R_BELOW", "lq"), ("R_BELOW", "Lq"),
+                      ("PT_DERIV", "scalar"), ("EPI", "scalar")]
+
+
+def test_inert_coordinates_are_the_masks_without_the_operand_bit():
+    for ineq in CATALOG:
+        inst = _catalog_instance(ineq)
+        inert = _inert_coordinates(inst).reshape(_input_dim(inst)[0])
+        if (ineq, "scalar") not in DERIVATIVE_ENTRIES:
+            assert not inert.any()
+            continue
+        for i, rows in enumerate(inert):
+            assert np.array_equal(rows, [(mask >> i) & 1 == 0 for mask in range(8)])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("ineq, inner", DERIVATIVE_ENTRIES)
+def test_a_step_on_an_inert_coordinate_leaves_the_report_bits(ineq, inner, n):
+    # D_i multiplies the coefficient by 0.0, so only the sign of a zero can move,
+    # and every side takes |.| of it; Lq at n >= 5 (2560 and 12288 inert
+    # coordinates) steps a seeded sample of 64; then all of them move at once
+    inst = _catalog_instance(ineq, inner, n=n)
+    _, dim = _input_dim(inst)
+    gen = stream_generator(n, 7)
+    theta = gen.standard_normal(dim)
+    base = _report_bytes(evaluate(inst, _build_inputs(inst, theta)))
+    mask = _inert_coordinates(inst)
+    inert = np.flatnonzero(mask)
+    assert inert.size == dim // 2
+    if inert.size > 1024:
+        inert = gen.choice(inert, 64, replace=False)
+    for k, j in enumerate(inert):
+        cand = theta.copy()
+        cand[j] += ASCENT_STEP if k % 2 else -ASCENT_STEP
+        assert _report_bytes(evaluate(inst, _build_inputs(inst, cand))) == base, j
+    cand = theta.copy()
+    cand[mask] = gen.standard_normal(dim // 2) - cand[mask]
+    assert _report_bytes(evaluate(inst, _build_inputs(inst, cand))) == base
+
+
+def _no_inert_coordinates(instance):
+    return np.zeros(_input_dim(instance)[1], dtype=bool)
+
+
+@pytest.mark.parametrize("ineq, inner", DERIVATIVE_ENTRIES)
+def test_search_bits_do_not_depend_on_the_inert_set(ineq, inner, monkeypatch):
+    inst = _catalog_instance(ineq, inner, n=4)
+    cfg = SearchConfig(trials=4, restarts=2, ascent_steps=80, seed=5)
+    report, witness = search_max_ratio(inst, cfg)
+    monkeypatch.setattr(iq, "_inert_coordinates", _no_inert_coordinates)
+    every_step, every_witness = search_max_ratio(inst, cfg)
+    assert report.mode == every_step.mode == "search[trials=4,ascent=80]"
+    assert _report_bytes(report) == _report_bytes(every_step)
+    assert _witness_bytes(witness) == _witness_bytes(every_witness)
+
+
+def test_search_evaluates_no_inert_step_and_not_its_winner_again(monkeypatch):
+    inst = InequalityInstance("R_BELOW", n=4, p=3.0, q=3.0, a=0.5, inner="lq")
+    cfg = SearchConfig(trials=5, restarts=2, ascent_steps=60, seed=11)
+    calls = []
+    evaluate_ = iq.evaluate
+    monkeypatch.setattr(iq, "evaluate", lambda *args: calls.append(1) or evaluate_(*args))
+    search_max_ratio(inst, cfg)
+    # replay the search's draws: a normal vector per trial, then per step a coordinate and a sign
+    _, dim = _input_dim(inst)
+    gen = stream_generator(cfg.seed, cfg.stream)
+    for _ in range(cfg.trials):
+        gen.standard_normal(dim)
+    inert = _inert_coordinates(inst)
+    inert_draws = 0
+    for _ in range(cfg.restarts * cfg.ascent_steps):
+        inert_draws += bool(inert[int(gen.integers(dim))])
+        gen.random()
+    # evaluating every probe, every step and the winner once more
+    every_step = 2 + cfg.trials + cfg.restarts * cfg.ascent_steps + 1
+    assert inert_draws > 0
+    assert every_step - len(calls) == inert_draws + 1
 
 
 def test_homogeneity(rng):

@@ -491,6 +491,28 @@ def test_pattern_powers_square_into_scratch(rng, spec, shape):
     assert peak < block.nbytes
 
 
+@pytest.mark.parametrize("e", [1, 3])
+@pytest.mark.parametrize("inner, shape", [
+    ("scalar", (3, _BLOCK + 17)), ("scalar", (64, 1024)), ("scalar", (5,)),
+    ("lq", (2, 3, _BLOCK // 2 + 5)), ("lq", (40, 2, 8)),
+    ("Lq", (2, 64, 1024)), ("Lq", (40, 4, 8)),
+])
+def test_fused_power_sums_match_the_powers(rng, e, inner, shape):
+    # at integer p = q (or no q) each leading index is one fused row sum; rows
+    # wider than _BLOCK add their pieces' sums in order, and scratch moves no bit
+    spec = MixedNormSpec(p=float(e), inner=inner, q=None if inner == "scalar" else float(e))
+    v = rng.standard_normal(shape)
+    powers = np.abs(v) ** e
+    expected = {"scalar": lambda: powers.mean(axis=-1),
+                "lq": lambda: powers.sum(axis=-2).mean(axis=-1),
+                "Lq": lambda: powers.mean(axis=(-2, -1))}[inner]()
+    got = _pattern_powers(v.copy(), spec)
+    assert np.shape(got) == expected.shape
+    assert np.allclose(got, expected, rtol=1e-14, atol=0.0)
+    assert same_bytes(np.asarray(_pattern_powers(v.copy(), spec, np.empty_like(v))),
+                      np.asarray(got))
+
+
 @pytest.mark.parametrize("block", [None, 37])
 @pytest.mark.parametrize("p", [1.0, 2.0, 2.5, 3.0, np.inf])
 @pytest.mark.parametrize("k", [1, 2, 5, 7])
