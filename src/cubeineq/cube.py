@@ -23,6 +23,12 @@ Only the level multipliers go through `levels`:
 
 Above `_BLOCK` coefficients a level multiplier gathers its table a block at a
 time into one reused buffer, so it makes no 2^n temporary beside its result.
+Values and coefficients are one `walsh_transform` apart.  It runs the stages
+in constant geometry (Pease's ordering): each stage writes the sums and the
+differences of the even and odd positions to the two halves of a second
+buffer, pairing the same values in the same operand order as the textbook
+in-place stages, on pieces of at most `_BLOCK` values and with at most two
+block buffers beside its output.
 
 Point values use the index convention eps_i(x) = +1 if bit i of x is 0 and
 -1 otherwise, so the bitmask of -1 coordinates is the point index and the
@@ -56,26 +62,31 @@ def _check_dense_n(n: int) -> None:
         raise ValueError(f"dense cube dimension must be in [1, {MAX_DENSE_N}], got {n}")
 
 
-def _butterflies(a: np.ndarray, h: int) -> None:
-    """Walsh stages h, 2h, ... below a.shape[-1], in place along the last axis of
-    a C-contiguous array, two stages per sweep (radix 4)."""
-    m = a.shape[-1]
-    while h < m:
-        if 4 * h <= m:
-            x = a.reshape(-1, 4, h)
-            x0, x1, x2, x3 = x[:, 0], x[:, 1], x[:, 2], x[:, 3]
-            s01, d01, s23, d23 = x0 + x1, x0 - x1, x2 + x3, x2 - x3
-            np.add(s01, s23, out=x0)
-            np.subtract(s01, s23, out=x2)
-            np.add(d01, d23, out=x1)
-            np.subtract(d01, d23, out=x3)
-            h *= 4
-        else:
-            x = a.reshape(-1, 2, h)
-            top = x[:, 0] + x[:, 1]
-            np.subtract(x[:, 0], x[:, 1], out=x[:, 1])
-            x[:, 0] = top
-            h *= 2
+def _stages(src: np.ndarray, out: np.ndarray, buf: np.ndarray, k: int) -> None:
+    """The k Walsh stages along axis 0 of a (2^k, width) array `src`, written to
+    `out`, which is `src` itself or does not overlap it; `buf`, of the same
+    shape and overlapping neither, holds the stages between.
+
+    Each stage (constant geometry) reads the even and the odd positions of axis 0
+    and writes their sums (a0 + a1) to the first half of the other array and
+    their differences (a0 - a1) to its second half.  That rotates the index bits
+    right by one, so stage s pairs what was bit s, and after the k-th stage the
+    order is natural.  The destinations alternate between `out` and `buf` so
+    that the last is `out`; when the first would then be `src`, it starts from
+    a copy of `src` in `buf`.
+    """
+    if k & 1 and np.may_share_memory(src, out):
+        buf[...] = src
+        src = buf
+    elif not k:
+        out[...] = src
+    dst, other = (out, buf) if k & 1 else (buf, out)
+    half = len(src) // 2
+    for _ in range(k):
+        even, odd = src[0::2], src[1::2]
+        np.add(even, odd, out=dst[:half])
+        np.subtract(even, odd, out=dst[half:])
+        src, dst, other = dst, other, dst
 
 
 def walsh_transform(a: np.ndarray) -> np.ndarray:
@@ -83,32 +94,41 @@ def walsh_transform(a: np.ndarray) -> np.ndarray:
     out[..., k] = sum_x a[..., x] * (-1)^|x&k|.
 
     The last axis must have power-of-two length 2^n; cost O(n 2^n) per row.
-    Self-inverse up to the factor 2^n.  The butterflies run two stages per
-    sweep in blocks of at most `_BLOCK` values: rows of up to `_BLOCK` values
-    are grouped into blocks; a longer row is viewed as a (2^(n - n//2),
-    2^(n//2)) grid whose low stages run on blocks of grid rows and whose high
-    stages run on contiguous copies of column slabs.  Each value still gets
-    the additions of the stage-by-stage transform in the same order, so the
-    output is bit-identical to it, and a batched call equals row-by-row calls.
+    Self-inverse up to the factor 2^n.  The stages run in constant geometry
+    (`_stages`) on pieces of at most `_BLOCK` values.  Rows of up to `_BLOCK`
+    values run all their stages in groups of rows, from the input to the
+    output through one block buffer.  A longer row is viewed as a
+    (2^(n-15), 2^15) grid: its 15 low stages run row by row in the same way,
+    and its high stages run along axis 0 of each column slab of the grid,
+    through the row buffer into a second block, the slab, which is copied
+    back.  Each value still gets the additions of the stage-by-stage transform
+    in the same order, so the output is bit-identical to it, and a batched
+    call equals row-by-row calls.  A C-contiguous float64 array is read, never
+    written; any other input is copied to one, and the copy is the output.
     """
-    a = np.array(a, dtype=np.float64, order="C")
-    m = a.shape[-1]
+    copied = not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.c_contiguous)
+    src = np.array(a, dtype=np.float64, order="C") if copied else np.asarray(a)
+    m = src.shape[-1]
     if m == 0 or m & (m - 1):
         raise ValueError(f"length must be a power of two, got {m}")
     n = m.bit_length() - 1
-    lo = n if m <= _BLOCK else n // 2
-    rows = a.reshape(-1, 1 << lo)
-    step = max(1, _BLOCK >> lo)
-    for r in range(0, rows.shape[0], step):
-        _butterflies(rows[r:r + step], 1)
+    out = src if copied else np.empty(src.shape)
+    lo = min(n, _BLOCK.bit_length() - 1)
+    rows, dest = src.reshape(-1, 1 << lo), out.reshape(-1, 1 << lo)
+    buf = np.empty(min(out.size, _BLOCK))
+    step = _BLOCK >> lo
+    for r in range(0, len(rows), step):
+        part = dest[r:r + step]
+        _stages(rows[r:r + step].T, part.T, buf[:part.size].reshape(part.shape).T, lo)
     if lo < n:
-        width = max(1, _BLOCK >> (n - lo))
-        for grid in a.reshape(-1, 1 << (n - lo), 1 << lo):
+        width = _BLOCK >> (n - lo)
+        slab = np.empty((1 << (n - lo), width))
+        for grid in out.reshape(-1, 1 << (n - lo), 1 << lo):
             for c in range(0, 1 << lo, width):
-                slab = np.ascontiguousarray(grid[:, c:c + width])
-                _butterflies(slab.reshape(-1), slab.shape[1])
-                grid[:, c:c + width] = slab
-    return a
+                col = grid[:, c:c + width]
+                _stages(col, slab, buf.reshape(slab.shape), n - lo)
+                col[...] = slab
+    return out
 
 
 @functools.lru_cache(maxsize=16)

@@ -120,9 +120,13 @@ def exact_noise_expectation(f: CubeFunction, t) -> NoisePair:
 
 
 def verify_heat_representation(f: CubeFunction, t) -> float:
-    """Max pointwise gap between exp(-tL)f and the enumerated noise average."""
-    pair = exact_noise_expectation(f, t)
-    return float(np.max(np.abs(pair.spectral.values() - pair.enumerative.values())))
+    """Max pointwise gap between exp(-tL)f and the enumerated noise average
+    (refused for n > 14), both read as point values: two Walsh transforms."""
+    noise = _as_noise(t)
+    if f.n > MAX_ENUM_N:
+        raise ValueError(f"enumerative path refused for n > {MAX_ENUM_N}")
+    gap = heat(f, noise.t).values() - _noise_average(f.values(), noise)
+    return float(np.max(np.abs(gap)))
 
 
 def verify_derivative_representation(f: CubeFunction, j: int, t) -> float:

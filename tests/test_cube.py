@@ -508,11 +508,50 @@ def _spread(rng, shape):
 
 
 @pytest.mark.parametrize("shape", [(1 << n,) for n in (0, 1, 15, 16, 17, 20, 22)]
-                         + [(3, 1 << 16), (2, 3, 1 << 17)])
+                         + [(3, 1 << 16), (2, 3, 1 << 17)]
+                         + [(1 << n,) for n in (*range(2, 15), 18, 19)]
+                         + [(5, 1 << 14), (3, 1 << 13), (2, 1 << 19)])
 def test_walsh_transform_bit_identical_to_stage_by_stage(rng, shape):
-    # one block, one bit past it (the first grid split), and the 2^22 size
+    # every n to 19: both parities of the row and slab stage counts, 1-4 slab
+    # stages, the 2^22 size, and row groups over several blocks (the last short)
     a = _spread(rng, shape)
+    before = a.copy()
     assert np.array_equal(walsh_transform(a), walsh_reference(a))
+    assert np.array_equal(a, before)
+
+
+@pytest.mark.parametrize("n", [3, 4, 15, 17])
+@pytest.mark.parametrize("make", [
+    lambda rng, n: rng.integers(-1000, 1000, (2, 1 << n)),
+    lambda rng, n: _spread(rng, (2, 1 << n)).astype(np.float32),
+    lambda rng, n: np.asfortranarray(_spread(rng, (3, 1 << n))),
+    lambda rng, n: _spread(rng, (2, 1 << (n + 1)))[:, ::2],
+    lambda rng, n: _spread(rng, (4, 1 << n))[::2],
+    lambda rng, n: list(_spread(rng, (2, 1 << n))),
+], ids=["int", "float32", "fortran", "strided", "row-strided", "list"])
+def test_walsh_transform_of_any_input_equals_the_float64_reference(rng, make, n):
+    # each is copied once and transformed in that copy, through both stage parities
+    a = make(rng, n)
+    before = np.array(a)
+    out = walsh_transform(a)
+    assert out.dtype == np.float64 and out.flags.c_contiguous
+    assert np.array_equal(out, walsh_reference(np.asarray(a, dtype=np.float64)))
+    assert np.array_equal(np.asarray(a), before)
+
+
+@pytest.mark.parametrize("n", [16, 20])
+def test_walsh_transform_holds_under_three_blocks_beside_its_output(rng, n):
+    # the row buffer and the column slab, and numpy's iterator buffers
+    # (np.getbufsize() doubles per operand) for the stage that reads a slab
+    f = random_function(n, rng)
+    f.values()  # warm any first-call caches
+    tracemalloc.start()
+    try:
+        f.values()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (1 << n) * 8 + 3 * _BLOCK * 8
 
 
 @settings(max_examples=25, deadline=None)

@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cubeineq.cube import _BLOCK, CubeFunction, character, random_function
+from cubeineq import cube
+from cubeineq.cube import _BLOCK, CubeFunction, character, random_function, walsh_transform
 from cubeineq.noise import (
     _noise_average,
     MCEstimate,
@@ -63,6 +64,21 @@ def test_spectral_vs_enumerative_cross_check(rng):
     assert verify_heat_representation(f, 0.7) < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 8, 14])
+def test_verify_heat_representation_makes_two_walsh_transforms(rng, monkeypatch, n):
+    # the values of f and of its heat image; the noise average stays in values
+    f = random_function(n, rng)
+    count = [0]
+
+    def counted(a):
+        count[0] += 1
+        return walsh_transform(a)
+
+    monkeypatch.setattr(cube, "walsh_transform", counted)
+    verify_heat_representation(f, 0.7)
+    assert count[0] == 2
+
+
 @pytest.mark.parametrize("n", range(1, 14))
 def test_enumerator_matches_per_outcome_loop(rng, n):
     # heat weights, and derivative weights for a coordinate in each half:
@@ -84,6 +100,8 @@ def test_enumeration_refused_above_cap():
     big = CubeFunction(15, np.zeros(1 << 15))
     with pytest.raises(ValueError):
         exact_noise_expectation(big, 0.5)
+    with pytest.raises(ValueError, match="refused for n > 14"):
+        verify_heat_representation(big, 0.5)
     with pytest.raises(ValueError):
         verify_derivative_representation(big, 0, 0.5)
 
