@@ -94,7 +94,7 @@ def _check_finite(rows, what: str) -> int:
 # -- verify ---------------------------------------------------------------------
 
 _VERIFY_TOL = {"heat": 1e-12, "derivative": 1e-12, "tail-integral": 1e-12,
-               "qa": 1e-6, "elpf": 1e-6}
+               "qa": 1e-12, "elpf": 1e-12}
 
 
 def _cmd_verify(args) -> int:
@@ -118,7 +118,7 @@ def _cmd_verify(args) -> int:
         rows.append({"t": args.t, "r": args.r, "closed": closed,
                      "numeric": numeric, "max_discrepancy": abs(closed - numeric)})
     else:
-        quad = qt.QuadratureRule.build(args.quad_accuracy)
+        quad = qt.QuadratureRule.build()
         for k in range(args.count):
             f = random_function(args.n, rng, mean_zero=(which == "elpf"))
             if which == "qa":
@@ -217,10 +217,10 @@ def _cmd_quantum(args) -> int:
                 worst = max(worst, abs(qt.schatten_norm(RT, p) - qt.schatten_norm(T, p)))
         rows.append({"n": args.n, "max_isometry_defect": worst})
     elif check == "pisier-integral":
-        quad = qt.QuadratureRule.build(args.quad_accuracy)
-        worst, tol = quad.constancy_defect(), args.quad_accuracy
+        quad = qt.QuadratureRule.build()
+        worst, tol = quad.constancy_defect(), quad.declared_accuracy
         rows.append({"constancy_defect": worst, "c": quad.moment(0),
-                     "declared_accuracy": args.quad_accuracy})
+                     "declared_accuracy": tol})
     elif check == "isometry":
         for _ in range(10):
             f = random_function(args.n, rng)
@@ -298,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", type=float, default=2.0, help="tail-integral exponent")
     sp.add_argument("--count", type=int, default=5)
     sp.add_argument("--tol", type=float, default=None)
-    sp.add_argument("--quad-accuracy", type=float, default=1e-8)
     common(sp)
     sp.set_defaults(func=_cmd_verify)
 
@@ -338,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=("projection", "rotation", "pisier-integral", "isometry", "epi"))
     sp.add_argument("--n", type=int, default=4)
     sp.add_argument("--p", type=float, default=2.0)
-    sp.add_argument("--quad-accuracy", type=float, default=1e-8)
     common(sp)
     sp.set_defaults(func=_cmd_quantum)
 

@@ -175,9 +175,9 @@ def _rad_derivatives(instance, operands, cfg) -> float:
     return _rad(instance, [discrete_derivative(g, i) for i, g in enumerate(operands)], cfg)
 
 
-def _r_above(instance, f, cfg):
-    lhs = _rad(instance, [riesz(f, i) for i in range(instance.n)], cfg)
-    return lhs, _norm(instance, f)
+def _r_above(instance, f, cfg, a=0.5):
+    images = [frac_power(discrete_derivative(f, i), a) for i in range(instance.n)]
+    return _rad(instance, images, cfg), _norm(instance, f)
 
 
 def _riesz_lower(instance, f, cfg, gamma=0.0):
@@ -191,22 +191,11 @@ def _r_below(instance, family, cfg, with_derivative=True):
     return lhs, _rad(instance, derivatives if with_derivative else family, cfg)
 
 
-def _pisier(instance, f, cfg):
-    return (_norm(instance, frac_power(f, 0.0)),  # L^0 f = f - E f
-            _rad_derivatives(instance, [f] * instance.n, cfg))
-
-
 def _f1(instance, F, cfg):
     p = instance.p
     lhs = lp_norm(reduce(operator.add, (frac_power(discrete_derivative(m, j), 1.0)
                                         for j, m in enumerate(F.marginals()))), p)
     return lhs, mixed_norm(F, MixedNormSpec.cube(p, p))
-
-
-def _df(instance, g, cfg):
-    lhs = _rad(instance, [frac_power(discrete_derivative(g, j), 1.0)
-                          for j in range(instance.n)], cfg)
-    return lhs, _norm(instance, g)
 
 
 def _pt_deriv(instance, family, cfg):
@@ -251,9 +240,10 @@ CATALOG = {
     "R_BELOW": _Entry("family", _r_below, needs="a", through_derivative=True),
     "R_BELOW_NOD": _Entry("family", lambda inst, fs, cfg: _r_below(inst, fs, cfg, False),
                           needs="a"),
-    "PISIER": _Entry("single", _pisier),
+    # PISIER is GAMMA_BELOW at gamma = 1/2 (L^0 f = f - E f), DF is R_ABOVE at a = 1
+    "PISIER": _Entry("single", lambda inst, f, cfg: _riesz_lower(inst, f, cfg, 0.5)),
     "F1": _Entry("bi", _f1, scalar_only=True),
-    "DF": _Entry("single", _df),
+    "DF": _Entry("single", lambda inst, g, cfg: _r_above(inst, g, cfg, 1.0)),
     "PT_DERIV": _Entry("family", _pt_deriv, needs="t", through_derivative=True),
     "EPI": _Entry("family", _epi, scalar_only=True, through_derivative=True),
     "GAMMA_BELOW": _Entry("single", lambda inst, f, cfg: _riesz_lower(inst, f, cfg, inst.gamma),

@@ -181,20 +181,20 @@ def test_criterion_08_projection():
 
 
 def test_criterion_09_kernel_moment_law():
-    quad = qt.QuadratureRule.build(1e-8)
+    quad = qt.QuadratureRule.build()
     prods = [quad.moment(m) * math.sqrt(m + 1) for m in range(65)]
     spread = max(prods) - min(prods)
     # 2 sqrt(pi) comes from u = -log cos theta, confirmed by an independent
     # adaptive quadrature before being frozen here
     c_gap = abs(quad.normalizing_constant() - 2.0 * math.sqrt(math.pi))
-    ok = spread <= 1e-8 and c_gap <= 1e-8
+    ok = spread <= 1e-13 and c_gap <= 1e-14
     _gate(9, "kernel moment law", ok,
           f"I(m)sqrt(m+1) spread {spread:.2e} over m<=64; |c - 2sqrt(pi)| = {c_gap:.2e}")
 
 
 def test_criterion_10_halfpower_formulas():
     rng = stream_generator(10)
-    quad = qt.QuadratureRule.build(1e-8)
+    quad = qt.QuadratureRule.build()
     worst = 0.0
     for n in (2, 3, 4, 5):
         for _ in range(5):
@@ -203,8 +203,8 @@ def test_criterion_10_halfpower_formulas():
                 worst = max(worst, qt.verify_qa_formula(f, j, quad))
             g = random_function(n, rng, mean_zero=True)
             worst = max(worst, qt.verify_elpF(g, quad))
-    _gate(10, "half-power integral formulas", worst <= 1e-6,
-          f"max residual {worst:.2e} (tol 1e-6, n<=5, 20 f, all j)")
+    _gate(10, "half-power integral formulas", worst <= 1e-12,
+          f"max residual {worst:.2e} (tol 1e-12, n<=5, 20 f, all j)")
 
 
 def test_criterion_11_dimension_free_sweeps():

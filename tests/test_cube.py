@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -168,17 +169,14 @@ def test_frac_power_heat_integral_oracle(rng):
     # L^{-a} = (1/Gamma(a)) int_0^inf t^{a-1} exp(-tL) dt on mean-zero input;
     # checked by quadrature, which also pins the Gamma normalization that the
     # spectral definition absorbs
-    from scipy.integrate import quad as squad
-    from scipy.special import gamma as Gamma
-
     f = random_function(4, rng, mean_zero=True)
     a = 0.6
     target = frac_power(f, a).values()
     numeric = np.zeros_like(target)
     for x in range(1 << 4):
-        numeric[x] = squad(
-            lambda t, x=x: t ** (a - 1) * heat(f, t).values()[x],
-            0.0, 60.0, limit=200)[0] / Gamma(a)
+        numeric[x] = mpmath.quad(
+            lambda t, x=x: t ** (a - 1) * heat(f, float(t)).values()[x],
+            [0, 1, 60]) / mpmath.gamma(a)
     assert np.max(np.abs(numeric - target)) < 1e-8
 
 

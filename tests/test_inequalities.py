@@ -572,3 +572,43 @@ def test_r_above_ratio_is_scale_free_far_from_unit_scale(shift):
     moved = evaluate(inst, CubeFunction(4, np.ldexp(f.coeffs, shift)))
     assert moved.ratio == pytest.approx(base.ratio, rel=1e-14)
     assert moved.lhs == pytest.approx(np.ldexp(base.lhs, shift), rel=1e-14)
+
+
+# ratio^2 at p = 2 on the character of S = {0..k-1}: a Hilbert value space makes
+# rad{g_i}^2 = sum_i ||g_i||_2^2, and every side a multiple of eps_S
+_P2_CLOSED_FORMS = {
+    "RIESZ_LOWER": ({}, lambda k: 1.0),
+    "R_ABOVE": ({}, lambda k: 1.0),
+    "EPI": ({}, lambda k: 1.0),
+    "GAMMA_BELOW": ({"gamma": 0.3}, lambda k, gamma: k ** (-2 * gamma)),
+    "PISIER": ({}, lambda k: 1.0 / k),
+    "DF": ({}, lambda k: 1.0 / k),
+    "R_BELOW": ({"a": 0.3}, lambda k, a: k ** (1 - 2 * a)),
+    "R_BELOW_NOD": ({"a": 0.8}, lambda k, a: k ** (1 - 2 * a)),
+    "PT_DERIV": ({"t": 0.4}, lambda k, t: k * math.exp(-2 * t * (k - 1)) * -math.expm1(-2 * t)),
+}
+
+
+def _level_witness(inst, k):
+    """The character of the mask 2^k - 1 in every row: in the one operand of a
+    single entry, in operands 0..k-1 of a family (the rest zero)."""
+    shape, _ = _input_dim(inst)
+    theta = np.zeros(shape)
+    theta[:k if inst.input_kind == "family" else 1, ..., (1 << k) - 1] = 1.0
+    return _build_inputs(inst, theta)
+
+
+_P2_DIMENSIONS = {"scalar": range(4, 11), "lq": range(4, 11), "Lq": range(4, 7)}
+
+
+@pytest.mark.parametrize("ineq, inner", [(ineq, inner) for ineq in _P2_CLOSED_FORMS
+                                         for inner in _P2_DIMENSIONS
+                                         if inner == "scalar" or not CATALOG[ineq].scalar_only])
+def test_p2_ratio_on_a_level_k_character_has_its_closed_form(ineq, inner):
+    params, c_k = _P2_CLOSED_FORMS[ineq]
+    for n in _P2_DIMENSIONS[inner]:
+        inst = InequalityInstance(ineq, n=n, p=2.0, inner=inner,
+                                  q=None if inner == "scalar" else 2.0, **params)
+        for k in range(1, n + 1):
+            ratio = evaluate(inst, _level_witness(inst, k)).ratio
+            assert abs(ratio**2 - c_k(k, **params)) <= 1e-12, (n, k)

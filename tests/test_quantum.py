@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +25,7 @@ from conftest import (apply_p_left_reference, conjugate_nu, conjugate_nu_inv,
 
 @pytest.fixture(scope="module")
 def quad():
-    return qt.QuadratureRule.build(1e-8)
+    return qt.QuadratureRule.build()
 
 
 def test_base_matrices():
@@ -198,16 +199,45 @@ def test_kernel_moment_law(quad):
     # the substitution u = -log cos theta evaluates every moment as
     # 2 Gamma(1/2) / sqrt(m+1); the constant was confirmed by an independent
     # adaptive quadrature before freezing
-    assert abs(c - 2.0 * math.sqrt(math.pi)) < 1e-9
+    assert abs(c - 2.0 * math.sqrt(math.pi)) < 1e-14
     prods = [quad.moment(m) * math.sqrt(m + 1.0) for m in range(65)]
-    assert max(prods) - min(prods) < 1e-8
-    assert abs(quad.moment(3) - c / 2.0) < 1e-9
-    assert quad.constancy_defect() < 1e-8
+    assert max(prods) - min(prods) < 1e-13
+    assert abs(quad.moment(3) - c / 2.0) < 1e-14
+    assert quad.constancy_defect() <= quad.declared_accuracy <= 1e-13
 
 
-@pytest.mark.parametrize("accuracy", [1e-8, 1e-10])
-def test_kernel_transform_matches_per_node_rotation(rng, accuracy):
-    quad = qt.QuadratureRule.build(accuracy)
+@pytest.mark.parametrize("theta", [4e-5, 1e-3, 1e-2, 0.1, 0.5, 1.0])
+def test_kernel_t_matches_a_30_digit_oracle(theta):
+    # the naive sqrt(-log(cos theta)) cancels near 0: 2.8e-8 relative at 4e-5
+    with mpmath.workdps(30):
+        ref = mpmath.sqrt(-mpmath.log(mpmath.cos(mpmath.mpf(theta))))
+        assert abs(float((qt.kernel_t(theta) - ref) / ref)) <= 1e-15
+
+
+def _kappa_closed_form(delta):
+    """kappa(delta) = -2 sqrt(pi) sum_m [U_{delta-1}]_m (m+1)^{-1/2}, from
+    sin(delta theta) = sin(theta) U_{delta-1}(cos theta) and the moment law;
+    summed in mpmath, as the Chebyshev coefficients alternate in sign."""
+    prev, cur = [0], [1]  # coefficients of U_{-1} and U_0
+    for _ in range(delta - 1):
+        prev, cur = cur, [2 * a - b for a, b in
+                          itertools.zip_longest([0] + cur, prev, fillvalue=0)]
+    return -2 * mpmath.sqrt(mpmath.pi) * mpmath.fsum(
+        c / mpmath.sqrt(m + 1) for m, c in enumerate(cur))
+
+
+def test_kernel_transform_multiplier_matches_its_closed_form(quad):
+    n = 10
+    # entry [0, 2^delta - 1] sits at level gap delta
+    kappa = qt.kernel_transform(np.ones((1 << n, 1 << n), dtype=complex), quad)[0]
+    with mpmath.workdps(30):
+        for delta in range(1, 11):
+            ref = float(_kappa_closed_form(delta))
+            assert kappa[(1 << delta) - 1].real == 0.0
+            assert abs(kappa[(1 << delta) - 1].imag - ref) <= 1e-14 * abs(ref)
+
+
+def test_kernel_transform_matches_per_node_rotation(rng, quad):
     for n in range(1, 8):
         m = 1 << n
         G = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
@@ -216,9 +246,7 @@ def test_kernel_transform_matches_per_node_rotation(rng, accuracy):
         assert gap <= 1e-13 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("accuracy", [1e-6, 1e-8, 1e-10])
-def test_kernel_transform_multiplier_has_the_node_loop_bits(accuracy):
-    quad = qt.QuadratureRule.build(accuracy)
+def test_kernel_transform_multiplier_has_the_node_loop_bits(quad):
     for n in range(1, 11):
         gaps = np.arange(-n, n + 1)
         kappa = quad.integrate(lambda t: np.exp(-1j * t * gaps))
@@ -236,8 +264,8 @@ def test_library_projects_through_words_only(monkeypatch, rng, quad):
     qt.qa_word_defect.cache_clear()
     f = random_function(3, rng, mean_zero=True)
     for j in range(3):
-        assert qt.verify_qa_formula(f, j, quad) < 1e-6
-    assert qt.verify_elpF(f, quad) < 1e-6
+        assert qt.verify_qa_formula(f, j, quad) < 1e-12
+    assert qt.verify_elpF(f, quad) < 1e-12
     # the CLI projection check is the cross-check, so it does reach rho
     with pytest.raises(RuntimeError, match="conjugation path reached"):
         main(["quantum", "projection", "--n", "3"])
@@ -255,13 +283,13 @@ def test_qa_characters(quad):
     f = character(n, 0b1010)
     g = qt.apply_p_left(qt.embed(partial_derivative(f, 0)), 0)
     assert np.max(np.abs(g)) == 0.0
-    assert qt.verify_qa_formula(f, 0, quad) < 1e-8
+    assert qt.verify_qa_formula(f, 0, quad) < 1e-12
     # j in A: the representation returns |A|^{-1/2} Q_A
     c = quad.normalizing_constant()
     g = qt.apply_p_left(qt.embed(partial_derivative(f, 1)), 1)
     rhs = qt.project_Q(qt.kernel_transform(g, quad)) / c
     qa_mat = qt.embed(character(n, 0b1010)) / math.sqrt(2.0)
-    assert np.max(np.abs(rhs - qa_mat)) < 1e-9
+    assert np.max(np.abs(rhs - qa_mat)) < 1e-12
 
 
 @pytest.mark.parametrize("n", range(1, qt.MAX_FORMULA_QUBITS + 1))
@@ -281,12 +309,12 @@ def test_apply_p_left_and_qa_word_defect_match_references(rng, n):
 
 def test_qa_random(rng, quad):
     f = random_function(5, rng)
-    assert qt.verify_qa_formula(f, 2, quad) < 1e-6
+    assert qt.verify_qa_formula(f, 2, quad) < 1e-12
 
 
 def test_elpf_dictator(quad):
     f = character(3, 0b001)
-    assert qt.verify_elpF(f, quad) < 1e-9
+    assert qt.verify_elpF(f, quad) < 1e-12
 
 
 def test_elpf_additivity_and_random(rng, quad):
@@ -297,7 +325,7 @@ def test_elpf_additivity_and_random(rng, quad):
         total += qt.kernel_transform(g, quad)
     combined = qt.kernel_transform(qt.derivation(f), quad)
     assert np.max(np.abs(total - combined)) < 1e-10
-    assert qt.verify_elpF(f, quad) < 1e-6
+    assert qt.verify_elpF(f, quad) < 1e-12
 
 
 def test_elpf_requires_mean_zero(rng, quad):
@@ -398,7 +426,6 @@ def test_epi_quantum_ratio(rng):
 
 def test_quadrature_accuracy_guard():
     # a deliberately coarse rule must refuse to hand out its constant
-    coarse = qt.QuadratureRule(np.array([0.5, 1.2]), np.array([0.4, 0.3]),
-                               declared_accuracy=1e-10)
+    coarse = qt.QuadratureRule(np.array([0.5, 1.2]), np.array([0.4, 0.3]))
     with pytest.raises(qt.QuadratureAccuracyError):
         coarse.normalizing_constant()
