@@ -237,21 +237,27 @@ def test_kernel_transform_multiplier_matches_its_closed_form(quad):
             assert abs(kappa[(1 << delta) - 1].imag - ref) <= 1e-14 * abs(ref)
 
 
-def test_kernel_transform_matches_per_node_rotation(rng, quad):
+# the transform is linear and carries no absolute floor, so the match is
+# relative at any input magnitude; these are far below the O(1) entries
+@pytest.mark.parametrize("scale", [1e-8, 1e-10])
+def test_kernel_transform_matches_per_node_rotation(rng, quad, scale):
     for n in range(1, 8):
         m = 1 << n
-        G = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        G = scale * (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
         ref = kernel_transform_reference(G, quad)
         gap = np.max(np.abs(qt.kernel_transform(G, quad) - ref))
         assert gap <= 1e-13 * np.max(np.abs(ref))
 
 
-def test_kernel_transform_multiplier_has_the_node_loop_bits(quad):
+@pytest.mark.parametrize("scale", [1e-6, 1e-8, 1e-10])
+def test_kernel_transform_multiplier_has_the_node_loop_bits(quad, scale):
+    # a constant input of any magnitude comes back as that constant times the
+    # node loop's multiplier, with one rounding per entry
     for n in range(1, 11):
         gaps = np.arange(-n, n + 1)
         kappa = quad.integrate(lambda t: np.exp(-1j * t * gaps))
-        ones = np.ones((1 << n, 1 << n), dtype=complex)
-        assert np.array_equal(qt.kernel_transform(ones, quad), kappa[qt._level_gap(n)])
+        const = np.full((1 << n, 1 << n), scale, dtype=complex)
+        assert np.array_equal(qt.kernel_transform(const, quad), scale * kappa[qt._level_gap(n)])
 
 
 def test_library_projects_through_words_only(monkeypatch, rng, quad):
