@@ -204,17 +204,18 @@ def _cmd_quantum(args) -> int:
                     f"projection implementations disagree by {gap:.3e} (> 1.0e-12)")
             idem = float(np.max(np.abs(qt.project_Q(PM) - PM)))
             worst = max(worst, idem)
-            for p in (1.0, 1.5, 2.0, 3.0, np.inf):
-                excess = qt.schatten_norm(PM, p) - qt.schatten_norm(M, p)
-                worst = max(worst, excess)
+            ps = (1.0, 1.5, 2.0, 3.0, np.inf)
+            for projected, full in zip(qt.schatten_norms(PM, ps), qt.schatten_norms(M, ps)):
+                worst = max(worst, projected - full)
         rows.append({"n": args.n, "max_defect": worst})
     elif check == "rotation":
         for theta in (0.0, 0.3, 1.0, 2.5):
             f = random_function(args.n, rng)
             T = qt.embed(f)
             RT = qt.rotate(T, theta)
-            for p in (1.0, 2.0, 3.0, np.inf):
-                worst = max(worst, abs(qt.schatten_norm(RT, p) - qt.schatten_norm(T, p)))
+            ps = (1.0, 2.0, 3.0, np.inf)
+            for rotated, norm in zip(qt.schatten_norms(RT, ps), qt.schatten_norms(T, ps)):
+                worst = max(worst, abs(rotated - norm))
         rows.append({"n": args.n, "max_isometry_defect": worst})
     elif check == "pisier-integral":
         quad = qt.QuadratureRule.build()
@@ -224,8 +225,9 @@ def _cmd_quantum(args) -> int:
     elif check == "isometry":
         for _ in range(10):
             f = random_function(args.n, rng)
-            for p in (1.0, 1.5, 2.0, 3.0, np.inf):
-                worst = max(worst, abs(qt.schatten_norm(qt.embed(f), p) - lp_norm(f, p)))
+            ps = (1.0, 1.5, 2.0, 3.0, np.inf)
+            for p, norm in zip(ps, qt.schatten_norms(qt.embed(f), ps)):
+                worst = max(worst, abs(norm - lp_norm(f, p)))
         F = VectorCubeFunction([random_function(args.n, rng) for _ in range(3)])
         for p in (2.0, 3.0):
             worst = max(worst, abs(qt.block_column_norm(F, p)

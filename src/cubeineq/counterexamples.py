@@ -84,16 +84,21 @@ def talagrand_lhs(n: int) -> float:
     every eps, so the outer p-average is this single number for all p.
     The mean is the exact binomial expectation, not a lower bound.
     """
-    prof = talagrand_profile(n)
+    return _sup_deviation(talagrand_profile(n))
+
+
+def _sup_deviation(prof: RadialProfile) -> float:
     return float(np.max(np.abs(prof.v - prof.mean)))
 
 
 def talagrand_ratio(n: int, p: float) -> RatioReport:
-    """Sup-deviation of the lift against its sup-Rademacher moment at p."""
+    """Sup-deviation of the lift against its sup-Rademacher moment at p, both
+    from one profile."""
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
-    lhs = talagrand_lhs(n)
-    rhs = radial_sup_rademacher_moment(talagrand_profile(n), p)
+    prof = talagrand_profile(n)
+    lhs = _sup_deviation(prof)
+    rhs = radial_sup_rademacher_moment(prof, p)
     return RatioReport(lhs, rhs, _ratio(lhs, rhs), mode=f"radial[n={n}]")
 
 

@@ -39,11 +39,23 @@ each piece is the `coeffs` of the operand class of its value space
 
 Its warm start puts the character eps_{i mod n} in every row of operand i, and
 sum_j delta_j eps_j in F1's operand.
+
+Bound and prune: most candidates of a search lose by far, and the sign average
+dominates their cost.  `evaluate` takes an optional bar, and an entry whose rhs
+is a sign average (`_Entry.sign_rhs`: RIESZ_LOWER, R_BELOW, R_BELOW_NOD, PISIER,
+PT_DERIV, GAMMA_BELOW) computes its lhs first and caps that average at
+lhs const / bar, where the ratio falls below the bar; `norms.rademacher_avg`
+stops as soon as a partial sum of its pattern powers proves the average above
+the cap, and the report comes back flagged `pruned`.  R_ABOVE and DF hold their
+sign average in the lhs, which a partial sum bounds only from below, never
+proving the ratio small; EPI, F1 and GRAD_L1P have none.  They are evaluated in
+full.  An evaluation that is not pruned is bit for bit the one without a bar.
 """
 
 from __future__ import annotations
 
 import csv
+import heapq
 import io
 import math
 import operator
@@ -127,6 +139,8 @@ class RatioReport:
     rhs: float
     ratio: float
     mode: str = "exact"
+    # rhs is a sign average cut short by the bar: rhs a lower bound, the ratio proven below the bar
+    pruned: bool = False
 
 
 @dataclass(frozen=True)
@@ -159,9 +173,12 @@ def _norm(instance: InequalityInstance, g) -> float:
     return mixed_norm(g, instance.norm_spec())
 
 
-def _rad(instance, operands, cfg) -> float:
-    spec = instance.norm_spec()
-    return rademacher_avg(operands, instance.p, spec, cfg).value
+def _sign_rhs(instance, operands, cfg, lhs, bar, const=1.0):
+    """(rhs, pruned) for rhs = rad{operands} / const: with a positive `bar`, the
+    average is capped at lhs const / bar, where lhs / rhs falls below the bar."""
+    cap = float(lhs) * const / bar if bar is not None and bar > 0 else None
+    rad = rademacher_avg(operands, instance.p, instance.norm_spec(), cfg, cap)
+    return rad.value / const, rad.pruned
 
 
 # -- the catalog ------------------------------------------------------------------
@@ -170,25 +187,21 @@ def _rad(instance, operands, cfg) -> float:
 # time, so a wrapper installed on those names sees every call.
 
 
-def _rad_derivatives(instance, operands, cfg) -> float:
-    """rad{D_i g_i} over the operands g_0..g_{n-1}."""
-    return _rad(instance, [discrete_derivative(g, i) for i, g in enumerate(operands)], cfg)
-
-
 def _r_above(instance, f, cfg, a=0.5):
     images = [frac_power(discrete_derivative(f, i), a) for i in range(instance.n)]
-    return _rad(instance, images, cfg), _norm(instance, f)
+    return rademacher_avg(images, instance.p, instance.norm_spec(), cfg).value, _norm(instance, f)
 
 
-def _riesz_lower(instance, f, cfg, gamma=0.0):
+def _riesz_lower(instance, f, cfg, bar, gamma=0.0):
     lhs = _norm(instance, frac_power(f, gamma - 0.5))
-    return lhs, _rad_derivatives(instance, [f] * instance.n, cfg)
+    derivatives = [discrete_derivative(f, i) for i in range(instance.n)]
+    return lhs, *_sign_rhs(instance, derivatives, cfg, lhs, bar)
 
 
-def _r_below(instance, family, cfg, with_derivative=True):
+def _r_below(instance, family, cfg, bar, with_derivative=True):
     derivatives = [discrete_derivative(g, i) for i, g in enumerate(family)]
     lhs = _norm(instance, reduce(operator.add, (frac_power(d, instance.a) for d in derivatives)))
-    return lhs, _rad(instance, derivatives if with_derivative else family, cfg)
+    return lhs, *_sign_rhs(instance, derivatives if with_derivative else family, cfg, lhs, bar)
 
 
 def _f1(instance, F, cfg):
@@ -198,7 +211,7 @@ def _f1(instance, F, cfg):
     return lhs, mixed_norm(F, MixedNormSpec.cube(p, p))
 
 
-def _pt_deriv(instance, family, cfg):
+def _pt_deriv(instance, family, cfg, bar):
     # both sides times e^t: level k >= 1 of D_i P_t gets e^{-t(k-1)}, and no
     # level 0 survives D_i; so neither e^{2t} nor e^{-tk} is formed
     t = instance.t
@@ -206,8 +219,7 @@ def _pt_deriv(instance, family, cfg):
     shifted[1:] = np.exp(-t * np.arange(instance.n))
     derivatives = [discrete_derivative(g, i) for i, g in enumerate(family)]
     lhs = _norm(instance, reduce(operator.add, (apply_multiplier(d, shifted) for d in derivatives)))
-    rhs = _rad(instance, derivatives, cfg)
-    return lhs, rhs / math.sqrt(-math.expm1(-2.0 * t))
+    return lhs, *_sign_rhs(instance, derivatives, cfg, lhs, bar, math.sqrt(-math.expm1(-2.0 * t)))
 
 
 def _epi(instance, family, cfg):
@@ -227,6 +239,8 @@ def _grad_l1p(instance, f, cfg):
 class _Entry:
     kind: str  # "single", "family" or "bi"
     sides: Callable  # sides(instance, inputs, cfg) -> (lhs, rhs)
+    # rhs is a sign average: sides(instance, inputs, cfg, bar) -> (lhs, rhs, pruned)
+    sign_rhs: bool = False
     needs: str | None = None  # the instance field the entry reads: "a", "gamma" or "t"
     scalar_only: bool = False
     # a family entry that reads operand i only through D_i, which multiplies
@@ -236,18 +250,20 @@ class _Entry:
 
 CATALOG = {
     "R_ABOVE": _Entry("single", _r_above),
-    "RIESZ_LOWER": _Entry("single", _riesz_lower),
-    "R_BELOW": _Entry("family", _r_below, needs="a", through_derivative=True),
-    "R_BELOW_NOD": _Entry("family", lambda inst, fs, cfg: _r_below(inst, fs, cfg, False),
-                          needs="a"),
+    "RIESZ_LOWER": _Entry("single", _riesz_lower, sign_rhs=True),
+    "R_BELOW": _Entry("family", _r_below, needs="a", through_derivative=True, sign_rhs=True),
+    "R_BELOW_NOD": _Entry("family", lambda inst, fs, cfg, bar: _r_below(inst, fs, cfg, bar, False),
+                          needs="a", sign_rhs=True),
     # PISIER is GAMMA_BELOW at gamma = 1/2 (L^0 f = f - E f), DF is R_ABOVE at a = 1
-    "PISIER": _Entry("single", lambda inst, f, cfg: _riesz_lower(inst, f, cfg, 0.5)),
+    "PISIER": _Entry("single", lambda inst, f, cfg, bar: _riesz_lower(inst, f, cfg, bar, 0.5),
+                     sign_rhs=True),
     "F1": _Entry("bi", _f1, scalar_only=True),
     "DF": _Entry("single", lambda inst, g, cfg: _r_above(inst, g, cfg, 1.0)),
-    "PT_DERIV": _Entry("family", _pt_deriv, needs="t", through_derivative=True),
+    "PT_DERIV": _Entry("family", _pt_deriv, needs="t", through_derivative=True, sign_rhs=True),
     "EPI": _Entry("family", _epi, scalar_only=True, through_derivative=True),
-    "GAMMA_BELOW": _Entry("single", lambda inst, f, cfg: _riesz_lower(inst, f, cfg, inst.gamma),
-                          needs="gamma"),
+    "GAMMA_BELOW": _Entry("single",
+                          lambda inst, f, cfg, bar: _riesz_lower(inst, f, cfg, bar, inst.gamma),
+                          needs="gamma", sign_rhs=True),
     "GRAD_L1P": _Entry("single", _grad_l1p, scalar_only=True),
 }
 INEQUALITY_IDS = tuple(CATALOG)
@@ -259,13 +275,18 @@ _PARAMETER_RANGES = {
 }
 
 
-def evaluate(instance: InequalityInstance, inputs,
-             cfg: RademacherConfig | None = None) -> RatioReport:
+def evaluate(instance: InequalityInstance, inputs, cfg: RademacherConfig | None = None,
+             bar: float | None = None) -> RatioReport:
     """Evaluate both sides of the instance on concrete inputs.
 
     `inputs` is a single operand, a family (one operand per coordinate), or
     a BiCubeFunction, according to the catalog entry.  Operand dimension
     must equal instance.n; family length must equal n.
+
+    A positive `bar` lets an entry whose rhs is a sign average (`_Entry.sign_rhs`)
+    stop that average once it proves the ratio below the bar: the report is
+    then flagged `pruned`, its rhs a lower bound and its ratio not a ratio.
+    Every other report is the one computed without a bar, bit for bit.
     """
     cfg = cfg if cfg is not None else RademacherConfig()
     family = instance.input_kind == "family"
@@ -275,9 +296,13 @@ def evaluate(instance: InequalityInstance, inputs,
             raise ValueError(f"{instance.ineq_id} expects a family of n={instance.n} "
                              f"operands, got {len(inputs)}")
     _check_operands(inputs if family else [inputs], instance)
-    lhs, rhs = CATALOG[instance.ineq_id].sides(instance, inputs, cfg)
+    entry = CATALOG[instance.ineq_id]
+    if entry.sign_rhs:
+        lhs, rhs, pruned = entry.sides(instance, inputs, cfg, bar)
+    else:
+        (lhs, rhs), pruned = entry.sides(instance, inputs, cfg), False
     mode = "exact" if cfg.mode == "exact" else f"monte-carlo[{cfg.samples}]"
-    return RatioReport(float(lhs), float(rhs), _ratio(lhs, rhs), mode)
+    return RatioReport(float(lhs), float(rhs), _ratio(lhs, rhs), mode, pruned)
 
 
 def _operand_inner(instance: InequalityInstance) -> str:
@@ -385,6 +410,14 @@ def search_max_ratio(instance: InequalityInstance, cfg: SearchConfig | None = No
     report's bits again, which never beats them; so the output is bit for bit
     that of evaluating every step.  The winner's report is the one its search
     already computed.
+
+    Each evaluation gets a bar (`evaluate`): a probe the `restarts`-th best finite
+    ratio among the probes evaluated in full so far (none until `restarts` of them
+    are in), an ascent step the ratio of the report it must beat.  A pruned
+    evaluation is proven strictly below its bar, so it is never a restart, the
+    best or the witness, and it draws nothing: report and witness are bit for
+    bit those of the search without bars, which evaluates every sign average in
+    full.
     """
     cfg = cfg if cfg is not None else SearchConfig()
     if instance.n > 14:
@@ -393,8 +426,8 @@ def search_max_ratio(instance: InequalityInstance, cfg: SearchConfig | None = No
     inert = _inert_coordinates(instance)
     rng = stream_generator(cfg.seed, cfg.stream)
 
-    def report_of(theta):
-        return evaluate(instance, _build_inputs(instance, theta), rademacher_cfg)
+    def report_of(theta, bar=None):
+        return evaluate(instance, _build_inputs(instance, theta), rademacher_cfg, bar)
 
     def probe_thetas():
         yield from _canonical_thetas(instance)
@@ -402,8 +435,15 @@ def search_max_ratio(instance: InequalityInstance, cfg: SearchConfig | None = No
             theta = rng.standard_normal(dim)
             yield _unit(theta)
 
-    probes = [(rep, theta) for theta in probe_thetas()
-              if math.isfinite((rep := report_of(theta)).ratio)]
+    probes, top = [], []  # the probes evaluated in full; a min-heap of their best ratios
+    for theta in probe_thetas():
+        rep = report_of(theta, top[0] if len(top) == cfg.restarts else None)
+        if rep.pruned or not math.isfinite(rep.ratio):
+            continue
+        probes.append((rep, theta))
+        heapq.heappush(top, rep.ratio)
+        if len(top) > cfg.restarts:
+            heapq.heappop(top)
     if not probes:
         raise RuntimeError("no probe produced a finite ratio")
     probes.sort(key=lambda pair: pair[0].ratio, reverse=True)
@@ -418,8 +458,8 @@ def search_max_ratio(instance: InequalityInstance, cfg: SearchConfig | None = No
             if not inert[j]:
                 cand = theta.copy()
                 cand[j] += step
-                rc = report_of(cand)
-                if math.isfinite(rc.ratio) and rc.ratio > report.ratio:
+                rc = report_of(cand, report.ratio)
+                if not rc.pruned and math.isfinite(rc.ratio) and rc.ratio > report.ratio:
                     theta, report = cand, rc
                     stale = 0
                     continue

@@ -19,6 +19,11 @@ at most `_BLOCK` values (`_power_sums`); otherwise powers are taken in place
 (`_pow` overwrites its input).  Either way a cube without scratch goes a
 `_BLOCK` at a time through one buffer, so a scalar `mixed_norm`, which is
 `lp_norm` of a cube function, holds no 2^n array beside the point values.
+Given a cap, `rademacher_avg` keeps a running sum of the blocks' powers (a
+running maximum at p = inf) and stops at the first block that proves the
+average above the cap by the margin `_CAP_SLACK`, returning the cap as a
+flagged lower bound; the ratio search caps the rhs of a candidate that would
+lose (`inequalities.evaluate`).  Without a cap the blocks are the same.
 `lp_norm`, `mixed_norm`, `rademacher_avg` and `radial_sup_rademacher_moment`
 scale those values once per call by a power of two when the largest
 |value|^p would leave the normal range (`_rescale`), and scale the root back;
@@ -77,6 +82,20 @@ MAX_EXACT_SIGNS = 20
 _CHUNK = 1 << 12
 _PRUNE_ROWS = 32  # sign totals per block of the radial sup kernel
 _SLACK = 1e-12  # relative, on its pair bounds: covers the rounding of value and bound
+# A capped sign average (`rademacher_avg`) stops once its running power sum S passes
+# N (c (1 + _CAP_SLACK))^p, N patterns and c the cap (`_power_limit`); the caller's
+# ratio lhs / rhs must then come out below its bar, c = lhs const / bar.  With u = 2^-53:
+# - sums: any order of adding N <= 2^19 nonnegative floats is within
+#   gamma = N u / (1 - N u) < 6e-11 of the exact sum, so the running sum of a prefix,
+#   added block by block, and the pairwise sum of all the powers differ by at most 2 gamma;
+#   the mean (sum / N) adds one rounding, the limit's power and products three;
+# - `_root`: pow with a rounded 1/p is off by at most |ln mean| u / p + 1 ulp, under 746 u
+#   for every normal mean; `_unscale` is exact, its result exceeding the normal cap c;
+# - the side: rhs / const (PT_DERIV), c = lhs const / bar and the ratio lhs / rhs, 4 u.
+# So rhs > (lhs const / bar)(1 + _CAP_SLACK)(1 - 2 gamma - 755 u) / const and the ratio is
+# below bar (1 + u) / ((1 + _CAP_SLACK)(1 - 1.3e-10)) < bar: 1e-9 leaves a factor 7.
+_CAP_SLACK = 1e-9
+MAX_CAP_PATTERNS = 1 << (MAX_EXACT_SIGNS - 1)  # the sums the margin covers: every exact average
 TAIL_MASS = 1e-20  # binomial mass outside the sign-total window of the radial sup reduction
 
 
@@ -328,33 +347,59 @@ class RademacherConfig:
 
 @dataclass(frozen=True)
 class RademacherResult:
+    """The average, or with `pruned` set the cap it was proven to exceed."""
+
     value: float
     stderr: float = 0.0
+    pruned: bool = False
 
     def __float__(self):
         return self.value
 
 
-def _sign_powers(signs: np.ndarray, vals: np.ndarray, spec: MixedNormSpec) -> np.ndarray:
-    """`_pattern_powers` of sum_i signs[j, i] vals[i] for each row j, in blocks."""
+def _power_blocks(chunks, vals: np.ndarray, spec: MixedNormSpec, gram: np.ndarray | None):
+    """The pattern powers of each chunk of sign rows, a block at a time: per chunk one
+    Gram form delta^T G delta (`gram`), or `_pattern_powers` of sum_i signs[j, i] vals[i]
+    in blocks of about `_BLOCK` values."""
     flat = vals.reshape(vals.shape[0], -1)
     rows = max(1, _BLOCK // flat.shape[1])
-    out = np.empty(signs.shape[0])
-    # the block and the scratch of its powers, reused by every block: glibc
-    # maps a fresh temporary of this size (up to 256 KiB) and faults in every
-    # page of it, unless an earlier large free happened to raise its threshold
-    bufs = np.empty((2, min(rows, signs.shape[0]), flat.shape[1]))
     shape = (-1, *vals.shape[1:])
-    for lo in range(0, signs.shape[0], rows):
-        part = signs[lo:lo + rows]
-        block, scratch = bufs[:, :part.shape[0]]
-        np.matmul(part, flat, out=block)
-        out[lo:lo + rows] = _pattern_powers(block.reshape(shape), spec, scratch.reshape(shape))
-    return out
+    for signs in chunks:
+        if gram is not None:
+            yield np.einsum("si,ij,sj->s", signs, gram, signs)
+            continue
+        # the block and the scratch of its powers, reused by every block: glibc
+        # maps a fresh temporary of this size (up to 256 KiB) and faults in every
+        # page of it, unless an earlier large free happened to raise its threshold
+        bufs = np.empty((2, min(rows, signs.shape[0]), flat.shape[1]))
+        for lo in range(0, signs.shape[0], rows):
+            part = signs[lo:lo + rows]
+            block, scratch = bufs[:, :part.shape[0]]
+            np.matmul(part, flat, out=block)
+            yield _pattern_powers(block.reshape(shape), spec, scratch.reshape(shape))
+
+
+def _power_limit(cap: float | None, p: float, count: int, scale: int) -> float:
+    """What the running sum of `count` pattern powers (their running maximum at
+    p = inf) of values scaled by 2^-scale must exceed to prove the average above
+    `cap`: count (2^-scale cap (1 + `_CAP_SLACK`))^p.  inf, so that nothing is
+    pruned, without a cap, past `MAX_CAP_PATTERNS` patterns, for a cap that is
+    not a normal float, and where that power would leave [2^-1000, 2^1000]."""
+    if cap is None or count > MAX_CAP_PATTERNS:
+        return math.inf
+    top = float(cap) * (1.0 + _CAP_SLACK)  # Python floats: inf on overflow, no warning
+    if not (sys.float_info.min <= top < math.inf and -1000 < math.frexp(top)[1] - scale < 1000):
+        return math.inf
+    x = math.ldexp(top, -scale)  # normal, so log2 is accurate even where x is near 1
+    if np.isinf(p):
+        return x
+    lg = float(p) * math.log2(x) + math.log2(count)
+    return count * x ** float(p) if -1000.0 < lg < 1000.0 else math.inf
 
 
 def rademacher_avg(operands, p: float, spec: MixedNormSpec | None = None,
-                   cfg: RademacherConfig | None = None) -> RademacherResult:
+                   cfg: RademacherConfig | None = None,
+                   cap: float | None = None) -> RademacherResult:
     """(E_delta || sum_i delta_i g_i ||_{L^p(X)}^p)^{1/p} over uniform signs.
 
     All operands must share their shape and match `spec` (default: scalar).
@@ -362,6 +407,16 @@ def rademacher_avg(operands, p: float, spec: MixedNormSpec | None = None,
     (||-x|| = ||x||) and is capped at k = 20; the Monte-Carlo mode reports the
     delta-method standard error of the final p-th root.  A block holds about
     `_BLOCK` values, or one pattern.  p = inf takes the maximum over patterns.
+
+    With a `cap`, each block's pattern powers also go into a running sum (a
+    running maximum at p = inf), and the average stops as soon as that sum
+    passes `_power_limit`: then the full average, rounded as this function
+    rounds it, is proven above the cap by the margin `_CAP_SLACK`, and the
+    result is the flagged lower bound `RademacherResult(cap, pruned=True)`,
+    with no standard error.  Exact and Monte-Carlo mode alike; the exact
+    Hilbert case (one trace, no patterns) and a count of patterns over
+    `MAX_CAP_PATTERNS` are always computed in full.  A cap the average does not
+    pass changes no bit: the blocks are the ones computed without it.
     """
     operands = list(operands)
     if not operands:
@@ -387,15 +442,23 @@ def rademacher_avg(operands, p: float, spec: MixedNormSpec | None = None,
     gram = _gram(vals, spec) if hilbert else None
 
     if exact:
-        half = 1 << (k - 1)
-        chunks = (sign_table(np.arange(lo, min(lo + _CHUNK, half)), k)
-                  for lo in range(0, half, _CHUNK))
+        count = 1 << (k - 1)
+        chunks = (sign_table(np.arange(lo, min(lo + _CHUNK, count)), k)
+                  for lo in range(0, count, _CHUNK))
     else:
+        count = cfg.samples
         rng = stream_generator(cfg.seed, cfg.stream)
-        chunks = (1.0 - 2.0 * rng.integers(0, 2, size=(min(_CHUNK, cfg.samples - lo), k))
-                  for lo in range(0, cfg.samples, _CHUNK))
-    powers = np.concatenate([_sign_powers(signs, vals, spec) if gram is None
-                             else np.einsum("si,ij,sj->s", signs, gram, signs) for signs in chunks])
+        chunks = (1.0 - 2.0 * rng.integers(0, 2, size=(min(_CHUNK, count - lo), k))
+                  for lo in range(0, count, _CHUNK))
+    limit = _power_limit(cap, p, count, scale)
+    blocks, running = [], 0.0
+    for block in _power_blocks(chunks, vals, spec, gram):
+        blocks.append(block)
+        if limit < math.inf:
+            running = max(running, block.max()) if np.isinf(p) else running + block.sum()
+            if running > limit:
+                return RademacherResult(float(cap), pruned=True)
+    powers = np.concatenate(blocks)
     if np.isinf(p):
         return RademacherResult(_unscale(powers.max(), scale))
     mean = powers.mean()

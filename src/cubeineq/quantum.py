@@ -140,21 +140,27 @@ def extract_q_coefficients(T) -> np.ndarray:
     return mat[_xor_grid(n), idx[None, :]].mean(axis=1)
 
 
-def schatten_norm(T, p: float, normalizer: int | None = None) -> float:
-    """sigma_p norm (tr[(T^* T)^{p/2}])^{1/p} with tr = Tr / normalizer.
+def schatten_norms(T, ps, normalizer: int | None = None) -> list[float]:
+    """sigma_p norms (tr[(T^* T)^{p/2}])^{1/p}, tr = Tr / normalizer, for each p
+    in `ps`, all from one spectrum (one `svd(compute_uv=False)`).
 
     The normalizer defaults to the column count, which is the cube factor
     2^n both for square observables and for column-stacked blocks; pass it
     explicitly for other block shapes.  p = inf is the operator norm.
     """
-    if not p >= 1:
-        raise ValueError(f"exponent must be in [1, inf], got {p}")
+    ps = list(ps)
+    for p in ps:
+        if not p >= 1:
+            raise ValueError(f"exponent must be in [1, inf], got {p}")
     mat = np.asarray(T, dtype=complex)
     s = np.linalg.svd(mat, compute_uv=False)
-    if np.isinf(p):
-        return float(s[0])
     d = normalizer if normalizer is not None else mat.shape[1]
-    return float(((s**p).sum() / d) ** (1.0 / p))
+    return [float(s[0]) if np.isinf(p) else float(((s**p).sum() / d) ** (1.0 / p)) for p in ps]
+
+
+def schatten_norm(T, p: float, normalizer: int | None = None) -> float:
+    """The one sigma_p norm of `schatten_norms`."""
+    return schatten_norms(T, [p], normalizer)[0]
 
 
 # -- projection onto the Q-span -------------------------------------------------

@@ -157,6 +157,17 @@ def test_mass_beyond_n_over_three():
         assert cx.talagrand_profile(n).mean >= floor - 1e-12
 
 
+@pytest.mark.parametrize("n, p", [(4, 1.0), (100, 2.0), (4096, 3.5), (1 << 16, np.inf)])
+def test_talagrand_ratio_builds_one_profile_for_both_sides(monkeypatch, n, p):
+    lhs, rhs = cx.talagrand_lhs(n), cx.radial_sup_rademacher_moment(cx.talagrand_profile(n), p)
+    builds = []
+    build = cx.talagrand_profile
+    monkeypatch.setattr(cx, "talagrand_profile", lambda n: builds.append(n) or build(n))
+    rep = cx.talagrand_ratio(n, p)
+    assert builds == [n]
+    assert np.array([rep.lhs, rep.rhs]).tobytes() == np.array([lhs, rhs]).tobytes()
+
+
 def test_small_n_dense_cross_check(rng):
     # radial lhs/rhs against direct enumeration of the two-variable lift
     n, p = 8, 2.0

@@ -612,3 +612,75 @@ def test_p2_ratio_on_a_level_k_character_has_its_closed_form(ineq, inner):
         for k in range(1, n + 1):
             ratio = evaluate(inst, _level_witness(inst, k)).ratio
             assert abs(ratio**2 - c_k(k, **params)) <= 1e-12, (n, k)
+
+
+# -- bound-and-prune: a sign average stops once the candidate cannot beat its bar ----------
+
+
+SIGN_RHS = {"RIESZ_LOWER", "R_BELOW", "R_BELOW_NOD", "PISIER", "PT_DERIV", "GAMMA_BELOW"}
+SEARCHED = [(ineq, inner) for ineq, entry in CATALOG.items()
+            for inner in (["scalar"] if entry.scalar_only else list(OPERANDS))]
+
+
+def test_the_entries_with_a_sign_average_rhs_are_the_ones_a_bar_can_prune():
+    # R_ABOVE and DF hold their sign average on top, EPI, F1 and GRAD_L1P none
+    assert {ineq for ineq, entry in CATALOG.items() if entry.sign_rhs} == SIGN_RHS
+
+
+def _recording_evaluate(monkeypatch, drop_bar=False):
+    """Install a wrapper on `iq.evaluate` that drops every bar, or records the
+    (instance, inputs, bar) of each pruned evaluation; return the record."""
+    evaluate_, pruned = iq.evaluate, []
+
+    def wrapped(instance, inputs, cfg=None, bar=None):
+        if drop_bar:
+            return evaluate_(instance, inputs, cfg)
+        report = evaluate_(instance, inputs, cfg, bar)
+        if report.pruned:
+            pruned.append((instance, inputs, cfg, bar))
+        return report
+
+    monkeypatch.setattr(iq, "evaluate", wrapped)
+    return pruned
+
+
+@pytest.mark.parametrize("restarts", [1, 3])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("ineq, inner", SEARCHED)
+def test_search_bits_do_not_depend_on_the_bars(ineq, inner, n, restarts, monkeypatch):
+    inst = _catalog_instance(ineq, inner, n=n)
+    cfg = SearchConfig(trials=8, restarts=restarts, ascent_steps=16 if n < 6 else 6, seed=n)
+    with monkeypatch.context() as m:
+        pruned = _recording_evaluate(m)
+        report, witness = search_max_ratio(inst, cfg)
+    assert not report.pruned and (ineq in SIGN_RHS or not pruned)
+    for instance, inputs, rcfg, bar in pruned:  # each proven below its bar, in full
+        assert evaluate(instance, inputs, rcfg).ratio < bar
+    _recording_evaluate(monkeypatch, drop_bar=True)
+    unbarred, unbarred_witness = search_max_ratio(inst, cfg)
+    assert _report_bytes(report) == _report_bytes(unbarred)
+    listed = [w if isinstance(w, list) else [w] for w in (witness, unbarred_witness)]
+    assert _witness_bytes(listed[0]) == _witness_bytes(listed[1])
+
+
+def test_the_search_prunes_and_every_pruned_evaluation_is_below_its_bar(monkeypatch):
+    inst = InequalityInstance("R_BELOW", n=8, p=3.0, q=3.0, a=0.5, inner="lq")
+    pruned = _recording_evaluate(monkeypatch)
+    report, _ = search_max_ratio(inst, SearchConfig(trials=12, restarts=1, ascent_steps=12,
+                                                    seed=7))
+    assert len(pruned) >= 5
+    for instance, inputs, cfg, bar in pruned:
+        full = evaluate(instance, inputs, cfg)
+        assert not full.pruned and full.ratio < bar <= report.ratio
+
+
+@pytest.mark.parametrize("ineq", sorted(SIGN_RHS))
+def test_a_bar_above_the_ratio_prunes_and_one_below_changes_no_bit(ineq):
+    inst = _catalog_instance(ineq, n=5)
+    inputs = random_inputs(inst, stream_generator(5, 1))
+    full = evaluate(inst, inputs)
+    assert not full.pruned
+    for bar in (0.0, -1.0, math.nan, full.ratio, np.nextafter(full.ratio, 0.0), 0.5 * full.ratio):
+        assert _report_bytes(evaluate(inst, inputs, None, bar)) == _report_bytes(full)
+    capped = evaluate(inst, inputs, None, 2.0 * full.ratio)
+    assert capped.pruned and capped.lhs == full.lhs and capped.rhs <= full.rhs

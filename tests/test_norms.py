@@ -762,3 +762,78 @@ def test_p2_mixed_norm_allocates_no_value_array(rng):
         finally:
             tracemalloc.stop()
         assert peak < 0.1 * F.coeffs.nbytes
+
+
+# -- capped sign averages: stop once the average is proven above the cap -------------
+
+
+def _bits(result):
+    return np.array([result.value, result.stderr]).tobytes(), result.pruned
+
+
+CAPPED_SPECS = [MixedNormSpec.scalar(p) for p in (1.0, 2.5, 3.0, np.inf)]
+CAPPED_SPECS += [MixedNormSpec.lq(p, q) for p, q in ((1.0, 3.0), (2.5, 1.5), (3.0, 3.0),
+                                                     (np.inf, 2.0))]
+CAPPED_SPECS += [MixedNormSpec.cube(p, q) for p, q in ((1.0, np.inf), (2.5, 2.0), (3.0, 3.0),
+                                                       (np.inf, 1.5))]
+
+
+@pytest.mark.parametrize("cfg", [RademacherConfig(),
+                                 RademacherConfig("monte-carlo", samples=700, seed=3)],
+                         ids=["exact", "monte-carlo"])
+@pytest.mark.parametrize("spec", CAPPED_SPECS, ids=str)
+def test_a_cap_above_the_average_changes_no_bit_and_one_below_flags_a_lower_bound(rng, spec,
+                                                                                    cfg):
+    ops = random_operands(rng, spec.inner, 5, 7)
+    full = rademacher_avg(ops, spec.p, spec, cfg)
+    assert not full.pruned
+    for cap in (np.nextafter(full.value, math.inf), 1.5 * full.value, math.inf):
+        assert _bits(rademacher_avg(ops, spec.p, spec, cfg, cap)) == _bits(full)
+    for cap in (0.9 * full.value, 0.25 * full.value):
+        capped = rademacher_avg(ops, spec.p, spec, cfg, cap)
+        assert capped.pruned and capped.value == cap <= full.value
+    # a cap that is not a positive normal float is no cap
+    for cap in (0.0, -1.0, math.nan, 5e-324):
+        assert _bits(rademacher_avg(ops, spec.p, spec, cfg, cap)) == _bits(full)
+
+
+def test_a_capped_average_stops_at_the_first_block_that_passes_the_cap(rng, monkeypatch):
+    # 2^9 patterns of 1024 values in 16 blocks; a cap far below the average stops at the first
+    ops = random_operands(rng, "scalar", 10, 10)
+    blocks = []
+    power_blocks = norms._power_blocks
+
+    def counted(*args):
+        for block in power_blocks(*args):
+            blocks.append(block.size)
+            yield block
+
+    monkeypatch.setattr(norms, "_power_blocks", counted)
+    full = rademacher_avg(ops, 3.0)
+    assert sum(blocks) == 1 << 9 and len(blocks) == 16
+    blocks.clear()
+    assert rademacher_avg(ops, 3.0, cap=0.1 * full.value).pruned
+    assert len(blocks) == 1
+
+
+@pytest.mark.parametrize("mode", ["exact", "monte-carlo"])
+@pytest.mark.parametrize("inner", ["scalar", "lq"])
+def test_no_cap_prunes_where_its_pth_power_leaves_the_float_range(rng, inner, mode):
+    # at p = 2000 the values are scaled to about 1 and the average lies within a
+    # factor 3 k of their maximum, so a cap 8 times off has a power past 2^(+-1000)
+    spec = MixedNormSpec(2000.0, inner, None if inner == "scalar" else 2000.0)
+    cfg = RademacherConfig(mode, samples=300, seed=1)
+    ops = random_operands(rng, inner, 4, 3)
+    full = rademacher_avg(ops, spec.p, spec, cfg)
+    for cap in (full.value / 8, 8 * full.value):
+        assert _bits(rademacher_avg(ops, spec.p, spec, cfg, cap)) == _bits(full)
+    assert norms._power_limit(0.5, 2000.0, 4, 0) == math.inf
+    assert norms._power_limit(2.0, 2000.0, 4, 0) == math.inf
+    assert 4.0 <= norms._power_limit(1.0, 2000.0, 4, 0) < 4.0 * (1 + 3e-6)
+
+
+def test_a_cap_prunes_no_count_of_patterns_past_the_margin(rng):
+    ops = random_operands(rng, "scalar", 3, 2)
+    big = RademacherConfig("monte-carlo", samples=norms.MAX_CAP_PATTERNS + 1, seed=2)
+    full = rademacher_avg(ops, 3.0, cfg=big)
+    assert _bits(rademacher_avg(ops, 3.0, cfg=big, cap=full.value / 4)) == _bits(full)

@@ -98,6 +98,21 @@ def test_schatten_basics(rng):
         assert b >= a - 1e-12
 
 
+@pytest.mark.parametrize("shape, normalizer", [((8, 8), None), ((16, 16), None), ((24, 8), 8),
+                                               ((12, 12), 3)])
+def test_schatten_norms_are_the_one_p_norms_of_one_spectrum(rng, shape, normalizer):
+    M = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    ps = (1.0, 1.5, 2.0, 3.0, 6.0, np.inf)
+    s = np.linalg.svd(M, compute_uv=False)
+    d = normalizer if normalizer is not None else shape[1]
+    spelled = [float(s[0]) if np.isinf(p) else float(((s**p).sum() / d) ** (1.0 / p)) for p in ps]
+    norms = qt.schatten_norms(M, ps, normalizer)
+    assert norms == spelled == [qt.schatten_norm(M, p, normalizer) for p in ps]
+    assert np.array(norms).tobytes() == np.array(spelled).tobytes()
+    with pytest.raises(ValueError, match="exponent"):
+        qt.schatten_norms(M, (2.0, 0.5))
+
+
 def test_projection_basis_action():
     n = 2
     qa = qt.PauliWord.from_string("QQ").matrix()
