@@ -413,7 +413,10 @@ def search_max_ratio(instance: InequalityInstance, cfg: SearchConfig | None = No
 
     Each evaluation gets a bar (`evaluate`): a probe the `restarts`-th best finite
     ratio among the probes evaluated in full so far (none until `restarts` of them
-    are in), an ascent step the ratio of the report it must beat.  A pruned
+    are in), an ascent step the ratio of the report it must beat.  Only the
+    entries whose rhs is a sign average can prune (see the module docstring:
+    R_ABOVE and DF hold theirs in the lhs, which a partial sum bounds only from
+    below).  A pruned
     evaluation is proven strictly below its bar, so it is never a restart, the
     best or the witness, and it draws nothing: report and witness are bit for
     bit those of the search without bars, which evaluates every sign average in

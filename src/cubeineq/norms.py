@@ -416,7 +416,9 @@ def rademacher_avg(operands, p: float, spec: MixedNormSpec | None = None,
     with no standard error.  Exact and Monte-Carlo mode alike; the exact
     Hilbert case (one trace, no patterns) and a count of patterns over
     `MAX_CAP_PATTERNS` are always computed in full.  A cap the average does not
-    pass changes no bit: the blocks are the ones computed without it.
+    pass changes no bit: the blocks are the ones computed without it.  A cap
+    bounds an average from below only, so it serves a ratio whose denominator
+    is the average (`inequalities.evaluate`), never one whose numerator is.
     """
     operands = list(operands)
     if not operands:
