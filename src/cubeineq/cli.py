@@ -93,15 +93,13 @@ def _check_finite(rows, what: str) -> int:
 
 # -- verify ---------------------------------------------------------------------
 
-_VERIFY_TOL = {"heat": 1e-12, "derivative": 1e-12, "tail-integral": 1e-12,
-               "qa": 1e-12, "elpf": 1e-12}
+_VERIFY_TOL = 1e-12  # the default --tol of every --which
 
 
 def _cmd_verify(args) -> int:
     which = args.which
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
-    tol = args.tol if args.tol is not None else _VERIFY_TOL[which]
     rng = stream_generator(args.seed)
     rows = []
     if which in ("heat", "derivative"):
@@ -127,12 +125,12 @@ def _cmd_verify(args) -> int:
                 gap = qt.verify_elpF(f, quad)
             rows.append({"case": k, "n": args.n, "max_discrepancy": gap})
     record = ExperimentRecord("verify-" + which,
-                              {"n": args.n, "t": args.t, "count": args.count, "tol": tol},
+                              {"n": args.n, "t": args.t, "count": args.count, "tol": args.tol},
                               args.seed, rows)
     status = _emit(record, args, f"verify {which}")
     worst = float(np.max([row["max_discrepancy"] for row in rows]))  # keeps a nan
-    if not worst <= tol:
-        return _fail(2, f"verify {which}: max discrepancy {worst:.3e} exceeds {tol:.1e}")
+    if not worst <= args.tol:
+        return _fail(2, f"verify {which}: max discrepancy {worst:.3e} exceeds {args.tol:.1e}")
     return status
 
 
@@ -299,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", type=float, default=1.0)
     sp.add_argument("--r", type=float, default=2.0, help="tail-integral exponent")
     sp.add_argument("--count", type=int, default=5)
-    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--tol", type=float, default=_VERIFY_TOL)
     common(sp)
     sp.set_defaults(func=_cmd_verify)
 

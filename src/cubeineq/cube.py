@@ -23,12 +23,12 @@ Only the level multipliers go through `levels`:
 
 Above `_BLOCK` coefficients a level multiplier gathers its table a block at a
 time into one reused buffer, so it makes no 2^n temporary beside its result.
-Values and coefficients are one `walsh_transform` apart.  It runs the stages
-in constant geometry (Pease's ordering): each stage writes the sums and the
+Values and coefficients are one `walsh_transform` apart.  Its 15 low stages
+run in constant geometry (Pease's ordering): each writes the sums and the
 differences of the even and odd positions to the two halves of a second
-buffer, pairing the same values in the same operand order as the textbook
-in-place stages, on pieces of at most `_BLOCK` values and with at most two
-block buffers beside its output.
+buffer, pairing the values of the textbook in-place stages in the same
+operand order; its high stages pair whole rows of `_BLOCK` values in place.
+It holds one block buffer beside its output.
 
 Point values use the index convention eps_i(x) = +1 if bit i of x is 0 and
 -1 otherwise, so the bitmask of -1 coordinates is the point index and the
@@ -94,17 +94,14 @@ def walsh_transform(a: np.ndarray) -> np.ndarray:
     out[..., k] = sum_x a[..., x] * (-1)^|x&k|.
 
     The last axis must have power-of-two length 2^n; cost O(n 2^n) per row.
-    Self-inverse up to the factor 2^n.  The stages run in constant geometry
-    (`_stages`) on pieces of at most `_BLOCK` values.  Rows of up to `_BLOCK`
-    values run all their stages in groups of rows, from the input to the
-    output through one block buffer.  A longer row is viewed as a
-    (2^(n-15), 2^15) grid: its 15 low stages run row by row in the same way,
-    and its high stages run along axis 0 of each column slab of the grid,
-    through the row buffer into a second block, the slab, which is copied
-    back.  Each value still gets the additions of the stage-by-stage transform
-    in the same order, so the output is bit-identical to it, and a batched
-    call equals row-by-row calls.  A C-contiguous float64 array is read, never
-    written; any other input is copied to one, and the copy is the output.
+    Self-inverse up to the factor 2^n.  Rows of at most `_BLOCK` values run
+    their stages in constant geometry (`_stages`) in groups, from the input to
+    the output through one block buffer.  On a longer last axis, high stage
+    s = 0, 1, ... then pairs the rows h = 2^s apart in place, holding the sums
+    in that buffer.  Each value gets the additions of the stage-by-stage
+    transform in the same order, so the output is bit-identical to it, and a
+    batched call equals row-by-row calls.  A C-contiguous float64 array is
+    read, never written; any other input is copied to one, and the copy is the output.
     """
     copied = not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.c_contiguous)
     src = np.array(a, dtype=np.float64, order="C") if copied else np.asarray(a)
@@ -120,14 +117,12 @@ def walsh_transform(a: np.ndarray) -> np.ndarray:
     for r in range(0, len(rows), step):
         part = dest[r:r + step]
         _stages(rows[r:r + step].T, part.T, buf[:part.size].reshape(part.shape).T, lo)
-    if lo < n:
-        width = _BLOCK >> (n - lo)
-        slab = np.empty((1 << (n - lo), width))
-        for grid in out.reshape(-1, 1 << (n - lo), 1 << lo):
-            for c in range(0, 1 << lo, width):
-                col = grid[:, c:c + width]
-                _stages(col, slab, buf.reshape(slab.shape), n - lo)
-                col[...] = slab
+    for s in range(n - lo):
+        for group in dest.reshape(-1, 2, 1 << s, 1 << lo):  # 2h rows of one lead row
+            for a0, a1 in zip(*group):
+                np.add(a0, a1, out=buf)
+                np.subtract(a0, a1, out=a1)
+                a0[...] = buf
     return out
 
 

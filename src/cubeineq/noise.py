@@ -37,6 +37,11 @@ from .rng import stream_generator
 MAX_ENUM_N = 14
 
 
+def _check_enum_n(f: CubeFunction) -> None:
+    if f.n > MAX_ENUM_N:
+        raise ValueError(f"enumerative path refused for n > {MAX_ENUM_N}")
+
+
 @dataclass(frozen=True)
 class NoiseParameter:
     """Time parameter of the biased noise vector xi(t)."""
@@ -113,8 +118,7 @@ def exact_noise_expectation(f: CubeFunction, t) -> NoisePair:
     time (refused for n > 14).
     """
     noise = _as_noise(t)
-    if f.n > MAX_ENUM_N:
-        raise ValueError(f"enumerative path refused for n > {MAX_ENUM_N}")
+    _check_enum_n(f)
     spectral = heat(f, noise.t)
     return NoisePair(spectral, CubeFunction.from_values(_noise_average(f.values(), noise)))
 
@@ -123,8 +127,7 @@ def verify_heat_representation(f: CubeFunction, t) -> float:
     """Max pointwise gap between exp(-tL)f and the enumerated noise average
     (refused for n > 14), both read as point values: two Walsh transforms."""
     noise = _as_noise(t)
-    if f.n > MAX_ENUM_N:
-        raise ValueError(f"enumerative path refused for n > {MAX_ENUM_N}")
+    _check_enum_n(f)
     gap = heat(f, noise.t).values() - _noise_average(f.values(), noise)
     return float(np.max(np.abs(gap)))
 
@@ -139,8 +142,7 @@ def verify_derivative_representation(f: CubeFunction, j: int, t) -> float:
     noise = _as_noise(t)
     if noise.t <= 0:
         raise ValueError("derivative representation needs t > 0")
-    if f.n > MAX_ENUM_N:
-        raise ValueError(f"enumerative path refused for n > {MAX_ENUM_N}")
+    _check_enum_n(f)
     _check_coord(f, j)
     lhs = heat(discrete_derivative(f, j), noise.t).values()
 

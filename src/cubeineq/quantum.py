@@ -48,6 +48,7 @@ import numpy as np
 from .cube import (CubeFunction, VectorCubeFunction, _check_coord, _dot, _halves, _xor_grid,
                    character, frac_power, levels, partial_derivative, riesz)
 from .inequalities import InequalityInstance, RatioReport
+from .norms import MixedNormSpec, _rescale, _unscale
 from . import inequalities
 
 MAX_QUBITS = 10
@@ -146,7 +147,8 @@ def schatten_norms(T, ps, normalizer: int | None = None) -> list[float]:
 
     The normalizer defaults to the column count, which is the cube factor
     2^n both for square observables and for column-stacked blocks; pass it
-    explicitly for other block shapes.  p = inf is the operator norm.
+    explicitly for other block shapes.  p = inf is the operator norm.  Out of
+    the float range of s^p, s is scaled by a power of two as in `lp_norm`.
     """
     ps = list(ps)
     for p in ps:
@@ -155,7 +157,9 @@ def schatten_norms(T, ps, normalizer: int | None = None) -> list[float]:
     mat = np.asarray(T, dtype=complex)
     s = np.linalg.svd(mat, compute_uv=False)
     d = normalizer if normalizer is not None else mat.shape[1]
-    return [float(s[0]) if np.isinf(p) else float(((s**p).sum() / d) ** (1.0 / p)) for p in ps]
+    scaled = [_rescale(s, MixedNormSpec.scalar(p), copy=True) for p in ps]  # k = 0 at p = inf
+    return [float(a[0]) if np.isinf(p) else _unscale(((a**p).sum() / d) ** (1.0 / p), k)
+            for p, (a, k) in zip(ps, scaled)]
 
 
 def schatten_norm(T, p: float, normalizer: int | None = None) -> float:

@@ -591,7 +591,7 @@ def test_pow_overwrites_its_input_with_the_reference_bits(rng, e, shape):
 @pytest.mark.parametrize("p", [1.5, 3.0])
 def test_lp_norm_allocates_its_values_and_one_block(rng, n, p):
     # the powers go over the point values in place, a block at a time; the
-    # transform that makes the values may itself take a few blocks of slabs
+    # transform that makes the values takes its own block buffer beside them
     f = random_function(n, rng)
     lp_norm(f, p)  # warm any first-call caches
     peaks = []

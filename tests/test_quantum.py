@@ -113,6 +113,19 @@ def test_schatten_norms_are_the_one_p_norms_of_one_spectrum(rng, shape, normaliz
         qt.schatten_norms(M, (2.0, 0.5))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("scale", [1e-3, 1e-1, 1.0, 10.0, 1e3])
+def test_schatten_norm_of_an_embedding_outside_the_power_range(rng, n, scale):
+    # s^p leaves the float range at most of these scales and p: the spectrum
+    # is scaled by a power of two, so the isometry with lp_norm holds, silently
+    f = random_function(n, rng) * scale
+    T = qt.embed(f)
+    for p in (150.0, 300.0, 1000.0, 2000.0):
+        norm = lp_norm(f, p)
+        assert abs(qt.schatten_norm(T, p) - norm) <= 1e-12 * norm
+
+
 def test_projection_basis_action():
     n = 2
     qa = qt.PauliWord.from_string("QQ").matrix()
