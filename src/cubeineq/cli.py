@@ -221,6 +221,7 @@ def _cmd_quantum(args) -> int:
         rows.append({"constancy_defect": worst, "c": quad.moment(0),
                      "declared_accuracy": tol})
     elif check == "isometry":
+        qt._check_block(args.n, 3)  # before the first draw; the block norms below take R = 3
         for _ in range(10):
             f = random_function(args.n, rng)
             ps = (1.0, 1.5, 2.0, 3.0, np.inf)

@@ -41,15 +41,16 @@ Its warm start puts the character eps_{i mod n} in every row of operand i, and
 sum_j delta_j eps_j in F1's operand.
 
 Bound and prune: most candidates of a search lose by far, and the sign average
-dominates their cost.  `evaluate` takes an optional bar, and an entry whose rhs
-is a sign average (`_Entry.sign_rhs`: RIESZ_LOWER, R_BELOW, R_BELOW_NOD, PISIER,
-PT_DERIV, GAMMA_BELOW) computes its lhs first and caps that average at
-lhs const / bar, where the ratio falls below the bar; `norms.rademacher_avg`
-stops as soon as a partial sum of its pattern powers proves the average above
-the cap, and the report comes back flagged `pruned`.  R_ABOVE and DF hold their
-sign average in the lhs, which a partial sum bounds only from below, never
-proving the ratio small; EPI, F1 and GRAD_L1P have none.  They are evaluated in
-full.  An evaluation that is not pruned is bit for bit the one without a bar.
+dominates their cost.  A side is a number or a `_Rad`, and `evaluate` alone takes
+the sign averages, exactly, refusing more than 20 signs before any operand is
+built (Monte-Carlo averages are `norms.rademacher_avg`'s).  Given a bar, an entry
+prunes iff its rhs is a sign average (RIESZ_LOWER, R_BELOW, R_BELOW_NOD, PISIER,
+PT_DERIV, GAMMA_BELOW): that average is capped at lhs const / bar, where the
+ratio falls below the bar; `norms.rademacher_avg` stops once a partial sum of its
+pattern powers proves the cap passed, and the report is flagged `pruned`.  R_ABOVE
+and DF hold theirs in the lhs, which a partial sum bounds only from below; EPI, F1
+and GRAD_L1P have none.  An evaluation that is not pruned is bit for bit the one
+without a bar.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ from .cube import (
     gradient,
     riesz,
 )
-from .norms import (OPERANDS, MixedNormSpec, RademacherConfig, inner_kind, lp_norm, mixed_norm,
+from .norms import (MAX_EXACT_SIGNS, OPERANDS, MixedNormSpec, inner_kind, lp_norm, mixed_norm,
                     rademacher_avg)
 from .rng import stream_generator
 
@@ -173,63 +174,66 @@ def _norm(instance: InequalityInstance, g) -> float:
     return mixed_norm(g, instance.norm_spec())
 
 
-def _sign_rhs(instance, operands, cfg, lhs, bar, const=1.0):
-    """(rhs, pruned) for rhs = rad{operands} / const: with a positive `bar`, the
-    average is capped at lhs const / bar, where lhs / rhs falls below the bar."""
-    cap = float(lhs) * const / bar if bar is not None and bar > 0 else None
-    rad = rademacher_avg(operands, instance.p, instance.norm_spec(), cfg, cap)
-    return rad.value / const, rad.pruned
+class _Rad:  # a side rad{operands} / const: a sign average, taken by `evaluate`
+    def __init__(self, operands: list, const: float = 1.0):
+        self.operands, self.const = operands, const
+
+
+def _sign_operands(instance, operand) -> list:
+    """[operand(i) for i < n], refused over `MAX_EXACT_SIGNS` signs before one is built."""
+    if instance.n > MAX_EXACT_SIGNS:
+        raise ValueError(f"exact mode capped at {MAX_EXACT_SIGNS} sign variables, got {instance.n}")
+    return [operand(i) for i in range(instance.n)]
 
 
 # -- the catalog ------------------------------------------------------------------
-# Each entry names its input kind, the one parameter it needs and its two sides.
-# The sides call the cube and norms operators through this module's names at call
-# time, so a wrapper installed on those names sees every call.
+# Each entry names its input kind, the one parameter it needs and its two sides, each
+# a number or a `_Rad`.  The sides call the cube and norms operators through this
+# module's names at call time, so a wrapper installed on those names sees every call.
 
 
-def _r_above(instance, f, cfg, a=0.5):
-    images = [frac_power(discrete_derivative(f, i), a) for i in range(instance.n)]
-    return rademacher_avg(images, instance.p, instance.norm_spec(), cfg).value, _norm(instance, f)
+def _r_above(instance, f, a=0.5):
+    images = _sign_operands(instance, lambda i: frac_power(discrete_derivative(f, i), a))
+    return _Rad(images), _norm(instance, f)
 
 
-def _riesz_lower(instance, f, cfg, bar, gamma=0.0):
-    lhs = _norm(instance, frac_power(f, gamma - 0.5))
-    derivatives = [discrete_derivative(f, i) for i in range(instance.n)]
-    return lhs, *_sign_rhs(instance, derivatives, cfg, lhs, bar)
+def _riesz_lower(instance, f, gamma=0.0):
+    derivatives = _sign_operands(instance, lambda i: discrete_derivative(f, i))
+    return _norm(instance, frac_power(f, gamma - 0.5)), _Rad(derivatives)
 
 
-def _r_below(instance, family, cfg, bar, with_derivative=True):
-    derivatives = [discrete_derivative(g, i) for i, g in enumerate(family)]
+def _r_below(instance, family, with_derivative=True):
+    derivatives = _sign_operands(instance, lambda i: discrete_derivative(family[i], i))
     lhs = _norm(instance, reduce(operator.add, (frac_power(d, instance.a) for d in derivatives)))
-    return lhs, *_sign_rhs(instance, derivatives if with_derivative else family, cfg, lhs, bar)
+    return lhs, _Rad(derivatives if with_derivative else family)
 
 
-def _f1(instance, F, cfg):
+def _f1(instance, F):
     p = instance.p
     lhs = lp_norm(reduce(operator.add, (frac_power(discrete_derivative(m, j), 1.0)
                                         for j, m in enumerate(F.marginals()))), p)
     return lhs, mixed_norm(F, MixedNormSpec.cube(p, p))
 
 
-def _pt_deriv(instance, family, cfg, bar):
+def _pt_deriv(instance, family):
     # both sides times e^t: level k >= 1 of D_i P_t gets e^{-t(k-1)}, and no
     # level 0 survives D_i; so neither e^{2t} nor e^{-tk} is formed
     t = instance.t
+    derivatives = _sign_operands(instance, lambda i: discrete_derivative(family[i], i))
     shifted = np.zeros(instance.n + 1)
     shifted[1:] = np.exp(-t * np.arange(instance.n))
-    derivatives = [discrete_derivative(g, i) for i, g in enumerate(family)]
     lhs = _norm(instance, reduce(operator.add, (apply_multiplier(d, shifted) for d in derivatives)))
-    return lhs, *_sign_rhs(instance, derivatives, cfg, lhs, bar, math.sqrt(-math.expm1(-2.0 * t)))
+    return lhs, _Rad(derivatives, math.sqrt(-math.expm1(-2.0 * t)))
 
 
-def _epi(instance, family, cfg):
+def _epi(instance, family):
     p = instance.p
     lhs = lp_norm(reduce(operator.add, (riesz(f, i) for i, f in enumerate(family))), p)
     square = VectorCubeFunction([discrete_derivative(f, i) for i, f in enumerate(family)])
     return lhs, mixed_norm(square, MixedNormSpec.lq(p, 2))
 
 
-def _grad_l1p(instance, f, cfg):
+def _grad_l1p(instance, f):
     p = instance.p
     return (mixed_norm(VectorCubeFunction(gradient(f)), MixedNormSpec.lq(p, 2)),
             lp_norm(frac_power(f, -1.0 / p), p))
@@ -238,9 +242,7 @@ def _grad_l1p(instance, f, cfg):
 @dataclass(frozen=True)
 class _Entry:
     kind: str  # "single", "family" or "bi"
-    sides: Callable  # sides(instance, inputs, cfg) -> (lhs, rhs)
-    # rhs is a sign average: sides(instance, inputs, cfg, bar) -> (lhs, rhs, pruned)
-    sign_rhs: bool = False
+    sides: Callable  # sides(instance, inputs) -> (lhs, rhs), each a number or a `_Rad`
     needs: str | None = None  # the instance field the entry reads: "a", "gamma" or "t"
     scalar_only: bool = False
     # a family entry that reads operand i only through D_i, which multiplies
@@ -250,20 +252,17 @@ class _Entry:
 
 CATALOG = {
     "R_ABOVE": _Entry("single", _r_above),
-    "RIESZ_LOWER": _Entry("single", _riesz_lower, sign_rhs=True),
-    "R_BELOW": _Entry("family", _r_below, needs="a", through_derivative=True, sign_rhs=True),
-    "R_BELOW_NOD": _Entry("family", lambda inst, fs, cfg, bar: _r_below(inst, fs, cfg, bar, False),
-                          needs="a", sign_rhs=True),
+    "RIESZ_LOWER": _Entry("single", _riesz_lower),
+    "R_BELOW": _Entry("family", _r_below, needs="a", through_derivative=True),
+    "R_BELOW_NOD": _Entry("family", lambda inst, fs: _r_below(inst, fs, False), needs="a"),
     # PISIER is GAMMA_BELOW at gamma = 1/2 (L^0 f = f - E f), DF is R_ABOVE at a = 1
-    "PISIER": _Entry("single", lambda inst, f, cfg, bar: _riesz_lower(inst, f, cfg, bar, 0.5),
-                     sign_rhs=True),
+    "PISIER": _Entry("single", lambda inst, f: _riesz_lower(inst, f, 0.5)),
     "F1": _Entry("bi", _f1, scalar_only=True),
-    "DF": _Entry("single", lambda inst, g, cfg: _r_above(inst, g, cfg, 1.0)),
-    "PT_DERIV": _Entry("family", _pt_deriv, needs="t", through_derivative=True, sign_rhs=True),
+    "DF": _Entry("single", lambda inst, g: _r_above(inst, g, 1.0)),
+    "PT_DERIV": _Entry("family", _pt_deriv, needs="t", through_derivative=True),
     "EPI": _Entry("family", _epi, scalar_only=True, through_derivative=True),
-    "GAMMA_BELOW": _Entry("single",
-                          lambda inst, f, cfg, bar: _riesz_lower(inst, f, cfg, bar, inst.gamma),
-                          needs="gamma", sign_rhs=True),
+    "GAMMA_BELOW": _Entry("single", lambda inst, f: _riesz_lower(inst, f, inst.gamma),
+                          needs="gamma"),
     "GRAD_L1P": _Entry("single", _grad_l1p, scalar_only=True),
 }
 INEQUALITY_IDS = tuple(CATALOG)
@@ -271,24 +270,22 @@ ALIASES = {"R_ABOVE_DUAL": "F1", "DELTA_FI": "R_BELOW_NOD", "RIESZ_FULL_BELOW": 
 _PARAMETER_RANGES = {
     "a": (lambda a: 0 < a <= 1, "exponent a in (0, 1]"),
     "gamma": (lambda gamma: 0 <= gamma < 0.5, "gamma in [0, 1/2)"),
-    "t": (lambda t: t > 0, "t > 0"),
+    "t": (lambda t: 0 < t < math.inf, "a finite t in (0, inf)"),
 }
 
 
-def evaluate(instance: InequalityInstance, inputs, cfg: RademacherConfig | None = None,
-             bar: float | None = None) -> RatioReport:
+def evaluate(instance: InequalityInstance, inputs, bar: float | None = None) -> RatioReport:
     """Evaluate both sides of the instance on concrete inputs.
 
     `inputs` is a single operand, a family (one operand per coordinate), or
     a BiCubeFunction, according to the catalog entry.  Operand dimension
-    must equal instance.n; family length must equal n.
-
-    A positive `bar` lets an entry whose rhs is a sign average (`_Entry.sign_rhs`)
-    stop that average once it proves the ratio below the bar: the report is
-    then flagged `pruned`, its rhs a lower bound and its ratio not a ratio.
-    Every other report is the one computed without a bar, bit for bit.
+    must equal instance.n; family length must equal n.  Sign averages are
+    exact, of at most `MAX_EXACT_SIGNS` (20) signs (Monte-Carlo ones are
+    `norms.rademacher_avg`'s).  An entry prunes iff its rhs is a sign average:
+    a positive `bar` stops it once it proves the ratio below the bar, and the
+    report is flagged `pruned`, its rhs a lower bound and its ratio not a
+    ratio.  Every other report is the one computed without a bar, bit for bit.
     """
-    cfg = cfg if cfg is not None else RademacherConfig()
     family = instance.input_kind == "family"
     if family:
         inputs = list(inputs)
@@ -296,13 +293,15 @@ def evaluate(instance: InequalityInstance, inputs, cfg: RademacherConfig | None 
             raise ValueError(f"{instance.ineq_id} expects a family of n={instance.n} "
                              f"operands, got {len(inputs)}")
     _check_operands(inputs if family else [inputs], instance)
-    entry = CATALOG[instance.ineq_id]
-    if entry.sign_rhs:
-        lhs, rhs, pruned = entry.sides(instance, inputs, cfg, bar)
-    else:
-        (lhs, rhs), pruned = entry.sides(instance, inputs, cfg), False
-    mode = "exact" if cfg.mode == "exact" else f"monte-carlo[{cfg.samples}]"
-    return RatioReport(float(lhs), float(rhs), _ratio(lhs, rhs), mode, pruned)
+    lhs, rhs = CATALOG[instance.ineq_id].sides(instance, inputs)
+    spec, pruned = instance.norm_spec(), False
+    if isinstance(lhs, _Rad):  # a cap bounds it from below only: taken in full
+        lhs = rademacher_avg(lhs.operands, instance.p, spec).value / lhs.const
+    if isinstance(rhs, _Rad):  # capped at lhs const / bar, where the ratio falls below the bar
+        cap = float(lhs) * rhs.const / bar if bar is not None and bar > 0 else None
+        rad = rademacher_avg(rhs.operands, instance.p, spec, cap=cap)
+        rhs, pruned = rad.value / rhs.const, rad.pruned
+    return RatioReport(float(lhs), float(rhs), _ratio(lhs, rhs), pruned=pruned)
 
 
 def _operand_inner(instance: InequalityInstance) -> str:
@@ -396,8 +395,7 @@ def _inert_coordinates(instance: InequalityInstance) -> np.ndarray:
     return inert.reshape(-1)
 
 
-def search_max_ratio(instance: InequalityInstance, cfg: SearchConfig | None = None,
-                     rademacher_cfg: RademacherConfig | None = None):
+def search_max_ratio(instance: InequalityInstance, cfg: SearchConfig | None = None):
     """Best ratio found by random restarts plus greedy coordinate ascent.
 
     Returns (report, witness_inputs).  Deterministic for a fixed config; the
@@ -413,14 +411,13 @@ def search_max_ratio(instance: InequalityInstance, cfg: SearchConfig | None = No
 
     Each evaluation gets a bar (`evaluate`): a probe the `restarts`-th best finite
     ratio among the probes evaluated in full so far (none until `restarts` of them
-    are in), an ascent step the ratio of the report it must beat.  Only the
-    entries whose rhs is a sign average can prune (see the module docstring:
-    R_ABOVE and DF hold theirs in the lhs, which a partial sum bounds only from
-    below).  A pruned
-    evaluation is proven strictly below its bar, so it is never a restart, the
-    best or the witness, and it draws nothing: report and witness are bit for
-    bit those of the search without bars, which evaluates every sign average in
-    full.
+    are in), an ascent step the ratio of the report it must beat.  An entry
+    prunes iff its rhs is a sign average (see the module docstring: R_ABOVE and
+    DF hold theirs in the lhs, which a partial sum bounds only from below).  A
+    pruned evaluation is proven strictly below its bar, so it is never a
+    restart, the best or the witness, and it draws nothing: report and witness
+    are bit for bit those of the search without bars, which evaluates every
+    sign average in full.
     """
     cfg = cfg if cfg is not None else SearchConfig()
     if instance.n > 14:
@@ -430,7 +427,7 @@ def search_max_ratio(instance: InequalityInstance, cfg: SearchConfig | None = No
     rng = stream_generator(cfg.seed, cfg.stream)
 
     def report_of(theta, bar=None):
-        return evaluate(instance, _build_inputs(instance, theta), rademacher_cfg, bar)
+        return evaluate(instance, _build_inputs(instance, theta), bar)
 
     def probe_thetas():
         yield from _canonical_thetas(instance)

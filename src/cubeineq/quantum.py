@@ -386,14 +386,14 @@ def verify_elpF(f: CubeFunction, quad: QuadratureRule) -> float:
 
 def block_column(F: VectorCubeFunction) -> np.ndarray:
     """C_F: the T_{f^r} stacked vertically; sigma_p of it is the L^p(ell^2) norm."""
-    _check_block(F)
+    _check_block(F.n, F.R)
     return np.vstack([embed(c) for c in F.components])
 
 
 def block_diag(F: VectorCubeFunction) -> np.ndarray:
     """D_F: the T_{f^r} on the diagonal; sigma_p of it (cube-normalized)
     is the L^p(ell^p) norm."""
-    _check_block(F)
+    _check_block(F.n, F.R)
     m, r = 1 << F.n, np.arange(F.R)
     out = np.zeros((F.R, m, F.R, m), dtype=complex)
     out[r, :, r, :] = [embed(c) for c in F.components]  # block (r, r) is T_{f^r}
@@ -408,9 +408,9 @@ def block_diag_norm(F: VectorCubeFunction, p: float) -> float:
     return schatten_norm(block_diag(F), p, normalizer=1 << F.n)
 
 
-def _check_block(F: VectorCubeFunction) -> None:
-    if F.n > 8 or F.R > 8:
-        raise ValueError(f"block embeddings capped at n <= 8, R <= 8; got n={F.n}, R={F.R}")
+def _check_block(n: int, R: int) -> None:
+    if n > 8 or R > 8:
+        raise ValueError(f"block embeddings capped at n <= 8, R <= 8; got n={n}, R={R}")
 
 
 def epi_quantum_ratio(family, p: float) -> RatioReport:

@@ -242,6 +242,17 @@ def test_quantum_projection_checks_qubits_first(capsys, n):
     assert "qubit count must be in [1, 10]" in err
 
 
+@pytest.mark.parametrize("n", ["9", "10"])
+def test_quantum_isometry_checks_its_block_cap_first(capsys, monkeypatch, n):
+    def draw(*args):
+        raise AssertionError("drew a function before the block check")
+
+    monkeypatch.setattr(cli, "random_function", draw)
+    code, _, err = run_cli(capsys, "quantum", "isometry", "--n", n)
+    assert code == 1
+    assert f"block embeddings capped at n <= 8, R <= 8; got n={n}, R=3" in err
+
+
 def test_quantum_projection_disagreement_exits_two(capsys, monkeypatch):
     reference = qt.project_by_conjugation
     monkeypatch.setattr(qt, "project_by_conjugation", lambda T: reference(T) + 1e-9)
@@ -420,6 +431,16 @@ def test_verify_refuses_a_non_finite_time(capsys, argv):
     code, out, err = run_cli(capsys, "verify", "formula", *argv)
     assert (code, out) == (1, "")
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("ratio", "--ineq", "PT_DERIV", "--n", "4", "--p", "2", "--t", "inf"),
+    ("sweep", "--ineq", "PT_DERIV", "--n-list", "3,4", "--p-list", "2", "--t", "inf"),
+])
+def test_ratio_and_sweep_refuse_a_non_finite_time(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "error: PT_DERIV needs a finite t in (0, inf), got inf" in err
 
 
 def test_verify_non_finite_discrepancy_exits_two(capsys, monkeypatch):

@@ -614,6 +614,38 @@ def test_p2_ratio_on_a_level_k_character_has_its_closed_form(ineq, inner):
             assert abs(ratio**2 - c_k(k, **params)) <= 1e-12, (n, k)
 
 
+def test_pt_deriv_refuses_a_non_finite_time():
+    for t in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match=r"PT_DERIV needs a finite t in \(0, inf\)"):
+            InequalityInstance("PT_DERIV", n=4, p=2.0, t=t)
+
+
+@pytest.mark.parametrize("ineq, operator", [("RIESZ_LOWER", "discrete_derivative"),
+                                            ("DF", "frac_power")])
+def test_a_sign_average_over_21_signs_is_refused_before_its_operands(ineq, operator,
+                                                                       monkeypatch):
+    def built(*args):
+        raise AssertionError(f"{operator} ran before the sign count was checked")
+
+    monkeypatch.setattr(iq, operator, built)
+    with pytest.raises(ValueError, match="exact mode capped at 20 sign variables, got 21"):
+        evaluate(InequalityInstance(ineq, n=21, p=3.0), character(21, 1))
+
+
+@pytest.mark.parametrize("n", [21, 22])
+def test_grad_l1p_has_no_sign_average_to_refuse(n, monkeypatch):
+    # at n = 22 its gradient components would hold 1.4 GiB: stop at the first operator
+    class Reached(Exception):
+        pass
+
+    def gradient(f):
+        raise Reached
+
+    monkeypatch.setattr(iq, "gradient", gradient)
+    with pytest.raises(Reached):
+        evaluate(InequalityInstance("GRAD_L1P", n=n, p=1.5), character(n, 1))
+
+
 # -- bound-and-prune: a sign average stops once the candidate cannot beat its bar ----------
 
 
@@ -622,22 +654,17 @@ SEARCHED = [(ineq, inner) for ineq, entry in CATALOG.items()
             for inner in (["scalar"] if entry.scalar_only else list(OPERANDS))]
 
 
-def test_the_entries_with_a_sign_average_rhs_are_the_ones_a_bar_can_prune():
-    # R_ABOVE and DF hold their sign average on top, EPI, F1 and GRAD_L1P none
-    assert {ineq for ineq, entry in CATALOG.items() if entry.sign_rhs} == SIGN_RHS
-
-
 def _recording_evaluate(monkeypatch, drop_bar=False):
     """Install a wrapper on `iq.evaluate` that drops every bar, or records the
     (instance, inputs, bar) of each pruned evaluation; return the record."""
     evaluate_, pruned = iq.evaluate, []
 
-    def wrapped(instance, inputs, cfg=None, bar=None):
+    def wrapped(instance, inputs, bar=None):
         if drop_bar:
-            return evaluate_(instance, inputs, cfg)
-        report = evaluate_(instance, inputs, cfg, bar)
+            return evaluate_(instance, inputs)
+        report = evaluate_(instance, inputs, bar)
         if report.pruned:
-            pruned.append((instance, inputs, cfg, bar))
+            pruned.append((instance, inputs, bar))
         return report
 
     monkeypatch.setattr(iq, "evaluate", wrapped)
@@ -654,8 +681,8 @@ def test_search_bits_do_not_depend_on_the_bars(ineq, inner, n, restarts, monkeyp
         pruned = _recording_evaluate(m)
         report, witness = search_max_ratio(inst, cfg)
     assert not report.pruned and (ineq in SIGN_RHS or not pruned)
-    for instance, inputs, rcfg, bar in pruned:  # each proven below its bar, in full
-        assert evaluate(instance, inputs, rcfg).ratio < bar
+    for instance, inputs, bar in pruned:  # each proven below its bar, in full
+        assert evaluate(instance, inputs).ratio < bar
     _recording_evaluate(monkeypatch, drop_bar=True)
     unbarred, unbarred_witness = search_max_ratio(inst, cfg)
     assert _report_bytes(report) == _report_bytes(unbarred)
@@ -669,18 +696,23 @@ def test_the_search_prunes_and_every_pruned_evaluation_is_below_its_bar(monkeypa
     report, _ = search_max_ratio(inst, SearchConfig(trials=12, restarts=1, ascent_steps=12,
                                                     seed=7))
     assert len(pruned) >= 5
-    for instance, inputs, cfg, bar in pruned:
-        full = evaluate(instance, inputs, cfg)
+    for instance, inputs, bar in pruned:
+        full = evaluate(instance, inputs)
         assert not full.pruned and full.ratio < bar <= report.ratio
 
 
-@pytest.mark.parametrize("ineq", sorted(SIGN_RHS))
+@pytest.mark.parametrize("ineq", sorted(CATALOG))
 def test_a_bar_above_the_ratio_prunes_and_one_below_changes_no_bit(ineq):
     inst = _catalog_instance(ineq, n=5)
     inputs = random_inputs(inst, stream_generator(5, 1))
     full = evaluate(inst, inputs)
     assert not full.pruned
+    if ineq not in SIGN_RHS:  # a sign average in the lhs, or none: no bar prunes
+        for bar in (2.0 * full.ratio, math.inf):
+            barred = evaluate(inst, inputs, bar)
+            assert not barred.pruned and _report_bytes(barred) == _report_bytes(full)
+        return
     for bar in (0.0, -1.0, math.nan, full.ratio, np.nextafter(full.ratio, 0.0), 0.5 * full.ratio):
-        assert _report_bytes(evaluate(inst, inputs, None, bar)) == _report_bytes(full)
-    capped = evaluate(inst, inputs, None, 2.0 * full.ratio)
+        assert _report_bytes(evaluate(inst, inputs, bar)) == _report_bytes(full)
+    capped = evaluate(inst, inputs, 2.0 * full.ratio)
     assert capped.pruned and capped.lhs == full.lhs and capped.rhs <= full.rhs
