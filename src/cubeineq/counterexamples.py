@@ -76,17 +76,6 @@ def talagrand_profile(n: int) -> RadialProfile:
     return RadialProfile(n, v)
 
 
-def talagrand_lhs(n: int) -> float:
-    """max_d |v(d) - E v|: the inner sup norm of the recentered lift.
-
-    The two-variable lift F(eps, eta) = f(eps eta) has eps-mean equal to
-    E f for every eta, and its recentered sup over eta is the same for
-    every eps, so the outer p-average is this single number for all p.
-    The mean is the exact binomial expectation, not a lower bound.
-    """
-    return _sup_deviation(talagrand_profile(n))
-
-
 def _sup_deviation(prof: RadialProfile) -> float:
     return float(np.max(np.abs(prof.v - prof.mean)))
 
@@ -121,22 +110,6 @@ def talagrand_pointwise_bound(n: int, count: int, seed: int = 0, stream: int = 0
 
 
 # -- point-mass (Riesz-from-above) counterexample ------------------------------
-
-
-def lamberton_point_mass(n: int) -> RadialProfile:
-    """f = 2^{-n} prod_i (1 + eps_i): the indicator of the all-ones point."""
-    v = np.zeros(n + 1)
-    v[0] = 1.0
-    return RadialProfile(n, v)
-
-
-def lamberton_gradient_norm(n: int, s: float) -> float:
-    """|| |grad f|_{ell^2} ||_{L^s} in closed form.
-
-    The gradient is sqrt(n)/2 at the all-ones point, 1/2 at its n
-    neighbours, and zero elsewhere.
-    """
-    return 2.0 ** (-n / s) * math.exp(_log_unit_gradient_norm(n, s))
 
 
 def _log_unit_gradient_norm(n: int, s: float) -> float:

@@ -414,18 +414,6 @@ def group_translate(f: CubeFunction, eta) -> CubeFunction:
     return f._with(out)
 
 
-def permute_coordinates(f: CubeFunction, perm) -> CubeFunction:
-    """Relabel coordinate i as perm[i]; fhat(A) moves to the relabeled mask."""
-    perm = np.asarray(perm)
-    if (perm.dtype.kind not in "iu" or perm.shape != (f.n,)
-            or not np.array_equal(np.sort(perm), np.arange(f.n))):
-        raise ValueError("perm must be a permutation of 0..n-1")
-    # as a (2,)*n array, axis k holds bit n-1-k; output bit perm[i] reads input bit i
-    lead = f.coeffs.shape[:-1]
-    axes = (*range(len(lead)), *(len(lead) + f.n - 1 - np.argsort(perm)[::-1]))
-    return f._with(f.coeffs.reshape(*lead, *(2,) * f.n).transpose(axes).reshape(f.coeffs.shape))
-
-
 # -- vector- and two-variable functions ---------------------------------------
 
 
@@ -482,11 +470,6 @@ class BiCubeFunction(_CoeffArray):
         for row in rows:  # the rows with bit j of delta clear add f_j, the others subtract it
             coeffs = np.concatenate([coeffs + row, coeffs - row])
         return cls.from_coeffs(rows.shape[1].bit_length() - 1, coeffs)
-
-    @classmethod
-    def from_translate(cls, f: CubeFunction) -> "BiCubeFunction":
-        """F(eps, eta) = f(eps * eta): row eta holds fhat(A) eta^A, a Walsh matrix entry."""
-        return cls.from_coeffs(f.n, walsh_transform(np.eye(1 << f.n)) * f.coeffs)
 
     def marginal(self, j: int) -> CubeFunction:
         """F_j(eps) = E_delta[ delta_j F(eps, delta) ]."""

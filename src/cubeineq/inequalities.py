@@ -47,10 +47,11 @@ built (Monte-Carlo averages are `norms.rademacher_avg`'s).  Given a bar, an entr
 prunes iff its rhs is a sign average (RIESZ_LOWER, R_BELOW, R_BELOW_NOD, PISIER,
 PT_DERIV, GAMMA_BELOW): that average is capped at lhs const / bar, where the
 ratio falls below the bar; `norms.rademacher_avg` stops once a partial sum of its
-pattern powers proves the cap passed, and the report is flagged `pruned`.  R_ABOVE
-and DF hold theirs in the lhs, which a partial sum bounds only from below; EPI, F1
-and GRAD_L1P have none.  An evaluation that is not pruned is bit for bit the one
-without a bar.
+pattern powers proves the cap passed, or, at p >= 2, before any pattern once its
+Parseval floor (from the squared L^2 norms of the operands) does, and the report
+is flagged `pruned`.  R_ABOVE and DF hold theirs in the lhs, which a partial sum
+or a floor bounds only from below; EPI, F1 and GRAD_L1P have none.  An evaluation
+that is not pruned is bit for bit the one without a bar.
 """
 
 from __future__ import annotations
@@ -82,6 +83,9 @@ from .norms import (MAX_EXACT_SIGNS, OPERANDS, MixedNormSpec, inner_kind, lp_nor
 from .rng import stream_generator
 
 MAX_INPUT_COEFFS = 1 << 22  # one input's coefficient vector: 32 MiB of doubles
+# GRAD_L1P's n gradient components, n 2^n coefficients: 160 MiB at n = 20, which peaks at
+# 373 MiB; n = 21 would take 2.1 times that
+MAX_GRADIENT_COEFFS = 20 << 20
 ASCENT_STEP = 0.25  # first coordinate step of the ratio search's ascent
 
 
@@ -234,7 +238,10 @@ def _epi(instance, family):
 
 
 def _grad_l1p(instance, f):
-    p = instance.p
+    p, coeffs = instance.p, instance.n << instance.n
+    if coeffs > MAX_GRADIENT_COEFFS:
+        raise ValueError(f"GRAD_L1P's {coeffs} gradient coefficients exceed the budget of "
+                         f"{MAX_GRADIENT_COEFFS}")
     return (mixed_norm(VectorCubeFunction(gradient(f)), MixedNormSpec.lq(p, 2)),
             lp_norm(frac_power(f, -1.0 / p), p))
 
@@ -413,7 +420,9 @@ def search_max_ratio(instance: InequalityInstance, cfg: SearchConfig | None = No
     ratio among the probes evaluated in full so far (none until `restarts` of them
     are in), an ascent step the ratio of the report it must beat.  An entry
     prunes iff its rhs is a sign average (see the module docstring: R_ABOVE and
-    DF hold theirs in the lhs, which a partial sum bounds only from below).  A
+    DF hold theirs in the lhs, which a partial sum or a Parseval floor bounds only
+    from below); at p >= 2 most losers are pruned by that floor, before any Walsh
+    transform of their operands.  A
     pruned evaluation is proven strictly below its bar, so it is never a
     restart, the best or the witness, and it draws nothing: report and witness
     are bit for bit those of the search without bars, which evaluates every

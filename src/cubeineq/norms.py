@@ -23,7 +23,9 @@ Given a cap, `rademacher_avg` keeps a running sum of the blocks' powers (a
 running maximum at p = inf) and stops at the first block that proves the
 average above the cap by the margin `_CAP_SLACK`, returning the cap as a
 flagged lower bound; the ratio search caps the rhs of a candidate that would
-lose (`inequalities.evaluate`).  Without a cap the blocks are the same.
+lose (`inequalities.evaluate`).  At p >= 2 an exact average first compares
+the cap with its Parseval floor (`_parseval_floor`), and one the floor passes
+is returned before any transform.  Without a cap the blocks are the same.
 `lp_norm`, `mixed_norm`, `rademacher_avg` and `radial_sup_rademacher_moment`
 scale those values once per call by a power of two when the largest
 |value|^p would leave the normal range (`_rescale`), and scale the root back;
@@ -94,6 +96,16 @@ _SLACK = 1e-12  # relative, on its pair bounds: covers the rounding of value and
 # - the side: rhs / const (PT_DERIV), c = lhs const / bar and the ratio lhs / rhs, 4 u.
 # So rhs > (lhs const / bar)(1 + _CAP_SLACK)(1 - 2 gamma - 755 u) / const and the ratio is
 # below bar (1 + u) / ((1 + _CAP_SLACK)(1 - 1.3e-10)) < bar: 1e-9 leaves a factor 7.
+# At p >= 2 an exact average returns the cap before any transform once its floor
+# F = r sqrt(S) (`_parseval_floor`: S sums the m <= 2^19 squared coefficients) passes
+# c (1 + _CAP_SLACK).  F rounds up by at most (gamma_m + 2^-34) / 2 < 6e-11 from S (squares
+# below the normal range lose m 2^-1075 < 2^-34 S), u from the sqrt, 16 u from the pow in r
+# (a rounded 1/q times |ln R| < 13.2) and u from the product; its scaling is exact.  Against
+# the exact average A >= F, the transform and the signed sum put at most
+# gamma_{n+k} sum|coefficients| into a value, under gamma_39 sqrt(m) F < 3.2e-12 F in the
+# inner norm, and the powers, their means and `_root` lose under 2e-10 (1.3e-10 as above,
+# and gamma_R / q from an inner sum).  So the computed average exceeds c (1 + _CAP_SLACK)
+# (1 - 3e-10), and the ratio is below the bar as above.
 _CAP_SLACK = 1e-9
 MAX_CAP_PATTERNS = 1 << (MAX_EXACT_SIGNS - 1)  # the sums the margin covers: every exact average
 TAIL_MASS = 1e-20  # binomial mass outside the sign-total window of the radial sup reduction
@@ -379,6 +391,22 @@ def _power_blocks(chunks, vals: np.ndarray, spec: MixedNormSpec, gram: np.ndarra
             yield _pattern_powers(block.reshape(shape), spec, scratch.reshape(shape))
 
 
+def _parseval_floor(operands, spec: MixedNormSpec) -> float:
+    """r sqrt(sum_i ||g_i||^2), the norms in L^2(X) with an ell^2 or L^2 inner norm: at
+    p >= 2 a lower bound on the average of `rademacher_avg`, exact mode.  The signs are
+    orthogonal, so E_delta mean_x ||sum_i delta_i g_i(x)||_2^2 is that sum (Parseval);
+    Lyapunov on (delta, x) takes it to the power p; an inner norm is at least r times ell^2,
+    r = R^min(0, 1/q - 1/2) over R components, 1 for a scalar or L^q with q >= 2.  The
+    coefficients are scaled as `_rescale` scales squares.  0.0, no floor, for L^q with
+    q < 2 and over `MAX_CAP_PATTERNS` coefficients (see `_CAP_SLACK`)."""
+    shape = operands[0].coeffs.shape
+    if (spec.inner == "Lq" and spec.q < 2) or len(operands) * math.prod(shape) > MAX_CAP_PATTERNS:
+        return 0.0
+    c, scale = _rescale(np.stack([g.coeffs for g in operands]), MixedNormSpec.scalar(2.0))
+    r = shape[-2] ** min(0.0, 1.0 / spec.q - 0.5) if spec.inner == "lq" else 1.0
+    return _unscale(r * math.sqrt(_square_sum(c, spec)), scale)
+
+
 def _power_limit(cap: float | None, p: float, count: int, scale: int) -> float:
     """What the running sum of `count` pattern powers (their running maximum at
     p = inf) of values scaled by 2^-scale must exceed to prove the average above
@@ -415,7 +443,11 @@ def rademacher_avg(operands, p: float, spec: MixedNormSpec | None = None,
     result is the flagged lower bound `RademacherResult(cap, pruned=True)`,
     with no standard error.  Exact and Monte-Carlo mode alike; the exact
     Hilbert case (one trace, no patterns) and a count of patterns over
-    `MAX_CAP_PATTERNS` are always computed in full.  A cap the average does not
+    `MAX_CAP_PATTERNS` are always computed in full.  Exact mode at p >= 2 outside
+    the Hilbert case first tries the floor r sqrt(sum_i ||g_i||^2) of
+    `_parseval_floor`: once it passes the cap by `_CAP_SLACK` the flagged cap is
+    returned with no transform, sign table or block (a cap `_power_limit` refuses
+    at scale 0 gets no floor).  A cap the average does not
     pass changes no bit: the blocks are the ones computed without it.  A cap
     bounds an average from below only, so it serves a ratio whose denominator
     is the average (`inequalities.evaluate`), never one whose numerator is.
@@ -437,6 +469,9 @@ def rademacher_avg(operands, p: float, spec: MixedNormSpec | None = None,
     if exact and k > MAX_EXACT_SIGNS:
         raise ValueError(f"exact mode capped at {MAX_EXACT_SIGNS} sign variables, got {k}")
     hilbert = _hilbert(spec)  # then a pattern's power is delta^T G delta, of mean tr G
+    if (exact and p >= 2 and not hilbert and _power_limit(cap, p, 1 << (k - 1), 0) < math.inf
+            and _parseval_floor(operands, spec) > float(cap) * (1.0 + _CAP_SLACK)):
+        return RademacherResult(float(cap), pruned=True)
     vals, scale = _rescale(np.stack([g.coeffs for g in operands]) if hilbert
                            else _operand_values(operands), spec, k, 1 if exact else 2)
     if hilbert and exact:

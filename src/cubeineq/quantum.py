@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import (CubeFunction, VectorCubeFunction, _check_coord, _dot, _halves, _xor_grid,
+from .cube import (CubeFunction, VectorCubeFunction, _check_coord, _halves, _xor_grid,
                    character, frac_power, levels, partial_derivative, riesz)
 from .inequalities import InequalityInstance, RatioReport
 from .norms import MixedNormSpec, _rescale, _unscale
@@ -100,29 +100,11 @@ class PauliWord:
     def n(self) -> int:
         return len(self.letters)
 
-    @classmethod
-    def from_string(cls, s: str) -> "PauliWord":
-        return cls(tuple(s))
-
-    @classmethod
-    def q_word(cls, mask: int, n: int) -> "PauliWord":
-        return cls(tuple("Q" if (mask >> i) & 1 else "I" for i in range(n)))
-
-    @classmethod
-    def p_word(cls, mask: int, n: int) -> "PauliWord":
-        return cls(tuple("P" if (mask >> i) & 1 else "I" for i in range(n)))
-
     def matrix(self) -> np.ndarray:
         """The dense 2^n x 2^n matrix of the word."""
         _check_qubits(self.n)  # before the kron products
         # coordinate i owns bit i of the index, so factor order is reversed
         return functools.reduce(np.kron, [_LETTERS[c] for c in reversed(self.letters)])
-
-
-def pauli_inner(X, Y) -> complex:
-    """tr(X^* Y) with the normalized trace; Pauli words are orthonormal."""
-    (x, n), (y, _) = _square(X), _square(Y)
-    return complex(_dot(x.conj().reshape(-1), y.reshape(-1)) / (1 << n))
 
 
 # -- the commutative embedding -------------------------------------------------

@@ -4,8 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import cubeineq.counterexamples as cx
 import cubeineq.quantum as qt
-from cubeineq.cube import CubeFunction, levels
+from cubeineq.cube import BiCubeFunction, CubeFunction, _dot, levels, walsh_transform
+from cubeineq.radial import RadialProfile
 from cubeineq.rng import stream_generator
 
 
@@ -321,3 +323,68 @@ def mc_noise_reference(f, t, batch, at=None):
     value = float(samples.mean())
     stderr = float(samples.std(ddof=1) / math.sqrt(batch.count)) if batch.count > 1 else 0.0
     return value, stderr, batch.count
+
+
+# -- constructions and closed forms that only the tests use ----------------------
+
+
+def permute_coordinates(f: CubeFunction, perm) -> CubeFunction:
+    """Relabel coordinate i as perm[i]; fhat(A) moves to the relabeled mask."""
+    perm = np.asarray(perm)
+    if (perm.dtype.kind not in "iu" or perm.shape != (f.n,)
+            or not np.array_equal(np.sort(perm), np.arange(f.n))):
+        raise ValueError("perm must be a permutation of 0..n-1")
+    # as a (2,)*n array, axis k holds bit n-1-k; output bit perm[i] reads input bit i
+    lead = f.coeffs.shape[:-1]
+    axes = (*range(len(lead)), *(len(lead) + f.n - 1 - np.argsort(perm)[::-1]))
+    return f._with(f.coeffs.reshape(*lead, *(2,) * f.n).transpose(axes).reshape(f.coeffs.shape))
+
+
+def from_translate(f: CubeFunction) -> BiCubeFunction:
+    """F(eps, eta) = f(eps * eta): row eta holds fhat(A) eta^A, a Walsh matrix entry."""
+    return BiCubeFunction.from_coeffs(f.n, walsh_transform(np.eye(1 << f.n)) * f.coeffs)
+
+
+def talagrand_lhs(n: int) -> float:
+    """max_d |v(d) - E v|: the inner sup norm of the recentered lift.
+
+    The two-variable lift F(eps, eta) = f(eps eta) has eps-mean equal to
+    E f for every eta, and its recentered sup over eta is the same for
+    every eps, so the outer p-average is this single number for all p.
+    The mean is the exact binomial expectation, not a lower bound.
+    """
+    return cx._sup_deviation(cx.talagrand_profile(n))
+
+
+def lamberton_point_mass(n: int) -> RadialProfile:
+    """f = 2^{-n} prod_i (1 + eps_i): the indicator of the all-ones point."""
+    v = np.zeros(n + 1)
+    v[0] = 1.0
+    return RadialProfile(n, v)
+
+
+def lamberton_gradient_norm(n: int, s: float) -> float:
+    """|| |grad f|_{ell^2} ||_{L^s} in closed form.
+
+    The gradient is sqrt(n)/2 at the all-ones point, 1/2 at its n
+    neighbours, and zero elsewhere.
+    """
+    return 2.0 ** (-n / s) * math.exp(cx._log_unit_gradient_norm(n, s))
+
+
+def pauli_word(s: str) -> qt.PauliWord:
+    return qt.PauliWord(tuple(s))
+
+
+def q_word(mask: int, n: int) -> qt.PauliWord:
+    return qt.PauliWord(tuple("Q" if (mask >> i) & 1 else "I" for i in range(n)))
+
+
+def p_word(mask: int, n: int) -> qt.PauliWord:
+    return qt.PauliWord(tuple("P" if (mask >> i) & 1 else "I" for i in range(n)))
+
+
+def pauli_inner(X, Y) -> complex:
+    """tr(X^* Y) with the normalized trace; Pauli words are orthonormal."""
+    (x, n), (y, _) = qt._square(X), qt._square(Y)
+    return complex(_dot(x.conj().reshape(-1), y.reshape(-1)) / (1 << n))

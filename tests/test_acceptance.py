@@ -13,7 +13,6 @@ import numpy as np
 import cubeineq.counterexamples as cx
 import cubeineq.quantum as qt
 from cubeineq.cube import (
-    BiCubeFunction,
     VectorCubeFunction,
     random_function,
 )
@@ -31,7 +30,8 @@ from cubeineq.noise import (
 )
 from cubeineq.norms import MixedNormSpec, lp_norm, mixed_norm
 from cubeineq.rng import stream_generator
-from conftest import brute_sup_rademacher_moment
+from conftest import (brute_sup_rademacher_moment, from_translate, lamberton_gradient_norm,
+                      lamberton_point_mass)
 
 
 def _gate(num, name, ok, detail):
@@ -100,7 +100,7 @@ def test_criterion_05_talagrand_reproduction():
         for p in (2.0, 3.0):
             rep = cx.talagrand_ratio(n, p)
             f = cx.talagrand_profile(n).to_cube_function()
-            F = BiCubeFunction.from_translate(f)
+            F = from_translate(f)
             recentered = F.values - F.values.mean(axis=0, keepdims=True)
             lhs_dense = float(((np.abs(recentered).max(axis=1) ** p).mean()) ** (1 / p))
             rhs_dense = brute_sup_rademacher_moment(f, p)
@@ -128,12 +128,12 @@ def test_criterion_06_lamberton_reproduction():
     increasing = all(b > a for a, b in zip(ratios, ratios[1:]))
     worst = 0.0
     for n in (6, 10, 13):
-        f = cx.lamberton_point_mass(n).to_cube_function()
+        f = lamberton_point_mass(n).to_cube_function()
         from cubeineq.cube import gradient
 
         grads = np.stack([g.values() for g in gradient(f)])
         dense = float((((np.sqrt((grads**2).sum(0))) ** 1.5).mean()) ** (1 / 1.5))
-        worst = max(worst, abs(cx.lamberton_gradient_norm(n, 1.5) - dense))
+        worst = max(worst, abs(lamberton_gradient_norm(n, 1.5) - dense))
     ok = increasing and worst <= 1e-10
     _gate(6, "Lamberton reproduction", ok,
           f"ratio strictly increasing n=6..20 ({ratios[0]:.3f} -> {ratios[-1]:.3f}); "

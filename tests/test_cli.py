@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -40,6 +41,23 @@ def test_every_readme_command_line_example_exits_zero(capsys, monkeypatch, tmp_p
         code, _, err = run_cli(capsys, *argv[1:])
         assert code == 0, (argv, err)
     assert (tmp_path / "gamma.csv").read_text().startswith("inequality_id,n,p,q,")
+
+
+def test_every_readme_command_line_example_prints_its_pinned_bytes(capsys, monkeypatch, tmp_path):
+    # readme_examples.sha256 holds, as sha256sum prints them, the digests of each example's
+    # stdout and of the file its --out names; a change that moves an output bit must say so there
+    monkeypatch.chdir(tmp_path)
+    pins = Path(__file__).with_name("readme_examples.sha256").read_text().splitlines()
+    pinned = dict(reversed(line.split("  ", 1)) for line in pins)
+    got = {}
+    for argv in _readme_command_lines():
+        code, out, err = run_cli(capsys, *argv[1:])
+        assert code == 0, (argv, err)
+        got[shlex.join(argv)] = hashlib.sha256(out.encode()).hexdigest()
+        if "--out" in argv:
+            name = argv[argv.index("--out") + 1]
+            got[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert got == pinned
 
 
 def test_version(capsys):
@@ -441,6 +459,16 @@ def test_ratio_and_sweep_refuse_a_non_finite_time(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert "error: PT_DERIV needs a finite t in (0, inf), got inf" in err
+
+
+def test_grad_l1p_over_its_gradient_budget_exits_one(capsys, monkeypatch):
+    def gradient(f):
+        raise AssertionError("gradient ran before the gradient budget was checked")
+
+    monkeypatch.setattr(inequalities, "gradient", gradient)
+    code, out, err = run_cli(capsys, "ratio", "--ineq", "GRAD_L1P", "--n", "21", "--p", "1.5")
+    assert (code, out) == (1, "")
+    assert "error: GRAD_L1P's 44040192 gradient coefficients exceed the budget of 20971520" in err
 
 
 def test_verify_non_finite_discrepancy_exits_two(capsys, monkeypatch):

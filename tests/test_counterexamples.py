@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import cubeineq.counterexamples as cx
-from cubeineq.cube import BiCubeFunction, discrete_derivative, gradient
+from cubeineq.cube import discrete_derivative, gradient
 from cubeineq.norms import MixedNormSpec, lp_norm, rademacher_avg
 from cubeineq.radial import MAX_RADIAL_N, binomial_weights
-from conftest import brute_sup_rademacher_moment, exact_krawtchouk
+from conftest import (brute_sup_rademacher_moment, exact_krawtchouk, from_translate,
+                      lamberton_gradient_norm, lamberton_point_mass, talagrand_lhs)
 
 
 @functools.cache
@@ -159,7 +160,7 @@ def test_mass_beyond_n_over_three():
 
 @pytest.mark.parametrize("n, p", [(4, 1.0), (100, 2.0), (4096, 3.5), (1 << 16, np.inf)])
 def test_talagrand_ratio_builds_one_profile_for_both_sides(monkeypatch, n, p):
-    lhs, rhs = cx.talagrand_lhs(n), cx.radial_sup_rademacher_moment(cx.talagrand_profile(n), p)
+    lhs, rhs = talagrand_lhs(n), cx.radial_sup_rademacher_moment(cx.talagrand_profile(n), p)
     builds = []
     build = cx.talagrand_profile
     monkeypatch.setattr(cx, "talagrand_profile", lambda n: builds.append(n) or build(n))
@@ -175,7 +176,7 @@ def test_small_n_dense_cross_check(rng):
     f = prof.to_cube_function()
     rep = cx.talagrand_ratio(n, p)
 
-    F = BiCubeFunction.from_translate(f)
+    F = from_translate(f)
     recentered = F.values - F.values.mean(axis=0, keepdims=True)
     inner_sup = np.abs(recentered).max(axis=1)
     lhs_dense = float(((inner_sup**p).mean()) ** (1 / p))
@@ -222,10 +223,10 @@ def test_growth_curve_validation():
 
 def test_lamberton_closed_form_vs_dense():
     n, s = 10, 1.5
-    f = cx.lamberton_point_mass(n).to_cube_function()
+    f = lamberton_point_mass(n).to_cube_function()
     grads = np.stack([g.values() for g in gradient(f)])
     dense = float((((np.sqrt((grads**2).sum(0))) ** s).mean()) ** (1 / s))
-    assert abs(cx.lamberton_gradient_norm(n, s) - dense) < 1e-10
+    assert abs(lamberton_gradient_norm(n, s) - dense) < 1e-10
 
 
 def test_lamberton_small_n_full_enumeration():
@@ -257,8 +258,8 @@ def test_lamberton_regime_flag():
 def test_riesz_above_inner_norm_constant_in_eps(rng):
     # enumerate || sum_i delta_i D_i g(eps) ||_{L^s(eta)} at every eps directly
     n, s = 6, 1.5
-    f = cx.lamberton_point_mass(n).to_cube_function()
-    F = BiCubeFunction.from_translate(f)
+    f = lamberton_point_mass(n).to_cube_function()
+    F = from_translate(f)
     ops = [F.map_eps(lambda h, i=i: discrete_derivative(h, i)) for i in range(n)]
     delta = 1.0 - 2.0 * rng.integers(0, 2, size=n)
     total = np.zeros_like(F.values)

@@ -21,7 +21,6 @@ from cubeineq.cube import (
     laplacian,
     levels,
     partial_derivative,
-    permute_coordinates,
     random_function,
     riesz,
     sign_table,
@@ -31,9 +30,9 @@ from cubeineq.cube import (
 from cubeineq.cube import _BLOCK
 from cubeineq.rng import stream_generator
 from conftest import (apply_multiplier_reference, brute_walsh_coefficients,
-                      derivative_value_matrix, discrete_derivative_reference,
+                      derivative_value_matrix, discrete_derivative_reference, from_translate,
                       group_translate_reference, partial_derivative_reference,
-                      per_column_reference, per_component_reference,
+                      per_column_reference, per_component_reference, permute_coordinates,
                       permute_coordinates_reference, riesz_reference, same_bytes,
                       walsh_reference)
 
@@ -451,7 +450,7 @@ def test_bicube_marginals_and_reembedding(rng):
 
 def test_bicube_translate_lift(rng):
     f = random_function(3, rng)
-    F = BiCubeFunction.from_translate(f)
+    F = from_translate(f)
     vals = f.values()
     for e in range(8):
         for h in range(8):

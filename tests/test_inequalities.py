@@ -11,7 +11,6 @@ from cubeineq.cube import (
     discrete_derivative,
     frac_power,
     heat,
-    permute_coordinates,
     random_function,
 )
 from cubeineq.inequalities import (
@@ -39,6 +38,7 @@ from cubeineq import cube
 from cubeineq import inequalities as iq
 from cubeineq.norms import OPERANDS, lp_norm, rademacher_avg
 from cubeineq.rng import stream_generator
+from conftest import permute_coordinates
 
 
 def test_dictator_riesz_lower_ratio_is_one():
@@ -634,15 +634,13 @@ def test_a_sign_average_over_21_signs_is_refused_before_its_operands(ineq, opera
 
 @pytest.mark.parametrize("n", [21, 22])
 def test_grad_l1p_has_no_sign_average_to_refuse(n, monkeypatch):
-    # at n = 22 its gradient components would hold 1.4 GiB: stop at the first operator
-    class Reached(Exception):
-        pass
-
+    # but its n gradient components (1.4 GiB at n = 22) are refused before the first is built
     def gradient(f):
-        raise Reached
+        raise AssertionError("gradient ran before the gradient budget was checked")
 
     monkeypatch.setattr(iq, "gradient", gradient)
-    with pytest.raises(Reached):
+    with pytest.raises(ValueError, match=f"GRAD_L1P's {n << n} gradient coefficients exceed "
+                                         f"the budget of {iq.MAX_GRADIENT_COEFFS}"):
         evaluate(InequalityInstance("GRAD_L1P", n=n, p=1.5), character(n, 1))
 
 

@@ -32,12 +32,13 @@ from cubeineq.norms import (
     sign_total_window,
     sup_gradient_sum_by_sign_total,
 )
-from cubeineq.counterexamples import lamberton_point_mass, talagrand_profile
+from cubeineq.counterexamples import talagrand_profile
 from cubeineq.radial import RadialProfile, binomial_weights
 from cubeineq import norms
 from cubeineq.norms import _BLOCK, _envelope_weights, _pattern_powers, _pow, _upper_chain
-from conftest import (brute_sup_rademacher_moment, brute_upper_chain, pow_reference,
-                      rademacher_reference, same_bytes, windowed_sup_reference)
+from conftest import (brute_sup_rademacher_moment, brute_upper_chain, from_translate,
+                      lamberton_point_mass, pow_reference, rademacher_reference, same_bytes,
+                      windowed_sup_reference)
 
 
 def test_dictator_has_unit_norm_for_every_p():
@@ -75,7 +76,7 @@ def test_single_component_reduces_to_lp(rng):
 def test_translate_lift_sup_is_constant(rng):
     # F(eps, eta) = f(eps eta): the inner sup over eta equals max|f| at every eps
     f = random_function(4, rng)
-    F = BiCubeFunction.from_translate(f)
+    F = from_translate(f)
     inner = np.abs(F.values).max(axis=1)
     assert np.max(np.abs(inner - np.abs(f.values()).max())) < 1e-12
     spec = MixedNormSpec.cube(3.0, np.inf)
@@ -148,7 +149,7 @@ def test_scalar_mixed_norm_allocates_no_more_than_lp_norm(rng):
 
 def test_scalar_mixed_norm_is_lp_norm(rng):
     f = random_function(4, rng)
-    operands = (f, VectorCubeFunction([f]), BiCubeFunction.from_translate(f), [f])
+    operands = (f, VectorCubeFunction([f]), from_translate(f), [f])
     assert [inner_kind(g) for g in operands] == ["scalar", "lq", "Lq", None]
     for p in (1.0, 1.5, 2.0, 3.0, np.inf):
         assert mixed_norm(f, MixedNormSpec.scalar(p)) == lp_norm(f, p)
@@ -797,11 +798,9 @@ def test_a_cap_above_the_average_changes_no_bit_and_one_below_flags_a_lower_boun
         assert _bits(rademacher_avg(ops, spec.p, spec, cfg, cap)) == _bits(full)
 
 
-def test_a_capped_average_stops_at_the_first_block_that_passes_the_cap(rng, monkeypatch):
-    # 2^9 patterns of 1024 values in 16 blocks; a cap far below the average stops at the first
-    ops = random_operands(rng, "scalar", 10, 10)
-    blocks = []
-    power_blocks = norms._power_blocks
+def _count_blocks(monkeypatch):
+    """Record the size of every block `_power_blocks` yields."""
+    blocks, power_blocks = [], norms._power_blocks
 
     def counted(*args):
         for block in power_blocks(*args):
@@ -809,11 +808,29 @@ def test_a_capped_average_stops_at_the_first_block_that_passes_the_cap(rng, monk
             yield block
 
     monkeypatch.setattr(norms, "_power_blocks", counted)
-    full = rademacher_avg(ops, 3.0)
+    return blocks
+
+
+def test_a_capped_average_stops_at_the_first_block_that_passes_the_cap(rng, monkeypatch):
+    # 2^9 patterns of 1024 values in 16 blocks; a cap far below the average stops at the
+    # first (at p = 1.5, where no Parseval floor applies)
+    ops = random_operands(rng, "scalar", 10, 10)
+    blocks = _count_blocks(monkeypatch)
+    full = rademacher_avg(ops, 1.5)
     assert sum(blocks) == 1 << 9 and len(blocks) == 16
     blocks.clear()
-    assert rademacher_avg(ops, 3.0, cap=0.1 * full.value).pruned
+    assert rademacher_avg(ops, 1.5, cap=0.1 * full.value).pruned
     assert len(blocks) == 1
+
+
+def test_a_capped_average_below_its_parseval_floor_makes_no_block(rng, monkeypatch):
+    # the p = 3 twin of the test above: the floor proves the cap passed before any block
+    ops = random_operands(rng, "scalar", 10, 10)
+    blocks = _count_blocks(monkeypatch)
+    full = rademacher_avg(ops, 3.0)
+    blocks.clear()
+    assert rademacher_avg(ops, 3.0, cap=0.1 * full.value).pruned
+    assert len(blocks) == 0
 
 
 @pytest.mark.parametrize("mode", ["exact", "monte-carlo"])
@@ -837,3 +854,98 @@ def test_a_cap_prunes_no_count_of_patterns_past_the_margin(rng):
     big = RademacherConfig("monte-carlo", samples=norms.MAX_CAP_PATTERNS + 1, seed=2)
     full = rademacher_avg(ops, 3.0, cfg=big)
     assert _bits(rademacher_avg(ops, 3.0, cfg=big, cap=full.value / 4)) == _bits(full)
+
+
+# -- the Parseval floor: at p >= 2, r sqrt(sum_i ||g_i||^2) <= the exact average ----------
+
+
+FLOOR_SPECS = [MixedNormSpec.scalar(p) for p in (2.5, 3.0, 4.0, 7.0, np.inf)]
+FLOOR_SPECS += [MixedNormSpec(p, inner, q) for p in (2.0, 2.5, 3.0, 4.0, 7.0)
+                for inner, qs in (("lq", (1.0, 1.5, 2.0, 3.0, np.inf)), ("Lq", (2.0, 3.0, np.inf)))
+                for q in qs if not norms._hilbert(MixedNormSpec(p, inner, q))]
+
+
+def _sparse(ops, rng):
+    """The operands with about 4 in 5 coefficients zeroed."""
+    return [type(g).from_coeffs(g.n, g.coeffs * (rng.random(g.coeffs.shape) < 0.2)) for g in ops]
+
+
+@pytest.mark.parametrize("spec", FLOOR_SPECS, ids=str)
+def test_the_parseval_floor_never_exceeds_the_exact_average(rng, spec):
+    for n, k in ((1, 1), (3, 2), (4, 5), (5, 3)):
+        dense = random_operands(rng, spec.inner, n, k)
+        assert norms._parseval_floor(dense, spec) > 0.0
+        for ops in (dense, _sparse(dense, rng)):
+            floor = norms._parseval_floor(ops, spec)
+            assert floor <= rademacher_avg(ops, spec.p, spec).value * (1 + 1e-15), (n, k)
+
+
+def _flat_character(inner, n, mask, q):
+    """a times the character of `mask` in every row: an inner norm at which the floor
+    is tight (one nonzero row of ell^q at q <= 2, rows of equal |a| otherwise)."""
+    chi = character(n, mask).coeffs
+    if inner == "scalar":
+        return CubeFunction.from_coeffs(n, -0.75 * chi)
+    if inner == "lq":
+        rows = np.array([0.0, -1.25, 0.0]) if q <= 2 else np.array([1.25, -1.25, 1.25])
+        return VectorCubeFunction.from_coeffs(n, np.outer(rows, chi))
+    return BiCubeFunction.from_coeffs(n, np.outer(np.resize([0.5, -0.5, 0.5], 4), chi))
+
+
+@pytest.mark.parametrize("spec", FLOOR_SPECS, ids=str)
+def test_the_parseval_floor_of_a_character_is_its_average(spec):
+    for n, mask in ((1, 1), (4, 0b1010), (6, 0b111111)):
+        g = _flat_character(spec.inner, n, mask, spec.q)
+        floor, value = norms._parseval_floor([g], spec), rademacher_avg([g], spec.p, spec).value
+        assert abs(floor - value) <= 2.3e-16 * value, (n, floor, value)
+
+
+def _count_transforms(monkeypatch):
+    calls, transform = [], norms.walsh_transform
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return transform(a)
+
+    monkeypatch.setattr(norms, "walsh_transform", counted)
+    return calls
+
+
+@pytest.mark.parametrize("spec", FLOOR_SPECS, ids=str)
+def test_a_cap_below_the_parseval_floor_prunes_before_any_transform(rng, monkeypatch, spec):
+    ops = random_operands(rng, spec.inner, 5, 4)
+    floor = norms._parseval_floor(ops, spec)
+    blocks, transforms = _count_blocks(monkeypatch), _count_transforms(monkeypatch)
+    for cap in (0.5 * floor, floor / (1 + 2e-9)):
+        result = rademacher_avg(ops, spec.p, spec, cap=cap)
+        assert result.pruned and result.value == cap
+    assert blocks == [] and transforms == []
+    # a cap the floor does not pass goes through the transform, as before
+    rademacher_avg(ops, spec.p, spec, cap=floor)
+    assert transforms
+
+
+@pytest.mark.parametrize("inner", list(OPERANDS))
+def test_no_floor_for_monte_carlo_the_hilbert_trace_or_a_non_cap(rng, monkeypatch, inner):
+    spec = MixedNormSpec(3.0, inner, None if inner == "scalar" else 3.0)
+    ops = random_operands(rng, inner, 4, 1) * 2  # delta_0 g + delta_1 g: 0 or +-2 g
+    floor = norms._parseval_floor(ops, spec)
+    # a Monte-Carlo average may read below the floor: a cap between them prunes nothing
+    cfg = next(cfg for seed in range(200)
+               if rademacher_avg(ops, 3.0, spec, cfg := RademacherConfig(
+                   "monte-carlo", samples=2, seed=seed)).value < floor / 2)
+    full = rademacher_avg(ops, 3.0, spec, cfg)
+    assert _bits(rademacher_avg(ops, 3.0, spec, cfg, floor / 1.5)) == _bits(full)
+    # the exact Hilbert trace takes no cap
+    hilbert = hilbert_spec(inner)
+    full = rademacher_avg(ops, 2.0, hilbert)
+    assert _bits(rademacher_avg(ops, 2.0, hilbert, cap=full.value / 2)) == _bits(full)
+    # a cap that is not a positive normal float is no cap
+    full = rademacher_avg(ops, 3.0, spec)
+    for cap in (0.0, -1.0, math.nan, 5e-324):
+        assert _bits(rademacher_avg(ops, 3.0, spec, cap=cap)) == _bits(full)
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5])
+def test_no_floor_for_an_Lq_inner_norm_below_2(rng, q):
+    assert norms._parseval_floor(random_operands(rng, "Lq", 3, 2), MixedNormSpec.cube(3.0, q)) == 0

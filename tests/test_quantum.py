@@ -19,8 +19,8 @@ from cubeineq.norms import MixedNormSpec, lp_norm, mixed_norm
 from cubeineq.rng import stream_generator
 
 from conftest import (apply_p_left_reference, conjugate_nu, conjugate_nu_inv,
-                      kernel_transform_reference, qa_word_defect_reference, rotate_reference,
-                      same_bytes)
+                      kernel_transform_reference, p_word, pauli_inner, pauli_word, q_word,
+                      qa_word_defect_reference, rotate_reference, same_bytes)
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +39,7 @@ def test_word_orthonormality_and_completeness():
     mats = [w.matrix() for w in words]
     for i, X in enumerate(mats):
         for k, Y in enumerate(mats):
-            inner = qt.pauli_inner(X, Y)
+            inner = pauli_inner(X, Y)
             expect = 1.0 if i == k else 0.0
             assert abs(inner - expect) < 1e-12
     # 4^n orthonormal elements span the full matrix algebra
@@ -48,7 +48,7 @@ def test_word_orthonormality_and_completeness():
 
 def test_word_matrix_checks_the_qubit_cap_first():
     with pytest.raises(ValueError, match=r"qubit count must be in \[1, 10\]"):
-        qt.PauliWord.from_string("I" * 11).matrix()
+        pauli_word("I" * 11).matrix()
 
 
 def test_embed_two_by_two():
@@ -89,7 +89,7 @@ def test_schatten_basics(rng):
     eye = np.eye(1 << n)
     for p in (1.0, 1.7, 2.0, np.inf):
         assert abs(qt.schatten_norm(eye, p) - 1.0) < 1e-14
-    word = qt.PauliWord.from_string("QPU").matrix()
+    word = pauli_word("QPU").matrix()
     assert abs(qt.schatten_norm(word, 2.0) - 1.0) < 1e-12
     M = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     ps = [1.0, 1.5, 2.0, 3.0, 6.0, np.inf]
@@ -128,11 +128,11 @@ def test_schatten_norm_of_an_embedding_outside_the_power_range(rng, n, scale):
 
 def test_projection_basis_action():
     n = 2
-    qa = qt.PauliWord.from_string("QQ").matrix()
+    qa = pauli_word("QQ").matrix()
     assert np.max(np.abs(qt.project_Q(qa) - qa)) < 1e-12
-    pj = qt.PauliWord.from_string("IP").matrix()
+    pj = pauli_word("IP").matrix()
     assert np.max(np.abs(qt.project_Q(pj))) < 1e-12
-    qp = qt.PauliWord.from_string("QP").matrix()
+    qp = pauli_word("QP").matrix()
     assert np.max(np.abs(qt.project_Q(qp))) < 1e-12
 
 
@@ -160,8 +160,8 @@ def test_every_matrix_argument_is_checked(quad, entry, bad, message):
     call = {"rotate": lambda T: qt.rotate(T, 0.3),
             "apply_p_left": lambda T: qt.apply_p_left(T, 0),
             "kernel_transform": lambda T: qt.kernel_transform(T, quad),
-            "pauli_inner-X": lambda T: qt.pauli_inner(T, np.eye(4)),
-            "pauli_inner-Y": lambda T: qt.pauli_inner(np.eye(4), T)}.get(entry)
+            "pauli_inner-X": lambda T: pauli_inner(T, np.eye(4)),
+            "pauli_inner-Y": lambda T: pauli_inner(np.eye(4), T)}.get(entry)
     with pytest.raises(ValueError, match=message):
         (call or getattr(qt, entry))(bad)
 
@@ -184,8 +184,8 @@ def test_rotation_identity_and_closed_form():
     assert np.max(np.abs(qt.rotate(T, 0.0) - T)) < 1e-15
     theta = 0.7
     RQ = qt.rotate(T, theta)
-    Q0 = qt.PauliWord.from_string("QI").matrix()
-    P0 = qt.PauliWord.from_string("PI").matrix()
+    Q0 = pauli_word("QI").matrix()
+    P0 = pauli_word("PI").matrix()
     assert np.max(np.abs(RQ - (math.cos(theta) * Q0 + math.sin(theta) * P0))) < 1e-12
     # P rotates against Q
     RP = qt.rotate(P0, theta)
@@ -388,8 +388,8 @@ def test_shifted_kernel_equality(rng, quad):
 def test_conjugation_table():
     n = 2
     for j in range(n):
-        qj = qt.PauliWord.q_word(1 << j, n).matrix()
-        pj = qt.PauliWord.p_word(1 << j, n).matrix()
+        qj = q_word(1 << j, n).matrix()
+        pj = p_word(1 << j, n).matrix()
         uj = qt.PauliWord(tuple("U" if i == j else "I" for i in range(n))).matrix()
         assert np.max(np.abs(conjugate_nu_inv(uj) - qj)) < 1e-12
         # nu^{-1}(Q_j) = -U_j = -i Q_j P_j (the product order matters:
@@ -410,7 +410,7 @@ def test_anticommutation_transport(rng):
              for j in range(n)]
     total = sum(terms)
     for k in range(n):
-        qk = qt.PauliWord.q_word(1 << k, n).matrix()
+        qk = q_word(1 << k, n).matrix()
         transported = qk @ total @ qk
         signed = sum((-1.0 if j == k else 1.0) * terms[j] for j in range(n))
         assert np.max(np.abs(transported - signed)) < 1e-12
