@@ -18,11 +18,11 @@ unknown, so nothing here pins one).  The 11 catalog entries:
     GRAD_L1P          || |grad f|_{ell^2} ||_p             vs  || L^{1/p} f ||_p   (probe, 1<p<2)
 
 rad{...} is the Rademacher average (E_delta ||sum_i delta_i . ||^p)^{1/p}.
-A side only composes `cube` operators and sums them with `+`: every operand
-class stores Walsh coefficients in eps on its last axis, so an operator takes a
-scalar, lq or Lq operand alike; every norm, square function and Rademacher
-average comes from `norms`, whose `OPERANDS` names the operand class that
-carries each value space.
+Every side but F1's and GRAD_L1P's is declared, not computed (`_Side`): the norm of a
+sum of images, their sign average or their square function.  An image is an operand,
+or D_i of one, times a table over levels, and `evaluate` applies it with the `cube`
+operators, which take a scalar, lq or Lq operand alike (each class stores Walsh
+coefficients in eps on its last axis); every norm and average comes from `norms`.
 Three ids are aliases that repeat an entry's display: R_ABOVE_DUAL of F1 (the
 dual display carries no extra normalization of its own), DELTA_FI of
 R_BELOW_NOD and RIESZ_FULL_BELOW of RIESZ_LOWER; an alias is reported under
@@ -41,16 +41,13 @@ Its warm start puts the character eps_{i mod n} in every row of operand i, and
 sum_j delta_j eps_j in F1's operand.
 
 Bound and prune: most candidates of a search lose by far, and the sign average
-dominates their cost.  A side is a number or a `_Rad`, and `evaluate` alone takes
-the sign averages, exactly, refusing more than 20 signs before any operand is
-built (Monte-Carlo averages are `norms.rademacher_avg`'s).  Given a bar, an entry
-prunes iff its rhs is a sign average (RIESZ_LOWER, R_BELOW, R_BELOW_NOD, PISIER,
-PT_DERIV, GAMMA_BELOW): that average is capped at lhs const / bar, where the
-ratio falls below the bar; `norms.rademacher_avg` stops once a partial sum of its
-pattern powers proves the cap passed, or, at p >= 2, before any pattern once its
-Parseval floor (from the squared L^2 norms of the operands) does, and the report
-is flagged `pruned`.  R_ABOVE and DF hold theirs in the lhs, which a partial sum
-or a floor bounds only from below; EPI, F1 and GRAD_L1P have none.  An evaluation
+dominates their cost.  `evaluate` takes the sign averages, exactly, refusing more than
+20 signs before any image is built.  Given a bar, an entry whose rhs is a sign average
+(RIESZ_LOWER, R_BELOW, R_BELOW_NOD, PISIER, PT_DERIV, GAMMA_BELOW) caps it at lhs
+const / bar, where the ratio falls below the bar; `norms.rademacher_avg` stops once a
+partial sum of its pattern powers, or at p >= 2 its Parseval floor, proves the cap
+passed, and the report is flagged `pruned`.  R_ABOVE and DF hold theirs in the lhs,
+which those bound only from below; EPI, F1 and GRAD_L1P have none.  An evaluation
 that is not pruned is bit for bit the one without a bar.
 """
 
@@ -70,13 +67,15 @@ import numpy as np
 from .cube import (
     BiCubeFunction,
     VectorCubeFunction,
+    _check_dense_n,
     _dot,
+    _frac_table,
     apply_multiplier,
     character,
     discrete_derivative,
     frac_power,
     gradient,
-    riesz,
+    levels,
 )
 from .norms import (MAX_EXACT_SIGNS, OPERANDS, MixedNormSpec, inner_kind, lp_norm, mixed_norm,
                     rademacher_avg)
@@ -115,6 +114,7 @@ class InequalityInstance:
         if entry is None:
             raise ValueError(f"unknown inequality id {self.ineq_id!r}; "
                              f"catalog: {', '.join(INEQUALITY_IDS)}")
+        _check_dense_n(self.n)
         if not (1 <= self.p < math.inf):
             raise ValueError(f"p must be in [1, inf), got {self.p}")
         self.norm_spec()  # refuses an unknown inner, and a q the inner does not read
@@ -174,42 +174,28 @@ def _ratio(lhs: float, rhs: float) -> float:
     return math.inf if lhs > 0 else 0.0
 
 
-def _norm(instance: InequalityInstance, g) -> float:
-    return mixed_norm(g, instance.norm_spec())
+@dataclass(frozen=True)
+class _Side:
+    """A side over images: `op` "norm" takes the norm of their sum, "rad" their sign
+    average / const(instance), "square" the L^p norm of their ell^2 square function.
+    Image i is D_i of operand i of a family, or of the one operand, if `derive` is set,
+    else operand i; then, given a `table`, times table(instance)[|A|] at each mask A."""
 
-
-class _Rad:  # a side rad{operands} / const: a sign average, taken by `evaluate`
-    def __init__(self, operands: list, const: float = 1.0):
-        self.operands, self.const = operands, const
-
-
-def _sign_operands(instance, operand) -> list:
-    """[operand(i) for i < n], refused over `MAX_EXACT_SIGNS` signs before one is built."""
-    if instance.n > MAX_EXACT_SIGNS:
-        raise ValueError(f"exact mode capped at {MAX_EXACT_SIGNS} sign variables, got {instance.n}")
-    return [operand(i) for i in range(instance.n)]
+    op: str
+    derive: bool = False
+    table: Callable | None = None
+    const: Callable = lambda instance: 1.0
 
 
 # -- the catalog ------------------------------------------------------------------
-# Each entry names its input kind, the one parameter it needs and its two sides, each
-# a number or a `_Rad`.  The sides call the cube and norms operators through this
-# module's names at call time, so a wrapper installed on those names sees every call.
+# Each entry names its input kind, the one parameter it needs and its two sides: a pair
+# of `_Side`s, or a function of the inputs (F1 reads marginals, GRAD_L1P partials).
 
 
-def _r_above(instance, f, a=0.5):
-    images = _sign_operands(instance, lambda i: frac_power(discrete_derivative(f, i), a))
-    return _Rad(images), _norm(instance, f)
-
-
-def _riesz_lower(instance, f, gamma=0.0):
-    derivatives = _sign_operands(instance, lambda i: discrete_derivative(f, i))
-    return _norm(instance, frac_power(f, gamma - 0.5)), _Rad(derivatives)
-
-
-def _r_below(instance, family, with_derivative=True):
-    derivatives = _sign_operands(instance, lambda i: discrete_derivative(family[i], i))
-    lhs = _norm(instance, reduce(operator.add, (frac_power(d, instance.a) for d in derivatives)))
-    return lhs, _Rad(derivatives if with_derivative else family)
+def _shifted_heat(instance) -> np.ndarray:
+    """The table of e^t D_i P_t: e^{-t(k-1)} at level k >= 1 (D_i leaves no level 0), so
+    neither e^{2t} nor e^{-tk} is formed."""
+    return np.concatenate([[0.0], np.exp(-instance.t * np.arange(instance.n))])
 
 
 def _f1(instance, F):
@@ -217,24 +203,6 @@ def _f1(instance, F):
     lhs = lp_norm(reduce(operator.add, (frac_power(discrete_derivative(m, j), 1.0)
                                         for j, m in enumerate(F.marginals()))), p)
     return lhs, mixed_norm(F, MixedNormSpec.cube(p, p))
-
-
-def _pt_deriv(instance, family):
-    # both sides times e^t: level k >= 1 of D_i P_t gets e^{-t(k-1)}, and no
-    # level 0 survives D_i; so neither e^{2t} nor e^{-tk} is formed
-    t = instance.t
-    derivatives = _sign_operands(instance, lambda i: discrete_derivative(family[i], i))
-    shifted = np.zeros(instance.n + 1)
-    shifted[1:] = np.exp(-t * np.arange(instance.n))
-    lhs = _norm(instance, reduce(operator.add, (apply_multiplier(d, shifted) for d in derivatives)))
-    return lhs, _Rad(derivatives, math.sqrt(-math.expm1(-2.0 * t)))
-
-
-def _epi(instance, family):
-    p = instance.p
-    lhs = lp_norm(reduce(operator.add, (riesz(f, i) for i, f in enumerate(family))), p)
-    square = VectorCubeFunction([discrete_derivative(f, i) for i, f in enumerate(family)])
-    return lhs, mixed_norm(square, MixedNormSpec.lq(p, 2))
 
 
 def _grad_l1p(instance, f):
@@ -246,30 +214,44 @@ def _grad_l1p(instance, f):
             lp_norm(frac_power(f, -1.0 / p), p))
 
 
+def _lower(gamma: Callable) -> tuple[_Side, _Side]:  # || L^{1/2-gamma} f || vs rad{D_i f}
+    return (_Side("norm", table=lambda inst: _frac_table(inst.n, gamma(inst) - 0.5)),
+            _Side("rad", derive=True))
+
+
+def _above(a: float) -> tuple[_Side, _Side]:  # rad{L^{-a} D_i f} vs || f ||
+    return _Side("rad", derive=True, table=lambda inst: _frac_table(inst.n, a)), _Side("norm")
+
+
+def _below(rhs: _Side) -> tuple[_Side, _Side]:  # || sum_i L^{-a} D_i f_i || vs rhs
+    return _Side("norm", derive=True, table=lambda inst: _frac_table(inst.n, inst.a)), rhs
+
+
 @dataclass(frozen=True)
 class _Entry:
     kind: str  # "single", "family" or "bi"
-    sides: Callable  # sides(instance, inputs) -> (lhs, rhs), each a number or a `_Rad`
+    sides: tuple[_Side, _Side] | Callable  # (lhs, rhs), or sides(instance, inputs) -> 2 numbers
     needs: str | None = None  # the instance field the entry reads: "a", "gamma" or "t"
     scalar_only: bool = False
-    # a family entry that reads operand i only through D_i, which multiplies
-    # its coefficients at masks without bit i by 0.0
-    through_derivative: bool = False
 
 
 CATALOG = {
-    "R_ABOVE": _Entry("single", _r_above),
-    "RIESZ_LOWER": _Entry("single", _riesz_lower),
-    "R_BELOW": _Entry("family", _r_below, needs="a", through_derivative=True),
-    "R_BELOW_NOD": _Entry("family", lambda inst, fs: _r_below(inst, fs, False), needs="a"),
+    "R_ABOVE": _Entry("single", _above(0.5)),
+    "RIESZ_LOWER": _Entry("single", _lower(lambda inst: 0.0)),
+    "R_BELOW": _Entry("family", _below(_Side("rad", derive=True)), needs="a"),
+    "R_BELOW_NOD": _Entry("family", _below(_Side("rad")), needs="a"),
     # PISIER is GAMMA_BELOW at gamma = 1/2 (L^0 f = f - E f), DF is R_ABOVE at a = 1
-    "PISIER": _Entry("single", lambda inst, f: _riesz_lower(inst, f, 0.5)),
+    "PISIER": _Entry("single", _lower(lambda inst: 0.5)),
     "F1": _Entry("bi", _f1, scalar_only=True),
-    "DF": _Entry("single", lambda inst, g: _r_above(inst, g, 1.0)),
-    "PT_DERIV": _Entry("family", _pt_deriv, needs="t", through_derivative=True),
-    "EPI": _Entry("family", _epi, scalar_only=True, through_derivative=True),
-    "GAMMA_BELOW": _Entry("single", lambda inst, f: _riesz_lower(inst, f, inst.gamma),
-                          needs="gamma"),
+    "DF": _Entry("single", _above(1.0)),
+    "PT_DERIV": _Entry("family", (_Side("norm", derive=True, table=_shifted_heat),
+                                  _Side("rad", derive=True,
+                                        const=lambda inst: math.sqrt(-math.expm1(-2.0 * inst.t)))),
+                       needs="t"),
+    "EPI": _Entry("family", (_Side("norm", derive=True,
+                                   table=lambda inst: _frac_table(inst.n, 0.5)),
+                             _Side("square", derive=True)), scalar_only=True),
+    "GAMMA_BELOW": _Entry("single", _lower(lambda inst: inst.gamma), needs="gamma"),
     "GRAD_L1P": _Entry("single", _grad_l1p, scalar_only=True),
 }
 INEQUALITY_IDS = tuple(CATALOG)
@@ -284,14 +266,14 @@ _PARAMETER_RANGES = {
 def evaluate(instance: InequalityInstance, inputs, bar: float | None = None) -> RatioReport:
     """Evaluate both sides of the instance on concrete inputs.
 
-    `inputs` is a single operand, a family (one operand per coordinate), or
-    a BiCubeFunction, according to the catalog entry.  Operand dimension
-    must equal instance.n; family length must equal n.  Sign averages are
-    exact, of at most `MAX_EXACT_SIGNS` (20) signs (Monte-Carlo ones are
-    `norms.rademacher_avg`'s).  An entry prunes iff its rhs is a sign average:
-    a positive `bar` stops it once it proves the ratio below the bar, and the
-    report is flagged `pruned`, its rhs a lower bound and its ratio not a
-    ratio.  Every other report is the one computed without a bar, bit for bit.
+    `inputs` is a single operand, a family (one operand per coordinate), or a
+    BiCubeFunction, according to the catalog entry; operand dimension and family length
+    must equal instance.n.  Declared sides are applied here, each D_i built once; sign
+    averages are exact, of at most `MAX_EXACT_SIGNS` (20) signs, refused before any
+    image.  An entry prunes iff its rhs is a sign average: a positive `bar` stops it
+    once it proves the ratio below the bar, and the report is flagged `pruned`, its rhs
+    a lower bound and its ratio not a ratio.  Every other report is the one computed
+    without a bar, bit for bit.
     """
     family = instance.input_kind == "family"
     if family:
@@ -299,15 +281,32 @@ def evaluate(instance: InequalityInstance, inputs, bar: float | None = None) -> 
         if len(inputs) != instance.n:
             raise ValueError(f"{instance.ineq_id} expects a family of n={instance.n} "
                              f"operands, got {len(inputs)}")
-    _check_operands(inputs if family else [inputs], instance)
-    lhs, rhs = CATALOG[instance.ineq_id].sides(instance, inputs)
-    spec, pruned = instance.norm_spec(), False
-    if isinstance(lhs, _Rad):  # a cap bounds it from below only: taken in full
-        lhs = rademacher_avg(lhs.operands, instance.p, spec).value / lhs.const
-    if isinstance(rhs, _Rad):  # capped at lhs const / bar, where the ratio falls below the bar
-        cap = float(lhs) * rhs.const / bar if bar is not None and bar > 0 else None
-        rad = rademacher_avg(rhs.operands, instance.p, spec, cap=cap)
-        rhs, pruned = rad.value / rhs.const, rad.pruned
+    operands = inputs if family else [inputs]
+    _check_operands(operands, instance)
+    sides, spec = CATALOG[instance.ineq_id].sides, instance.norm_spec()
+    if callable(sides):
+        lhs, rhs = sides(instance, inputs)
+        return RatioReport(float(lhs), float(rhs), _ratio(lhs, rhs))
+    if instance.n > MAX_EXACT_SIGNS and any(side.op == "rad" for side in sides):
+        raise ValueError(f"exact mode capped at {MAX_EXACT_SIGNS} sign variables, got {instance.n}")
+    derivatives = [discrete_derivative(operands[i if family else 0], i) for i in range(instance.n)]
+    values, pruned = [], False
+    for side in sides:
+        images = derivatives if side.derive else operands
+        if side.table is not None:
+            table = side.table(instance)
+            images = [apply_multiplier(g, table) for g in images]
+        if side.op == "norm":
+            values.append(mixed_norm(reduce(operator.add, images), spec))
+        elif side.op == "square":
+            values.append(mixed_norm(VectorCubeFunction(images), MixedNormSpec.lq(instance.p, 2)))
+        else:  # an rhs average is capped at lhs const / bar, where the ratio falls below the bar
+            const = side.const(instance)
+            cap = values[0] * const / bar if values and bar is not None and bar > 0 else None
+            rad = rademacher_avg(images, instance.p, spec, cap=cap)
+            values.append(rad.value / const)
+            pruned = rad.pruned
+    lhs, rhs = values
     return RatioReport(float(lhs), float(rhs), _ratio(lhs, rhs), pruned=pruned)
 
 
@@ -390,15 +389,21 @@ def _canonical_thetas(instance: InequalityInstance) -> list[np.ndarray]:
 
 def _inert_coordinates(instance: InequalityInstance) -> np.ndarray:
     """The coordinates of the search's coefficient vector that cannot move the
-    entry's report, as a boolean vector: for an entry that reads operand i only
-    through D_i (`_Entry.through_derivative`), the coefficients of operand i at
-    masks without bit i, which D_i multiplies by 0.0; none for any other entry."""
+    entry's report, as a boolean vector: the coefficients that every image of
+    their operand multiplies by 0.0, its D_i at a mask without bit i or its
+    table at a level where it is 0; none for an entry whose sides are a function."""
     shape, _ = _input_dim(instance)
-    inert = np.zeros(shape, dtype=bool)
-    if CATALOG[instance.ineq_id].through_derivative:
-        masks = np.arange(shape[-1])
-        for i in range(shape[0]):
-            inert[i, ..., (masks >> i) & 1 == 0] = True
+    sides = CATALOG[instance.ineq_id].sides
+    inert = np.full(shape, not callable(sides))
+    masks = np.arange(shape[-1])
+    for side in () if callable(sides) else sides:
+        zero = (side.table(instance).take(levels(instance.n)) == 0.0 if side.table is not None
+                else np.zeros(masks.size, dtype=bool))
+        if not side.derive:
+            inert &= zero
+            continue
+        for i in range(instance.n):  # image i reads its operand through D_i
+            inert[i if instance.input_kind == "family" else 0] &= zero | ((masks >> i) & 1 == 0)
     return inert.reshape(-1)
 
 
@@ -408,25 +413,19 @@ def search_max_ratio(instance: InequalityInstance, cfg: SearchConfig | None = No
     Returns (report, witness_inputs).  Deterministic for a fixed config; the
     result is a lower bound on the true extremal ratio, nothing more.
 
-    An ascent step on an inert coordinate (`_inert_coordinates`: one that D_i
-    multiplies by 0.0 in an entry that reads operand i only through D_i) is
-    rejected without an evaluation.  It still draws its coordinate and sign
-    and counts as a stale step, and the evaluation would have given the
-    report's bits again, which never beats them; so the output is bit for bit
-    that of evaluating every step.  The winner's report is the one its search
-    already computed.
+    An ascent step on an inert coordinate (`_inert_coordinates`: one that every
+    declared image of its operand multiplies by 0.0) is rejected without an
+    evaluation.  It still draws its coordinate and sign and counts as a stale
+    step, and the evaluation would have given the report's bits again, which
+    never beats them; so the output is bit for bit that of evaluating every
+    step.  The winner's report is the one its search already computed.
 
     Each evaluation gets a bar (`evaluate`): a probe the `restarts`-th best finite
     ratio among the probes evaluated in full so far (none until `restarts` of them
-    are in), an ascent step the ratio of the report it must beat.  An entry
-    prunes iff its rhs is a sign average (see the module docstring: R_ABOVE and
-    DF hold theirs in the lhs, which a partial sum or a Parseval floor bounds only
-    from below); at p >= 2 most losers are pruned by that floor, before any Walsh
-    transform of their operands.  A
-    pruned evaluation is proven strictly below its bar, so it is never a
-    restart, the best or the witness, and it draws nothing: report and witness
-    are bit for bit those of the search without bars, which evaluates every
-    sign average in full.
+    are in), an ascent step the ratio of the report it must beat.  A pruned
+    evaluation (see the module docstring) is proven strictly below its bar, so it
+    is never a restart, the best or the witness, and it draws nothing: report and
+    witness are bit for bit those of the search without bars.
     """
     cfg = cfg if cfg is not None else SearchConfig()
     if instance.n > 14:

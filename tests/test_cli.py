@@ -461,6 +461,17 @@ def test_ratio_and_sweep_refuse_a_non_finite_time(capsys, argv):
     assert "error: PT_DERIV needs a finite t in (0, inf), got inf" in err
 
 
+@pytest.mark.parametrize("argv, n", [
+    (("ratio", "--ineq", "PISIER", "--n", "-3", "--p", "3"), -3),
+    (("sweep", "--ineq", "R_BELOW", "--a", "0.5", "--n-list", "0,4", "--p-list", "3"), 0),
+])
+def test_ratio_and_sweep_refuse_a_dimension_outside_the_dense_range(capsys, argv, n):
+    # unchecked, n = -3 failed on a negative shift count and n = 0 on an empty family sum
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert f"error: dense cube dimension must be in [1, 24], got {n}" in err
+
+
 def test_grad_l1p_over_its_gradient_budget_exits_one(capsys, monkeypatch):
     def gradient(f):
         raise AssertionError("gradient ran before the gradient budget was checked")

@@ -1,4 +1,6 @@
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,23 +103,39 @@ def _report_bytes(report):
     return np.array([report.lhs, report.rhs, report.ratio]).tobytes()
 
 
-def _witness_bytes(witness):
-    return b"".join(g.coeffs.tobytes() for g in witness)
+def _witness_bytes(witness):  # of a family's operands, or of one operand
+    operands = witness if isinstance(witness, list) else [witness]
+    return b"".join(g.coeffs.tobytes() for g in operands)
 
 
 DERIVATIVE_ENTRIES = [("R_BELOW", "scalar"), ("R_BELOW", "lq"), ("R_BELOW", "Lq"),
                       ("PT_DERIV", "scalar"), ("EPI", "scalar")]
 
 
-def test_inert_coordinates_are_the_masks_without_the_operand_bit():
-    for ineq in CATALOG:
-        inst = _catalog_instance(ineq)
-        inert = _inert_coordinates(inst).reshape(_input_dim(inst)[0])
-        if (ineq, "scalar") not in DERIVATIVE_ENTRIES:
-            assert not inert.any()
-            continue
-        for i, rows in enumerate(inert):
-            assert np.array_equal(rows, [(mask >> i) & 1 == 0 for mask in range(8)])
+SEARCHED = [(ineq, inner) for ineq, entry in CATALOG.items()
+            for inner in (["scalar"] if entry.scalar_only else list(OPERANDS))]
+
+
+@pytest.mark.parametrize("ineq, inner", SEARCHED)
+def test_the_inert_set_is_every_coordinate_whose_step_leaves_the_report_bits(ineq, inner):
+    # brute force at n = 3: a step of +-ASCENT_STEP on each coordinate in turn; the rule
+    # reads the declared sides, and marks none for an entry whose sides are a function
+    inst = _catalog_instance(ineq, inner)
+    _, dim = _input_dim(inst)
+    theta = stream_generator(3, 9).standard_normal(dim)
+    base = _report_bytes(evaluate(inst, _build_inputs(inst, theta)))
+    unmoved = np.ones(dim, dtype=bool)
+    for j in range(dim):
+        for step in (ASCENT_STEP, -ASCENT_STEP):
+            cand = theta.copy()
+            cand[j] += step
+            unmoved[j] &= _report_bytes(evaluate(inst, _build_inputs(inst, cand))) == base
+    inert = _inert_coordinates(inst)
+    assert not (inert & ~unmoved).any()
+    if callable(CATALOG[ineq].sides):
+        assert not inert.any()
+    else:
+        assert np.array_equal(inert, unmoved)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -149,7 +167,8 @@ def _no_inert_coordinates(instance):
     return np.zeros(_input_dim(instance)[1], dtype=bool)
 
 
-@pytest.mark.parametrize("ineq, inner", DERIVATIVE_ENTRIES)
+@pytest.mark.parametrize("ineq, inner", DERIVATIVE_ENTRIES + [
+    ("RIESZ_LOWER", "scalar"), ("PISIER", "lq"), ("GAMMA_BELOW", "Lq")])  # the mean is inert
 def test_search_bits_do_not_depend_on_the_inert_set(ineq, inner, monkeypatch):
     inst = _catalog_instance(ineq, inner, n=4)
     cfg = SearchConfig(trials=4, restarts=2, ascent_steps=80, seed=5)
@@ -274,6 +293,12 @@ def test_epi_trivial_and_reduction(rng):
     grads = np.stack([discrete_derivative(f, i).values() for i in range(n)])
     sq = float(((np.sqrt((grads**2).sum(0)) ** 3.0).mean()) ** (1 / 3.0))
     assert abs(rep2.rhs - sq) < 1e-12
+
+
+@pytest.mark.parametrize("n", [-3, 0, cube.MAX_DENSE_N + 1])
+def test_instance_refuses_a_dimension_outside_the_dense_range(n):
+    with pytest.raises(ValueError, match=rf"dense cube dimension must be in \[1, 24\], got {n}"):
+        InequalityInstance("R_BELOW", n=n, p=3.0, a=0.5)
 
 
 def test_instance_validation():
@@ -620,14 +645,15 @@ def test_pt_deriv_refuses_a_non_finite_time():
             InequalityInstance("PT_DERIV", n=4, p=2.0, t=t)
 
 
-@pytest.mark.parametrize("ineq, operator", [("RIESZ_LOWER", "discrete_derivative"),
-                                            ("DF", "frac_power")])
-def test_a_sign_average_over_21_signs_is_refused_before_its_operands(ineq, operator,
-                                                                       monkeypatch):
-    def built(*args):
-        raise AssertionError(f"{operator} ran before the sign count was checked")
+@pytest.mark.parametrize("ineq", ["RIESZ_LOWER", "DF"])
+def test_a_sign_average_over_21_signs_is_refused_before_its_operands(ineq, monkeypatch):
+    for operator in ("discrete_derivative", "apply_multiplier"):  # the names evaluate calls
+        def built(*args, operator=operator):
+            raise AssertionError(f"{operator} ran before the sign count was checked")
 
-    monkeypatch.setattr(iq, operator, built)
+        monkeypatch.setattr(iq, operator, built)
+    with pytest.raises(AssertionError, match="ran before the sign count was checked"):
+        evaluate(InequalityInstance(ineq, n=3, p=3.0), character(3, 1))
     with pytest.raises(ValueError, match="exact mode capped at 20 sign variables, got 21"):
         evaluate(InequalityInstance(ineq, n=21, p=3.0), character(21, 1))
 
@@ -648,8 +674,6 @@ def test_grad_l1p_has_no_sign_average_to_refuse(n, monkeypatch):
 
 
 SIGN_RHS = {"RIESZ_LOWER", "R_BELOW", "R_BELOW_NOD", "PISIER", "PT_DERIV", "GAMMA_BELOW"}
-SEARCHED = [(ineq, inner) for ineq, entry in CATALOG.items()
-            for inner in (["scalar"] if entry.scalar_only else list(OPERANDS))]
 
 
 def _recording_evaluate(monkeypatch, drop_bar=False):
@@ -686,6 +710,25 @@ def test_search_bits_do_not_depend_on_the_bars(ineq, inner, n, restarts, monkeyp
     assert _report_bytes(report) == _report_bytes(unbarred)
     listed = [w if isinstance(w, list) else [w] for w in (witness, unbarred_witness)]
     assert _witness_bytes(listed[0]) == _witness_bytes(listed[1])
+
+
+def _search_digests() -> dict:
+    """sha256 of the report bytes and the witness coeffs bytes of one small search of
+    every searched pair at n = 4, keyed as sha256sum prints a file name."""
+    cfg = SearchConfig(trials=8, restarts=3, ascent_steps=200, seed=1)
+    digests = {}
+    for ineq, inner in SEARCHED:
+        report, witness = search_max_ratio(_catalog_instance(ineq, inner, n=4), cfg)
+        digests[f"{ineq} {inner} report"] = hashlib.sha256(_report_bytes(report)).hexdigest()
+        digests[f"{ineq} {inner} witness"] = hashlib.sha256(_witness_bytes(witness)).hexdigest()
+    return digests
+
+
+def test_search_bits_match_their_pins():
+    # search_bits.sha256 holds the digests of `_search_digests`; a change that moves a
+    # search bit of any entry must say so there
+    pins = Path(__file__).with_name("search_bits.sha256").read_text().splitlines()
+    assert _search_digests() == dict(reversed(line.split("  ", 1)) for line in pins)
 
 
 def test_the_search_prunes_and_every_pruned_evaluation_is_below_its_bar(monkeypatch):
